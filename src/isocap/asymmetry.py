@@ -19,7 +19,7 @@ from scipy.optimize import brentq, minimize
 from .capacity import counter_uniform
 from .domains import CompositeDomain, StarDomain, barycenter, volume
 from .errors import GeometryError
-from .sphere import ball_volume, sphere_area
+from .sphere import ball_volume, build_quadrature, sphere_area
 
 __all__ = [
     "AsymmetryResult",
@@ -66,8 +66,6 @@ def _ray_samples(domain: StarDomain):
     if domain.quad.degree >= _RAY_DEGREE:
         quad, rho = domain.quad, domain.rho
     else:
-        from .sphere import build_quadrature
-
         quad = build_quadrature(3, _RAY_DEGREE)
         rho = domain.radial(quad.nodes)
     domain._ray_cache = (quad, rho)

@@ -292,14 +292,13 @@ class _WosComponent:
             return np.abs(r - self.radius), r < self.radius
         inside = r < self.dom.radial(q / np.maximum(r, 1e-300)[:, None])
         # coarse pass over a precomputed boundary cloud
-        d2 = ((q[:, None, :] - self.coarse_pts[None, :, :]) ** 2).sum(axis=2)
-        best = np.argmin(d2, axis=1)
+        best, d2best = _nearest_point(q, self.coarse_pts)
         w = self.coarse_dirs[best]
         # local pattern search on the sphere around the coarse direction
         span = math.pi / self._COARSE_DEG
         a1 = _any_orthonormal(w)
         a2 = np.cross(w, a1)
-        dbest = np.sqrt(d2[np.arange(len(p)), best])
+        dbest = np.sqrt(d2best)
         offs = np.array([(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)],
                         dtype=float)
         for _ in range(self._REFINE_ROUNDS):
@@ -319,6 +318,26 @@ class _WosComponent:
             a2 = np.cross(w, a1)
             span /= 3.0
         return dbest, inside
+
+
+_NEAREST_ROWS = 2048  # query rows per block of the coarse distance pass
+
+
+def _nearest_point(q: np.ndarray, pts: np.ndarray):
+    """(index, squared distance) of the row of pts nearest to each row of q.
+
+    q is taken in blocks of _NEAREST_ROWS rows, so the (n, len(pts), 3)
+    difference array is never formed whole; no row depends on the blocks.
+    """
+    best = np.empty(len(q), dtype=np.intp)
+    d2best = np.empty(len(q))
+    for i in range(0, len(q), _NEAREST_ROWS):
+        block = slice(i, i + _NEAREST_ROWS)
+        d2 = ((q[block, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        j = np.argmin(d2, axis=1)
+        best[block] = j
+        d2best[block] = d2[np.arange(len(j)), j]
+    return best, d2best
 
 
 def _any_orthonormal(w: np.ndarray) -> np.ndarray:

@@ -103,7 +103,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="harmonic solver truncation degree")
     sub.add_argument("--seed", type=int, help="seed for all randomness")
     sub.add_argument("--walks", type=int, help="walk-on-spheres sample count")
-    sub.add_argument("--threads", type=int, help="worker threads")
+    sub.add_argument("--threads", type=int, help="walk-on-spheres block threads")
     sub.add_argument("--out-dir", help="directory for output files")
     sub.add_argument("--no-timestamp", action="store_const", const=True,
                      default=None, help="omit the generation-time comment in SVG")

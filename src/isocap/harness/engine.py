@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +51,7 @@ class ExperimentConfig:
     l_max: int = 8
     seed: int = 0
     walks: int = 20000
-    threads: int = 1
+    threads: int = 1  # walk-on-spheres block threads only
     out_dir: str = "."
     timestamp: bool = True
     family: FamilySpec | None = None
@@ -200,30 +199,20 @@ def _member_record(cfg: ExperimentConfig, domain_id, param, dom, phi) -> RunReco
 def run_sweep(cfg: ExperimentConfig, basename: str = "sweep"):
     """Evaluate a family, write CSV/JSON/SVG, return records and summary.
 
-    Records keep the family order regardless of worker completion
-    order.  A member whose solve fails is recorded in the summary and
-    skipped in the table; the run continues.
+    Members are evaluated in family order, in the calling thread: their
+    work is small NumPy calls that hold the GIL, so worker threads only
+    add contention.  A member whose solve fails is recorded in the
+    summary and skipped in the table; the run continues.
     """
     if cfg.family is None or cfg.family.count < 1:
         raise ConfigError("sweep needs a nonempty family")
-    members = generate_family(cfg.family)
-    records: list[RunRecord | None] = [None] * len(members)
+    done: list[RunRecord] = []
     failures: list[dict] = []
-
-    def work(k):
-        domain_id, param, dom, phi = members[k]
+    for domain_id, param, dom, phi in generate_family(cfg.family):
         try:
-            records[k] = _member_record(cfg, domain_id, param, dom, phi)
+            done.append(_member_record(cfg, domain_id, param, dom, phi))
         except (SolverError, GeometryError) as exc:
             failures.append({"domain_id": domain_id, "error": str(exc)})
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            list(ex.map(work, range(len(members))))
-    else:
-        for k in range(len(members)):
-            work(k)
-    done = [r for r in records if r is not None]
     if not done:
         raise SolverError("every family member failed")
 
@@ -279,8 +268,7 @@ def run_fuglede(cfg: ExperimentConfig, degree: int = 2, order: int = 0,
     if degree < 1 or abs(order) > degree:
         raise ConfigError("need degree >= 1 and |order| <= degree")
     phi = HarmonicCoeffs.single(degree, degree + order, 1.0)
-    rows_t = taylor_check(phi, ladder, cfg.form_spec(), cfg=cfg.solver_config(),
-                          threads=cfg.threads)
+    rows_t = taylor_check(phi, ladder, cfg.form_spec(), cfg=cfg.solver_config())
     rows = [[repr(r.t), repr(r.deficit), repr(r.deficit_error),
              repr(r.form_half), repr(r.remainder_ratio)] for r in rows_t]
     summary = {

@@ -98,8 +98,12 @@ class SphereQuadrature:
         return self.nodes.shape[0]
 
 
+@functools.lru_cache(maxsize=None)
 def build_quadrature(dimension: int, degree: int) -> SphereQuadrature:
     """Product quadrature on S^{N-1} exact up to the requested degree.
+
+    Rules are built once per (dimension, degree) and shared by every
+    caller, so their arrays are read-only.
 
     Parameters
     ----------
@@ -137,6 +141,8 @@ def build_quadrature(dimension: int, degree: int) -> SphereQuadrature:
     zz = np.outer(z, np.ones(n_phi)).ravel()
     nodes = np.column_stack([x, y, zz])
     weights = np.outer(wz, np.full(n_phi, 2.0 * np.pi / n_phi)).ravel()
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return SphereQuadrature(dimension=3, degree=degree, nodes=nodes, weights=weights)
 
 

@@ -13,7 +13,6 @@ Taylor-remainder table comparing solver deficits against the form.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -295,13 +294,13 @@ class TaylorRow:
 
 
 def taylor_check(phi: HarmonicCoeffs, t_ladder, spec: QuadraticFormSpec,
-                 cfg: SolverConfig | None = None, threads: int = 2) -> list[TaylorRow]:
+                 cfg: SolverConfig | None = None) -> list[TaylorRow]:
     """Deficit of domains 1 + t*phi against the second-variation form.
 
-    For each t the domain is built volume-corrected, the deficit solved
-    with the harmonic solver, and the remainder (deficit - t^2/2 * form)
-    reported relative to t^2; the ratios must shrink as t does when the
-    form matches the true second variation.
+    For each t, in ladder order, the domain is built volume-corrected,
+    the deficit solved with the harmonic solver, and the remainder
+    (deficit - t^2/2 * form) reported relative to t^2; the ratios must
+    shrink as t does when the form matches the true second variation.
     """
     s2 = second_variation(phi, spec)
 
@@ -318,7 +317,4 @@ def taylor_check(phi: HarmonicCoeffs, t_ladder, spec: QuadraticFormSpec,
     ts = [float(t) for t in t_ladder]
     if any(t <= 0 for t in ts):
         raise ConfigError("ladder values must be positive")
-    if threads > 1 and len(ts) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(ts))) as ex:
-            return list(ex.map(row, ts))
     return [row(t) for t in ts]

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocap.capacity import (SolverConfig, WosConfig, cap_ball, cap_ball_rel,
+from isocap.capacity import (_NEAREST_ROWS, SolverConfig, WosConfig,
+                             _nearest_point, cap_ball, cap_ball_rel,
                              cap_exterior_harmonic, cap_relative_harmonic,
                              cap_spheroid, cap_wos, capacity, counter_uniform,
                              deficit)
@@ -231,6 +232,17 @@ def test_wos_random_star_deterministic_across_threads():
     a = cap_wos(dom, WosConfig(threads=1, **cfg))
     b = cap_wos(dom, WosConfig(threads=2, **cfg))
     assert a == b
+
+
+def test_nearest_point_blocks_match_unblocked_pass():
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(242, 3))
+    q = rng.normal(size=(2 * _NEAREST_ROWS + 904, 3)) * 2.0  # three blocks
+    best, d2best = _nearest_point(q, pts)
+    d2 = ((q[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    ref = np.argmin(d2, axis=1)
+    assert np.array_equal(best, ref)
+    assert np.array_equal(d2best, d2[np.arange(len(q)), ref])
 
 
 def test_wos_two_sphere_composite_against_oracle():

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -87,6 +88,25 @@ def test_run_sweep_threads_do_not_change_bytes(tmp_path):
     for key in ("csv", "json", "svg"):
         assert pathlib.Path(paths_a[key]).read_bytes() == \
             pathlib.Path(paths_b[key]).read_bytes()
+
+
+def test_sweep_and_taylor_ladder_start_no_threads(tmp_path, monkeypatch):
+    from isocap.domains import FamilySpec
+    from isocap.sphere import HarmonicCoeffs
+    from isocap.stability import QuadraticFormSpec, taylor_check
+
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    cfg = ExperimentConfig(out_dir=str(tmp_path), threads=3, timestamp=False,
+                           family=FamilySpec("random_star", 3, amplitude=0.1,
+                                             seed=9))
+    records, _, _ = run_sweep(cfg)
+    assert len(records) == 3
+    rows = taylor_check(HarmonicCoeffs.single(2, 2, 1.0), (0.02, 0.01),
+                        QuadraticFormSpec())
+    assert [r.t for r in rows] == [0.02, 0.01]
 
 
 def test_run_sweep_header_and_verdicts(tmp_path):

@@ -195,6 +195,15 @@ def test_build_quadrature_rejects_bad_input():
         build_quadrature(4, 4)
 
 
+@pytest.mark.parametrize("degree", [0, 16, 128])
+def test_build_quadrature_is_shared_and_read_only(degree):
+    quad = build_quadrature(3, degree)
+    assert build_quadrature(3, degree) is quad
+    for arr in (quad.nodes, quad.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 @given(st.integers(min_value=0, max_value=12), st.integers(min_value=3, max_value=8))
 def test_lb_eigenvalue_formula(l, n):
     assert lb_eigenvalue(l, n) == l * (l + n - 2)
