@@ -250,7 +250,8 @@ def annulus_lower_bound(v: float, dimension: int = 3) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _uniform_in_ball(seed: int, ids: np.ndarray, stratum: int, center, radius: float):
+def _uniform_in_ball(seed: int, ids: np.ndarray, stratum: int, radius: float):
+    """Uniform points in B_radius(0); callers add the stratum's center."""
     u1 = counter_uniform(seed, ids, stratum, 0)
     u2 = counter_uniform(seed, ids, stratum, 1)
     u3 = counter_uniform(seed, ids, stratum, 2)
@@ -258,8 +259,7 @@ def _uniform_in_ball(seed: int, ids: np.ndarray, stratum: int, center, radius: f
     s = np.sqrt(np.maximum(0.0, 1.0 - z**2))
     phi = 2.0 * math.pi * u2
     r = radius * u3 ** (1.0 / 3.0)
-    return np.asarray(center) + r[:, None] * np.column_stack(
-        [s * np.cos(phi), s * np.sin(phi), z])
+    return r[:, None] * np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
 
 
 def _member_of(domain: StarDomain, pts: np.ndarray) -> np.ndarray:
@@ -269,57 +269,79 @@ def _member_of(domain: StarDomain, pts: np.ndarray) -> np.ndarray:
     return r < domain.radial(q / safe[:, None])
 
 
+def _symdiff_sampler(comp: CompositeDomain, radius: float, n_samples: int, seed: int):
+    """Draw the strata of symdiff_volume_mc once; return center -> (value, stderr).
+
+    Nothing drawn depends on the ball center.  Each component stratum
+    keeps only its member points, the only ones that can count; the
+    ball stratum keeps its offsets about the origin, and its points for
+    a center are the float sums center + offset.
+    """
+    ids = np.arange(n_samples, dtype=np.uint64)
+    inside = []
+    for k, c in enumerate(comp.components):
+        pts = c.center_offset + _uniform_in_ball(seed, ids, 2 * k, c.rho_max)
+        inside.append(pts[_member_of(c, pts)])
+    offsets = _uniform_in_ball(seed, ids, 2 * len(comp.components) + 1, radius)
+    boxes = [ball_volume(3, c.rho_max) for c in comp.components] + [ball_volume(3, radius)]
+
+    def evaluate(center):
+        center = np.asarray(center, dtype=float)
+        counts = [np.count_nonzero(np.linalg.norm(pts - center, axis=1) >= radius)
+                  for pts in inside]
+        ball_pts = center + offsets
+        outside = np.ones(n_samples, dtype=bool)
+        for c in comp.components:
+            outside &= ~_member_of(c, ball_pts)
+        counts.append(np.count_nonzero(outside))
+        total, var = 0.0, 0.0
+        for count, vol_box in zip(counts, boxes):
+            p = count / n_samples
+            total += p * vol_box
+            var += p * (1.0 - p) / n_samples * vol_box**2
+        return total, math.sqrt(var)
+
+    return evaluate
+
+
 def symdiff_volume_mc(comp: CompositeDomain, center, radius: float,
                       n_samples: int = 200000, seed: int = 0):
     """Stratified Monte Carlo |Omega symdiff B_r(c)| for composite domains.
 
     One stratum per component (uniform in its bounding sphere, counting
     component points outside the ball) plus one for the ball (counting
-    ball points outside every component).  Deterministic for fixed seed.
-    Returns (value, stderr).
+    ball points outside every component).  Deterministic for fixed seed:
+    the sample is drawn once per call, and only the ball stratum depends
+    on the center, by a translation.  Returns (value, stderr).
     """
-    center = np.asarray(center, dtype=float)
-    ids = np.arange(n_samples, dtype=np.uint64)
-    total, var = 0.0, 0.0
-    for k, c in enumerate(comp.components):
-        pts = _uniform_in_ball(seed, ids, 2 * k, c.center_offset, c.rho_max)
-        good = _member_of(c, pts) & (np.linalg.norm(pts - center, axis=1) >= radius)
-        p = good.mean()
-        vol_box = ball_volume(3, c.rho_max)
-        total += p * vol_box
-        var += p * (1.0 - p) / n_samples * vol_box**2
-    pts = _uniform_in_ball(seed, ids, 2 * len(comp.components) + 1, center, radius)
-    outside = np.ones(n_samples, dtype=bool)
-    for c in comp.components:
-        outside &= ~_member_of(c, pts)
-    p = outside.mean()
-    vol_box = ball_volume(3, radius)
-    total += p * vol_box
-    var += p * (1.0 - p) / n_samples * vol_box**2
-    return total, math.sqrt(var)
+    return _symdiff_sampler(comp, radius, n_samples, seed)(center)
 
 
 def fraenkel_mc(comp: CompositeDomain, n_samples: int = 200000, seed: int = 0,
                 maxfev: int = 120) -> AsymmetryResult:
     """Fraenkel asymmetry of a composite by the stratified MC objective.
 
-    The sampler is frozen per seed, so the objective is a deterministic
-    function of the center and Nelder-Mead can run on it; accuracy is
-    set by the sample count, reported through stderr at the optimum.
+    The sample is drawn once per call and shared by every objective
+    evaluation and the final estimate; only the ball stratum is
+    translated to each trial center.  So the objective is a
+    deterministic function of the center and Nelder-Mead can run on it;
+    accuracy is set by the sample count, reported through stderr at the
+    optimum.
     """
     if abs(volume(comp) - ball_volume(3)) > 1e-8:
         raise GeometryError("fraenkel needs a volume-normalised domain")
     omega = ball_volume(3)
     count = [0]
+    sampler = _symdiff_sampler(comp, 1.0, n_samples, seed)
 
     def objective(c):
         count[0] += 1
-        return symdiff_volume_mc(comp, c, 1.0, n_samples, seed)[0] / omega
+        return sampler(c)[0] / omega
 
     vols = [volume(c) for c in comp.components]
     start = comp.components[int(np.argmax(vols))].center_offset
     res = minimize(objective, start, method="Nelder-Mead",
                    options={"maxfev": maxfev, "xatol": 1e-6, "fatol": 1e-9})
-    val, err = symdiff_volume_mc(comp, res.x, 1.0, n_samples, seed)
+    val, err = sampler(res.x)
     return AsymmetryResult(value=val / omega, minimizing_center=np.asarray(res.x),
                            evaluations=count[0], stderr=err / omega)

@@ -13,14 +13,15 @@ from __future__ import annotations
 import json
 import math
 import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..asymmetry import (alpha, alpha_R, annulus_lower_bound, fraenkel,
                          fraenkel_mc, symdiff_volume, symdiff_volume_mc)
-from ..capacity import (DeficitResult, SolverConfig, WosConfig, cap_ball,
-                        cap_spheroid, capacity, deficit)
+from ..capacity import (CapacityResult, DeficitResult, SolverConfig, WosConfig,
+                        cap_ball, cap_spheroid, capacity, deficit)
 from ..domains import (CompositeDomain, FamilySpec, ball, barycenter,
                        generate_family, nearly_spherical_from_phi,
                        truncate_rescale, volume)
@@ -143,8 +144,6 @@ def _spheroid_deficit(eps: float) -> DeficitResult:
     """Closed-form deficit of the volume-one spheroid with axes
     (1+eps, 1+eps, (1+eps)^-2); covers eccentricities the collocation
     solver refuses."""
-    from ..capacity import CapacityResult
-
     val = cap_spheroid(1.0 + eps, (1.0 + eps) ** -2)
     res = CapacityResult(value=val, method="closed-form",
                          error_estimate=1e-12 * val)
@@ -154,8 +153,6 @@ def _spheroid_deficit(eps: float) -> DeficitResult:
 
 
 def _member_record(cfg: ExperimentConfig, domain_id, param, dom, phi) -> RunRecord:
-    import time
-
     t0 = time.perf_counter()
     scfg = cfg.solver_config()
     spec = cfg.form_spec()

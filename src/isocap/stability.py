@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capacity import SolverConfig, cap_ball_rel, deficit
+from .asymmetry import alpha, alpha_R
+from .capacity import SolverConfig, cap_ball_rel, capacity, deficit
 from .domains import barycenter, nearly_spherical_from_phi, volume
 from .errors import ConfigError, SolverError
 from .sphere import HarmonicCoeffs, ball_volume
@@ -189,8 +190,6 @@ def penalized(domain, eta: float, mode: str = "abs",
               outer_radius: float | None = None, solver: str = "harmonic",
               cfg: SolverConfig | None = None) -> float:
     """Capacity plus volume penalty (no volume normalisation here)."""
-    from .capacity import capacity
-
     res = capacity(domain, mode=mode, outer_radius=outer_radius,
                    solver=solver, cfg=cfg)
     return res.value + f_eta(volume(domain), eta)
@@ -209,8 +208,6 @@ def penalized_j(domain, eta: float, sigma: float, eps_j: float,
         raise ConfigError("sigma must lie in (0, 1)")
     if eps_j <= 0:
         raise ConfigError("eps_j must be positive")
-    from .asymmetry import alpha, alpha_R
-
     a = alpha(domain) if mode == "abs" else alpha_R(domain, outer_radius)
     base = penalized(domain, eta, mode=mode, outer_radius=outer_radius,
                      solver=solver, cfg=cfg)

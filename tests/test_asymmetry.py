@@ -7,9 +7,12 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
+import isocap.asymmetry
 from isocap.asymmetry import (alpha, alpha_R, annulus_lower_bound, fraenkel,
                               fraenkel_mc, symdiff_volume, symdiff_volume_mc)
+from isocap.capacity import counter_uniform
 from isocap.domains import (CompositeDomain, FamilySpec, ball, ellipsoid,
                             generate_family, translate)
 from isocap.errors import GeometryError
@@ -192,6 +195,99 @@ def test_fraenkel_mc_two_ball():
     assert res.value == pytest.approx(truth, abs=4.0 * res.stderr + 1e-3)
     assert res.stderr < 0.01
     assert res.evaluations > 0
+
+
+def _uniform_in_ball_reference(seed, ids, stratum, center, radius):
+    u1 = counter_uniform(seed, ids, stratum, 0)
+    u2 = counter_uniform(seed, ids, stratum, 1)
+    u3 = counter_uniform(seed, ids, stratum, 2)
+    z = 1.0 - 2.0 * u1
+    s = np.sqrt(np.maximum(0.0, 1.0 - z**2))
+    phi = 2.0 * math.pi * u2
+    r = radius * u3 ** (1.0 / 3.0)
+    return np.asarray(center) + r[:, None] * np.column_stack(
+        [s * np.cos(phi), s * np.sin(phi), z])
+
+
+def _member_of_reference(domain, pts):
+    q = pts - domain.center_offset
+    r = np.linalg.norm(q, axis=1)
+    safe = np.maximum(r, 1e-300)
+    return r < domain.radial(q / safe[:, None])
+
+
+def _symdiff_volume_mc_reference(comp, center, radius, n_samples, seed):
+    """The estimator drawing every stratum afresh for each center."""
+    center = np.asarray(center, dtype=float)
+    ids = np.arange(n_samples, dtype=np.uint64)
+    total, var = 0.0, 0.0
+    for k, c in enumerate(comp.components):
+        pts = _uniform_in_ball_reference(seed, ids, 2 * k, c.center_offset, c.rho_max)
+        good = (_member_of_reference(c, pts)
+                & (np.linalg.norm(pts - center, axis=1) >= radius))
+        p = good.mean()
+        vol_box = ball_volume(3, c.rho_max)
+        total += p * vol_box
+        var += p * (1.0 - p) / n_samples * vol_box**2
+    pts = _uniform_in_ball_reference(seed, ids, 2 * len(comp.components) + 1,
+                                     center, radius)
+    outside = np.ones(n_samples, dtype=bool)
+    for c in comp.components:
+        outside &= ~_member_of_reference(c, pts)
+    p = outside.mean()
+    vol_box = ball_volume(3, radius)
+    total += p * vol_box
+    var += p * (1.0 - p) / n_samples * vol_box**2
+    return total, math.sqrt(var)
+
+
+_MC_CENTERS = [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (10.0, 0.0, 0.0), (9.3, 0.2, 0.0),
+               tuple(np.random.default_rng(20).uniform(-1.0, 1.0, 3))]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("radius", [1.0, 0.7])
+@pytest.mark.parametrize("center", _MC_CENTERS)
+def test_symdiff_mc_matches_per_center_draw(center, radius, seed):
+    comp = _two_ball_composite()
+    got = symdiff_volume_mc(comp, center, radius, n_samples=20000, seed=seed)
+    want = _symdiff_volume_mc_reference(comp, center, radius, 20000, seed)
+    assert got == want
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_fraenkel_mc_matches_per_center_draw(seed):
+    comp = _two_ball_composite()
+    n = 20000
+    count = [0]
+
+    def objective(c):
+        count[0] += 1
+        return _symdiff_volume_mc_reference(comp, c, 1.0, n, seed)[0] / OMEGA
+
+    start = comp.components[0].center_offset
+    ref = minimize(objective, start, method="Nelder-Mead",
+                   options={"maxfev": 120, "xatol": 1e-6, "fatol": 1e-9})
+    val, err = _symdiff_volume_mc_reference(comp, ref.x, 1.0, n, seed)
+    res = fraenkel_mc(comp, n_samples=n, seed=seed)
+    assert res.value == val / OMEGA
+    assert res.stderr == err / OMEGA
+    npt.assert_array_equal(res.minimizing_center, ref.x)
+    assert res.evaluations == count[0]
+
+
+def test_fraenkel_mc_draws_each_stratum_once(monkeypatch):
+    comp = _two_ball_composite()
+    draws = [0]
+
+    def counting(*args):
+        draws[0] += 1
+        return counter_uniform(*args)
+
+    monkeypatch.setattr(isocap.asymmetry, "counter_uniform", counting)
+    res = fraenkel_mc(comp, n_samples=20000, seed=1)
+    assert draws[0] == 3 * (len(comp.components) + 1)
+    assert res.evaluations > draws[0]
 
 
 def test_fraenkel_mc_requires_unit_volume():
