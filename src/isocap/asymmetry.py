@@ -17,8 +17,8 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .capacity import counter_uniform
-from .domains import CompositeDomain, StarDomain, barycenter, volume
-from .errors import GeometryError
+from .domains import CompositeDomain, StarDomain, barycenter, radial_bounds, volume
+from .errors import GeometryError, SolverError
 from .sphere import ball_volume, build_quadrature, sphere_area
 
 __all__ = [
@@ -149,39 +149,119 @@ def fraenkel(domain: StarDomain) -> AsymmetryResult:
                            evaluations=count[0])
 
 
-def _weighted_cumulative(t: np.ndarray) -> np.ndarray:
-    """int_0^t |1-s| s^2 ds, vectorised and exact."""
-    t = np.asarray(t, dtype=float)
-    below = np.minimum(t, 1.0)
-    g = below**3 / 3.0 - below**4 / 4.0
-    above = np.maximum(t, 1.0)
-    h = (above**4 - 1.0) / 4.0 - (above**3 - 1.0) / 3.0
-    return g + h
+def _weighted_shell(s: np.ndarray) -> np.ndarray:
+    """Integral of |1 - t| t^2 dt between s and 1, vectorised.
+
+    With d = |s - 1| it is d^2/2 - 2d^3/3 + d^4/4 for s < 1 and
+    d^2/2 + 2d^3/3 + d^4/4 for s > 1.  This keeps full relative accuracy
+    as s -> 1, where a difference of two antiderivatives near 1/12
+    cancels: at d = 1e-4 it would keep about 8 of 16 digits.
+    """
+    s = np.asarray(s, dtype=float)
+    d = np.abs(s - 1.0)
+    return d * d * (0.5 + d * (np.where(s < 1.0, -2.0 / 3.0, 2.0 / 3.0) + 0.25 * d))
+
+
+_CROSSING_RTOL = 4e-16  # a ray stops when its bracket is this narrow, relative
+_CROSSING_PAD = 1e-12  # relative widening of the certified bracket, so that
+                       # rounding in g cannot flip the sign at its ends
+_CROSSING_MAX_PASSES = 200  # bisection alone takes a bracket of width 2 below
+                            # the tolerance at radius 0.3 in 54 passes, and the
+                            # halving rule spends at most three per halving
 
 
 def _crossing_radii(domain: StarDomain, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Where rays origin + s*w leave the domain (one crossing assumed).
+    """Where the rays origin + s*w, one per row w of dirs, leave the domain.
 
-    Valid for domains star-shaped about `origin`; the families this
-    package generates keep their barycenter well inside, where the
-    assumption holds.
+    The single crossing is certified, not assumed.  With a = origin -
+    center and (rho_lo, rho_hi, G) from `radial_bounds`, the outward
+    normal at a boundary point x = rho(u) u points along
+    u - grad_S rho / rho, and (x - a) . (u - grad_S rho / rho) >=
+    rho_lo - |a| (1 + G / rho_lo).  When that is positive every ray
+    meets the boundary transversally, hence exactly once, at a radius
+    in [rho_lo - |a|, rho_hi + |a|]; otherwise GeometryError.
+
+    All rays are solved together from that bracket.  Each pass makes one
+    `radial` call on the rays still open and takes an Illinois
+    (modified regula falsi) step, or a bisection step when the
+    interpolant is undefined or the bracket has not halved in two
+    passes.  A ray stops when g(s) = |a + s w| - rho is exactly 0 or its
+    bracket is within 4e-16 relative, and SolverError is raised if rays
+    are still open after _CROSSING_MAX_PASSES passes.  `radial` gives
+    each row's value from that row alone, so every ray's radius is
+    independent of the others in the batch.
     """
-    a = origin - domain.center_offset
-    if np.linalg.norm(a) >= domain.rho_min:
-        raise GeometryError("ray origin must lie inside the domain")
-    hi = float(np.linalg.norm(a) + domain.rho_max + 1.0)
-    out = np.empty(len(dirs))
+    a = np.asarray(origin, dtype=float) - domain.center_offset
+    na = float(np.linalg.norm(a))
+    rho_lo, rho_hi, grad = radial_bounds(domain)
+    if rho_lo <= 0.0 or rho_lo <= na * (1.0 + grad / rho_lo):
+        raise GeometryError(
+            f"cannot certify one boundary crossing per ray from {origin}: needs "
+            f"rho_lo > |a| (1 + G / rho_lo), with rho_lo = {rho_lo:.6g}, "
+            f"|a| = {na:.6g}, G = {grad:.6g}")
 
     def g(s, w):
-        x = a + s * w
-        r = np.linalg.norm(x)
-        if r == 0.0:
-            return -domain.rho_min
-        return r - float(domain.radial((x / r)[None, :])[0])
+        x = a + s[:, None] * w
+        r = np.linalg.norm(x, axis=1)
+        # the point a + s w = 0 is the domain's center, inside along any w
+        u = np.where((r > 0.0)[:, None], x / np.where(r > 0.0, r, 1.0)[:, None], w)
+        return r - domain.radial(u)
 
-    for k, w in enumerate(dirs):
-        out[k] = brentq(g, 0.0, hi, args=(w,), xtol=1e-13)
-    return out
+    n = len(dirs)
+    w = np.asarray(dirs, dtype=float)
+    lo = np.full(n, (rho_lo - na) * (1.0 - _CROSSING_PAD))
+    hi = np.full(n, (rho_hi + na) * (1.0 + _CROSSING_PAD))
+    ends = g(np.concatenate([lo, hi]), np.concatenate([w, w]))
+    g_lo, g_hi = ends[:n], ends[n:]
+    if not (np.all(g_lo <= 0.0) and np.all(g_hi >= 0.0)):
+        raise SolverError("the certified crossing bracket does not change sign")
+    out = np.empty(n)
+    ray = np.arange(n)
+    side = np.zeros(n, dtype=int)  # -1: lo kept by the last step, +1: hi kept
+    width_1 = width_2 = np.full(n, np.inf)  # bracket widths one and two passes back
+    for passes in range(_CROSSING_MAX_PASSES + 1):
+        at_lo, at_hi = g_lo == 0.0, g_hi == 0.0
+        stop = at_lo | at_hi | (hi - lo <= _CROSSING_RTOL * hi)
+        out[ray[stop]] = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi)))[stop]
+        keep = ~stop
+        if not keep.any():
+            return out
+        if passes == _CROSSING_MAX_PASSES:
+            break
+        lo, hi, g_lo, g_hi, w, ray, side, width_1, width_2 = (
+            v[keep] for v in (lo, hi, g_lo, g_hi, w, ray, side, width_1, width_2))
+        # the Illinois point, kept half a tolerance inside the bracket: a
+        # root that close to an end is then closed in by the next pass
+        # rather than approached from one side
+        step = 0.5 * _CROSSING_RTOL * hi
+        s = np.clip(hi - g_hi * ((hi - lo) / (g_hi - g_lo)), lo + step, hi - step)
+        bisect = np.isnan(s) | (hi - lo > 0.5 * width_2)
+        s = np.where(bisect, lo + 0.5 * (hi - lo), s)
+        gs = g(s, w)
+        up, down = gs > 0.0, gs <= 0.0  # s replaces hi, or lo; NaN replaces neither
+        # Illinois: an end kept by two steps in a row has its value halved
+        g_lo = np.where(up & (side == -1), 0.5 * g_lo, g_lo)
+        g_hi = np.where(down & (side == 1), 0.5 * g_hi, g_hi)
+        width_2, width_1 = width_1, hi - lo
+        hi, g_hi = np.where(up, s, hi), np.where(up, gs, g_hi)
+        lo, g_lo = np.where(down, s, lo), np.where(down, gs, g_lo)
+        side = np.where(up, -1, np.where(down, 1, side))
+    raise SolverError(f"{int(keep.sum())} ray crossings still open after "
+                      f"{_CROSSING_MAX_PASSES} passes")
+
+
+def _weighted_asymmetry(domain: StarDomain, origin: np.ndarray | None) -> float:
+    """Integral of |1 - |x - origin|| over Omega symdiff B_1(origin).
+
+    The integral runs along rays from the origin, on which the domain
+    occupies [0, s(w)) and the ball [0, 1), so each ray contributes the
+    integral of |1 - t| t^2 dt between s and 1, in closed form.
+    origin None takes the rays from the domain's own center, where s(w)
+    is the node radius; otherwise s(w) comes from `_crossing_radii`.
+    """
+    q = domain.quad
+    s_exit = domain.rho if origin is None else _crossing_radii(domain, origin, q.nodes)
+    return float(q.weights @ _weighted_shell(s_exit))
 
 
 def alpha_R(domain: StarDomain, outer_radius: float | None = None) -> float:
@@ -192,30 +272,16 @@ def alpha_R(domain: StarDomain, outer_radius: float | None = None) -> float:
     """
     if outer_radius is not None and domain.enclosing_radius >= outer_radius:
         raise GeometryError("domain does not fit inside the outer ball")
-    q = domain.quad
-    if np.linalg.norm(domain.center_offset) == 0.0:
-        s_exit = domain.rho
-    else:
-        s_exit = _crossing_radii(domain, np.zeros(3), q.nodes)
-    lo = np.minimum(s_exit, 1.0)
-    hi = np.maximum(s_exit, 1.0)
-    vals = _weighted_cumulative(hi) - _weighted_cumulative(lo)
-    return float(q.weights @ vals)
+    centered = np.linalg.norm(domain.center_offset) == 0.0
+    return _weighted_asymmetry(domain, None if centered else np.zeros(3))
 
 
 def alpha(domain: StarDomain) -> float:
     """Barycentric variant: the same weighted integral against B_1(x_O),
     measured in coordinates centered at the barycenter x_O."""
-    q = domain.quad
     x0 = barycenter(domain)
-    if np.linalg.norm(x0 - domain.center_offset) < 1e-12:
-        s_exit = domain.rho
-    else:
-        s_exit = _crossing_radii(domain, x0, q.nodes)
-    lo = np.minimum(s_exit, 1.0)
-    hi = np.maximum(s_exit, 1.0)
-    vals = _weighted_cumulative(hi) - _weighted_cumulative(lo)
-    return float(q.weights @ vals)
+    centered = np.linalg.norm(x0 - domain.center_offset) < 1e-12
+    return _weighted_asymmetry(domain, None if centered else x0)
 
 
 def annulus_lower_bound(v: float, dimension: int = 3) -> float:
@@ -242,7 +308,7 @@ def annulus_lower_bound(v: float, dimension: int = 3) -> float:
     hi = (v / omega + 1.0) ** (1.0 / 3.0) - 1.0 + 1e-12
     delta = brentq(measure, 0.0, hi, xtol=1e-15)
     lo = max(1.0 - delta, 0.0)
-    return float(sphere_area(3) * (_weighted_cumulative(1.0 + delta) - _weighted_cumulative(lo)))
+    return float(sphere_area(3) * (_weighted_shell(1.0 + delta) + _weighted_shell(lo)))
 
 
 # ---------------------------------------------------------------------------

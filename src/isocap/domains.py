@@ -37,6 +37,7 @@ __all__ = [
     "volume",
     "barycenter",
     "normalize_volume",
+    "radial_bounds",
     "scale_domain",
     "translate",
     "diameter",
@@ -98,9 +99,12 @@ class StarDomain:
             return np.asarray(self.rho_fn(dirs), dtype=float)
         if self.coeffs is not None:
             return synthesize(self.coeffs, dirs)
+        return synthesize(self._projection(), dirs)
+
+    def _projection(self) -> HarmonicCoeffs:
         if self._proj is None:
             self._proj = expand(self.rho, self.quad.degree // 2, self.quad)
-        return synthesize(self._proj, dirs)
+        return self._proj
 
     def is_ball(self, tol: float = 1e-13) -> bool:
         return self.rho_max - self.rho_min <= tol
@@ -281,6 +285,35 @@ def barycenter(domain) -> np.ndarray:
     v = volume(domain)
     moment = (domain.quad.weights * domain.rho ** (n + 1)) @ domain.quad.nodes / (n + 1)
     return domain.center_offset + moment / v
+
+
+def radial_bounds(domain: StarDomain) -> tuple[float, float, float]:
+    """Certified (rho_lo, rho_hi, G): rho_lo <= rho <= rho_hi and
+    |grad_S rho| <= G everywhere on the sphere.
+
+    The bounds hold for the band-limited radius `radial` synthesises,
+    read off its harmonic coefficients.  With c_l the coefficients of
+    degree l, Cauchy-Schwarz and the addition theorem
+    sum_m Y_lm^2 = (2l+1)/(4 pi), sum_m |grad_S Y_lm|^2 = l(l+1)(2l+1)/(4 pi)
+    bound the degree-l part by |c_l| sqrt((2l+1)/(4 pi)) and its
+    gradient by |c_l| sqrt(l(l+1)(2l+1)/(4 pi)); summing over l >= 1
+    around the mean c_00 / sqrt(4 pi) gives the three numbers.
+    Node-only domains are bounded through the projection that `radial`
+    synthesises.  A domain with only an exact radial callable has no
+    coefficients to bound: GeometryError.
+    """
+    coeffs = domain.coeffs
+    if coeffs is None:
+        if domain.rho_fn is not None:
+            raise GeometryError("radial bounds need harmonic coefficients; "
+                                "this domain has only an exact radial callable")
+        coeffs = domain._projection()
+    l = np.arange(1, coeffs.max_degree + 1)
+    norms = np.array([np.linalg.norm(coeffs.degree_slice(k)) for k in l])
+    mean = float(coeffs.values[0]) / math.sqrt(4.0 * math.pi)
+    spread = float(norms @ np.sqrt((2 * l + 1) / (4.0 * math.pi)))
+    grad = float(norms @ np.sqrt(l * (l + 1) * (2 * l + 1) / (4.0 * math.pi)))
+    return mean - spread, mean + spread, grad
 
 
 def scale_domain(domain: StarDomain, lam: float) -> StarDomain:

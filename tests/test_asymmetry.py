@@ -1,22 +1,27 @@
 """Symmetric-difference volumes, Fraenkel asymmetry, weighted asymmetry."""
 
+import csv
 import math
+import pathlib
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 import isocap.asymmetry
-from isocap.asymmetry import (alpha, alpha_R, annulus_lower_bound, fraenkel,
-                              fraenkel_mc, symdiff_volume, symdiff_volume_mc)
+from isocap.asymmetry import (_crossing_radii, alpha, alpha_R, annulus_lower_bound,
+                              fraenkel, fraenkel_mc, symdiff_volume, symdiff_volume_mc)
 from isocap.capacity import counter_uniform
-from isocap.domains import (CompositeDomain, FamilySpec, ball, ellipsoid,
-                            generate_family, translate)
-from isocap.errors import GeometryError
-from isocap.sphere import ball_volume
+from isocap.domains import (CompositeDomain, FamilySpec, ball, barycenter, ellipsoid,
+                            generate_family, nearly_spherical_from_phi,
+                            radial_bounds, translate)
+from isocap.errors import GeometryError, SolverError
+from isocap.sphere import ball_volume, build_quadrature
+from isocap.stability import project_barycenter
 
 OMEGA = ball_volume(3)
 
@@ -157,6 +162,170 @@ def test_alpha_R_dominates_annulus_bound():
         dom = ellipsoid(eps)
         v = symdiff_volume(dom, np.zeros(3), 1.0)
         assert alpha_R(dom) >= annulus_lower_bound(v) - 1e-10
+
+
+# ---------------------------------------------------------------------------
+# ray crossings: the batched solve against closed forms and a scalar oracle
+# ---------------------------------------------------------------------------
+
+POLES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+
+
+def _certified_limit(dom):
+    """Largest |origin - center| the single-crossing certificate admits."""
+    lo, _, grad = radial_bounds(dom)
+    return lo / (1.0 + grad / lo)
+
+
+def _scalar_g(dom, a):
+    def g(s, w):
+        x = a + s * w
+        r = np.linalg.norm(x)
+        return r - float(dom.radial((x / r)[None, :])[0])
+    return g
+
+
+def _crossing_radii_reference(dom, origin, dirs):
+    """One scalar brentq per ray, as tight as brentq goes."""
+    a = np.asarray(origin) - dom.center_offset
+    lo, hi, _ = radial_bounds(dom)
+    na = float(np.linalg.norm(a))
+    g = _scalar_g(dom, a)
+    return np.array([brentq(g, lo - na - 1e-9, hi + na + 1e-9, args=(w,),
+                            xtol=1e-300, rtol=4 * np.finfo(float).eps) for w in dirs])
+
+
+def _undecided_width(g, root, w, ulps=64):
+    """Width of the band around root in which the computed g has no steady sign.
+
+    Over the floats within `ulps` of root: from the lowest with g >= 0 to
+    the highest with g <= 0.  Any bracketing solve of the computed g may
+    land anywhere in it.
+    """
+    t = root + np.arange(-ulps, ulps + 1) * np.spacing(root)
+    vals = np.array([g(x, w) for x in t])
+    return max(float(t[vals <= 0.0].max(initial=root) - t[vals >= 0.0].min(initial=root)), 0.0)
+
+
+def test_crossing_radii_off_center_ball_closed_form():
+    r = 1.3
+    a = np.array([0.4, -0.3, 0.5])
+    u = a / np.linalg.norm(a)
+    dirs = np.vstack([build_quadrature(3, 16).nodes, POLES, u, -u])
+    got = _crossing_radii(ball(r), a, dirs)
+    aw = dirs @ a
+    exact = -aw + np.sqrt(aw * aw - a @ a + r * r)
+    assert np.all(np.abs(got - exact) <= 4 * np.spacing(exact))
+
+
+@pytest.mark.parametrize("member", range(4))
+def test_crossing_radii_match_scalar_oracle(member):
+    # origins up to 0.99 of the certified distance, in random directions;
+    # the rays include both poles and the directions towards and away
+    # from the origin's offset
+    dom = generate_family(FamilySpec("random_star", 4, amplitude=0.3, seed=4,
+                                     max_degree=8))[member][2]
+    rng = np.random.default_rng(member)
+    for frac in (0.5, 0.9, 0.99):
+        v = rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        a = frac * _certified_limit(dom) * v
+        dirs = np.vstack([dom.quad.nodes, POLES, v, -v])
+        got = _crossing_radii(dom, dom.center_offset + a, dirs)
+        want = _crossing_radii_reference(dom, dom.center_offset + a, dirs)
+        err = np.abs(got - want)
+        # near the poles synthesis resolves the radius only to a few 1e-15,
+        # so where g's sign is undecided over a wider band, that band is
+        # the agreement either solver can reach
+        g = _scalar_g(dom, a)
+        for k in np.flatnonzero(err > 1e-15):
+            assert err[k] <= 1e-15 + _undecided_width(g, want[k], dirs[k]), (frac, k)
+        assert np.median(err) <= 1e-15
+
+
+def test_crossing_radii_pass_cap_raises_solver_error():
+    # a radius that answers the bracket ends and then never settles
+    dom = generate_family(FamilySpec("random_star", 1, amplitude=0.3, seed=4))[0][2]
+    exact = dom.radial
+    calls = [0]
+
+    def unsettled(dirs):
+        calls[0] += 1
+        return exact(dirs) if calls[0] == 1 else np.full(len(dirs), np.nan)
+
+    dom.radial = unsettled
+    with pytest.raises(SolverError, match="passes"):
+        _crossing_radii(dom, dom.center_offset + 0.01, dom.quad.nodes)
+    assert calls[0] == isocap.asymmetry._CROSSING_MAX_PASSES + 1
+
+
+def test_crossing_radii_refuse_uncertified_origin():
+    dom = generate_family(FamilySpec("random_star", 1, amplitude=0.3, seed=4))[0][2]
+    limit = _certified_limit(dom)
+    origin = dom.center_offset + np.array([0.0, 0.6, 0.8]) * limit
+    _crossing_radii(dom, 0.99 * origin, dom.quad.nodes)
+    with pytest.raises(GeometryError, match="certify"):
+        _crossing_radii(dom, 1.01 * origin, dom.quad.nodes)
+    # an exact radial callable alone gives no coefficients to certify from
+    with pytest.raises(GeometryError, match="coefficients"):
+        _crossing_radii(ellipsoid(0.2), np.array([1e-3, 0.0, 0.0]), POLES)
+
+
+def test_alpha_solves_all_rays_in_few_radial_calls():
+    phi = generate_family(FamilySpec("random_star", 1, amplitude=0.3, seed=1,
+                                     max_degree=8))[0][3]
+    dom = nearly_spherical_from_phi(project_barycenter(phi))
+    exact = dom.radial
+    calls = [0]
+
+    def counted(dirs):
+        calls[0] += 1
+        return exact(dirs)
+
+    dom.radial = counted
+    assert alpha(dom) > 0.0
+    assert 0 < calls[0] <= 64
+
+
+def _golden_cell(version, name, row_id, column):
+    path = pathlib.Path(__file__).parent / "goldens" / version / name
+    rows = list(csv.DictReader(path.read_text().splitlines()))
+    return float(next(r for r in rows if r["domain_id"] == row_id)[column])
+
+
+def _exact_weighted_shell(s):
+    """Integral of |1 - t| t^2 dt between float s and 1, in exact rationals."""
+    s, one = Fraction(s), Fraction(1)
+    def primitive(t):
+        return t**3 / 3 - t**4 / 4 if t <= one else one / 12 + (t**4 - 1) / 4 - (t**3 - 1) / 3
+    return abs(primitive(s) - primitive(one))
+
+
+def test_golden_alpha_moved_toward_the_oracle():
+    # goldens/v2 moved one cell of the sweep_random golden: random-002's
+    # alpha, member 2 of `isocap sweep --family random_star --count 4
+    # --amplitude 0.12 --seed 5`.  The reference integrates the scalar
+    # oracle's crossings in exact rational arithmetic, so neither the
+    # batched roots nor the float integrand enter it.
+    phi = generate_family(FamilySpec("random_star", 4, amplitude=0.12, seed=5))[2][3]
+    dom = nearly_spherical_from_phi(project_barycenter(phi))
+    s = _crossing_radii_reference(dom, barycenter(dom), dom.quad.nodes)
+    want = float(sum(Fraction(w) * _exact_weighted_shell(r)
+                     for w, r in zip(dom.quad.weights, s)))
+    v1 = _golden_cell("v1", "sweep_random.csv", "random-002", "alpha")
+    v2 = _golden_cell("v2", "sweep_random.csv", "random-002", "alpha")
+    assert abs(v2 - want) <= 1e-14 * want
+    assert abs(v1 - want) > 1e-13 * want
+    assert abs(alpha(dom) - want) <= 1e-14 * want
+
+
+def test_weighted_shell_matches_exact_integral():
+    # the closed form keeps its relative accuracy as s -> 1, where the
+    # difference of antiderivatives cancels
+    for s in (0.0, 0.3, 1.0 - 1e-4, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.0 + 1e-4, 1.7):
+        want = _exact_weighted_shell(s)
+        got = isocap.asymmetry._weighted_shell(np.array([s]))[0]
+        assert abs(Fraction(got) - want) <= 4 * np.finfo(float).eps * want, s
 
 
 # ---------------------------------------------------------------------------

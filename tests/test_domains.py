@@ -13,7 +13,7 @@ from isocap.domains import (CompositeDomain, FamilySpec, StarDomain, ball,
                             barycenter, boundary_cloud, diameter, ellipsoid,
                             generate_family, load_domain,
                             nearly_spherical_from_phi, normalize_volume,
-                            save_domain, scale_domain, translate,
+                            radial_bounds, save_domain, scale_domain, translate,
                             truncate_rescale, volume)
 from isocap.errors import GeometryError
 from isocap.sphere import HarmonicCoeffs, ball_volume, build_quadrature
@@ -215,6 +215,38 @@ def test_radial_dispatch_consistency():
 
     expected = synthesize(dom.coeffs, quad.nodes)
     npt.assert_allclose(dom.radial(quad.nodes), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("member", range(3))
+def test_radial_bounds_enclose_radius_and_gradient(member):
+    dom = generate_family(FamilySpec("random_star", 3, amplitude=0.3, seed=4,
+                                     max_degree=8))[member][2]
+    lo, hi, grad = radial_bounds(dom)
+    # the surface gradient by central differences on a polar grid:
+    # |grad_S rho|^2 = rho_theta^2 + (rho_phi / sin theta)^2
+    theta, phi = np.meshgrid(np.linspace(0.02, math.pi - 0.02, 90),
+                             np.linspace(0.0, 2.0 * math.pi, 180, endpoint=False))
+    theta, phi = theta.ravel(), phi.ravel()
+
+    def rho(t, p):
+        return dom.radial(np.column_stack([np.sin(t) * np.cos(p),
+                                           np.sin(t) * np.sin(p), np.cos(t)]))
+
+    h = 1e-6
+    r = rho(theta, phi)
+    d_theta = (rho(theta + h, phi) - rho(theta - h, phi)) / (2 * h)
+    d_phi = (rho(theta, phi + h) - rho(theta, phi - h)) / (2 * h * np.sin(theta))
+    assert lo <= r.min() and r.max() <= hi
+    assert np.hypot(d_theta, d_phi).max() <= grad
+    # a node-only copy is bounded through the projection radial() uses
+    nodes_only = StarDomain(dimension=3, quad=dom.quad, rho=dom.rho)
+    npt.assert_allclose(radial_bounds(nodes_only), (lo, hi, grad), rtol=1e-12)
+
+
+def test_radial_bounds_need_coefficients():
+    assert radial_bounds(ball(1.3)) == pytest.approx((1.3, 1.3, 0.0), abs=1e-15)
+    with pytest.raises(GeometryError, match="coefficients"):
+        radial_bounds(ellipsoid(0.2))
 
 
 def test_diameter_of_ellipsoid():
