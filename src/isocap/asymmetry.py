@@ -162,42 +162,50 @@ def _weighted_shell(s: np.ndarray) -> np.ndarray:
     return d * d * (0.5 + d * (np.where(s < 1.0, -2.0 / 3.0, 2.0 / 3.0) + 0.25 * d))
 
 
-_CROSSING_RTOL = 4e-16  # a ray stops when its bracket is this narrow, relative
+_CROSSING_RTOL = 4e-16  # the final bracket is this narrow, relative to the root
 _CROSSING_PAD = 1e-12  # relative widening of the certified bracket, so that
                        # rounding in g cannot flip the sign at its ends
-_CROSSING_MAX_PASSES = 200  # bisection alone takes a bracket of width 2 below
-                            # the tolerance at radius 0.3 in 54 passes, and the
-                            # halving rule spends at most three per halving
+
+
+def _transversal(bounds: tuple[float, float, float], na: float) -> bool:
+    """Whether rho_lo^2 > |a| sqrt(rho_lo^2 + G^2), with rho_lo > 0."""
+    rho_lo, _, grad = bounds
+    return rho_lo > 0.0 and rho_lo * rho_lo > na * math.hypot(rho_lo, grad)
 
 
 def _crossing_radii(domain: StarDomain, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Where the rays origin + s*w, one per row w of dirs, leave the domain.
 
     The single crossing is certified, not assumed.  With a = origin -
-    center and (rho_lo, rho_hi, G) from `radial_bounds`, the outward
-    normal at a boundary point x = rho(u) u points along
-    u - grad_S rho / rho, and (x - a) . (u - grad_S rho / rho) >=
-    rho_lo - |a| (1 + G / rho_lo).  When that is positive every ray
-    meets the boundary transversally, hence exactly once, at a radius
-    in [rho_lo - |a|, rho_hi + |a|]; otherwise GeometryError.
+    center, the outward normal at a boundary point x = rho(u) u points
+    along u - grad_S rho / rho, whose length is
+    sqrt(1 + |grad_S rho|^2 / rho^2) because grad_S rho is orthogonal to
+    u.  So (x - a) . (u - grad_S rho / rho) is at least
+    rho - |a| sqrt(1 + |grad_S rho|^2 / rho^2).
+    With (rho_lo, rho_hi, G) from `radial_bounds` this is positive
+    everywhere when rho_lo^2 > |a| sqrt(rho_lo^2 + G^2).  Every ray then
+    leaves the domain transversally, hence exactly once, at a radius in
+    [rho_lo - |a|, rho_hi + |a|].  The coefficient bounds are tried
+    first; if they cannot certify, the sampled ones are; if those cannot
+    either, GeometryError.
 
-    All rays are solved together from that bracket.  Each pass makes one
-    `radial` call on the rays still open and takes an Illinois
-    (modified regula falsi) step, or a bisection step when the
-    interpolant is undefined or the bracket has not halved in two
-    passes.  A ray stops when g(s) = |a + s w| - rho is exactly 0 or its
-    bracket is within 4e-16 relative, and SolverError is raised if rays
-    are still open after _CROSSING_MAX_PASSES passes.  `radial` gives
-    each row's value from that row alone, so every ray's radius is
-    independent of the others in the batch.
+    All rays are bisected together from that bracket, one `radial` call
+    per pass on g(s) = |a + s w| - rho, for as many passes as take the
+    bracket's width below 4e-16 of its lower end.  `radial` gives each
+    row's value from that row alone, so every ray's radius is
+    independent of the others in the batch.  A NaN radius raises
+    SolverError.
     """
     a = np.asarray(origin, dtype=float) - domain.center_offset
     na = float(np.linalg.norm(a))
-    rho_lo, rho_hi, grad = radial_bounds(domain)
-    if rho_lo <= 0.0 or rho_lo <= na * (1.0 + grad / rho_lo):
+    bounds = radial_bounds(domain)
+    if not _transversal(bounds, na):
+        bounds = radial_bounds(domain, sampled=True)
+    rho_lo, rho_hi, grad = bounds
+    if not _transversal(bounds, na):
         raise GeometryError(
             f"cannot certify one boundary crossing per ray from {origin}: needs "
-            f"rho_lo > |a| (1 + G / rho_lo), with rho_lo = {rho_lo:.6g}, "
+            f"rho_lo^2 > |a| sqrt(rho_lo^2 + G^2), with rho_lo = {rho_lo:.6g}, "
             f"|a| = {na:.6g}, G = {grad:.6g}")
 
     def g(s, w):
@@ -205,49 +213,24 @@ def _crossing_radii(domain: StarDomain, origin: np.ndarray, dirs: np.ndarray) ->
         r = np.linalg.norm(x, axis=1)
         # the point a + s w = 0 is the domain's center, inside along any w
         u = np.where((r > 0.0)[:, None], x / np.where(r > 0.0, r, 1.0)[:, None], w)
-        return r - domain.radial(u)
+        gs = r - domain.radial(u)
+        if np.isnan(gs).any():
+            raise SolverError("the radius is NaN on a crossing ray")
+        return gs
 
     n = len(dirs)
     w = np.asarray(dirs, dtype=float)
-    lo = np.full(n, (rho_lo - na) * (1.0 - _CROSSING_PAD))
-    hi = np.full(n, (rho_hi + na) * (1.0 + _CROSSING_PAD))
-    ends = g(np.concatenate([lo, hi]), np.concatenate([w, w]))
-    g_lo, g_hi = ends[:n], ends[n:]
-    if not (np.all(g_lo <= 0.0) and np.all(g_hi >= 0.0)):
+    s_lo = (rho_lo - na) * (1.0 - _CROSSING_PAD)
+    s_hi = (rho_hi + na) * (1.0 + _CROSSING_PAD)
+    ends = g(np.repeat([s_lo, s_hi], n), np.vstack([w, w]))
+    if not (np.all(ends[:n] <= 0.0) and np.all(ends[n:] >= 0.0)):
         raise SolverError("the certified crossing bracket does not change sign")
-    out = np.empty(n)
-    ray = np.arange(n)
-    side = np.zeros(n, dtype=int)  # -1: lo kept by the last step, +1: hi kept
-    width_1 = width_2 = np.full(n, np.inf)  # bracket widths one and two passes back
-    for passes in range(_CROSSING_MAX_PASSES + 1):
-        at_lo, at_hi = g_lo == 0.0, g_hi == 0.0
-        stop = at_lo | at_hi | (hi - lo <= _CROSSING_RTOL * hi)
-        out[ray[stop]] = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi)))[stop]
-        keep = ~stop
-        if not keep.any():
-            return out
-        if passes == _CROSSING_MAX_PASSES:
-            break
-        lo, hi, g_lo, g_hi, w, ray, side, width_1, width_2 = (
-            v[keep] for v in (lo, hi, g_lo, g_hi, w, ray, side, width_1, width_2))
-        # the Illinois point, kept half a tolerance inside the bracket: a
-        # root that close to an end is then closed in by the next pass
-        # rather than approached from one side
-        step = 0.5 * _CROSSING_RTOL * hi
-        s = np.clip(hi - g_hi * ((hi - lo) / (g_hi - g_lo)), lo + step, hi - step)
-        bisect = np.isnan(s) | (hi - lo > 0.5 * width_2)
-        s = np.where(bisect, lo + 0.5 * (hi - lo), s)
-        gs = g(s, w)
-        up, down = gs > 0.0, gs <= 0.0  # s replaces hi, or lo; NaN replaces neither
-        # Illinois: an end kept by two steps in a row has its value halved
-        g_lo = np.where(up & (side == -1), 0.5 * g_lo, g_lo)
-        g_hi = np.where(down & (side == 1), 0.5 * g_hi, g_hi)
-        width_2, width_1 = width_1, hi - lo
-        hi, g_hi = np.where(up, s, hi), np.where(up, gs, g_hi)
-        lo, g_lo = np.where(down, s, lo), np.where(down, gs, g_lo)
-        side = np.where(up, -1, np.where(down, 1, side))
-    raise SolverError(f"{int(keep.sum())} ray crossings still open after "
-                      f"{_CROSSING_MAX_PASSES} passes")
+    lo, hi = np.full(n, s_lo), np.full(n, s_hi)
+    for _ in range(math.ceil(math.log2((s_hi - s_lo) / (_CROSSING_RTOL * s_lo)))):
+        mid = 0.5 * (lo + hi)
+        up = g(mid, w) >= 0.0
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    return 0.5 * (lo + hi)
 
 
 def _weighted_asymmetry(domain: StarDomain, origin: np.ndarray | None) -> float:

@@ -287,20 +287,25 @@ def barycenter(domain) -> np.ndarray:
     return domain.center_offset + moment / v
 
 
-def radial_bounds(domain: StarDomain) -> tuple[float, float, float]:
+def radial_bounds(domain: StarDomain, sampled: bool = False) -> tuple[float, float, float]:
     """Certified (rho_lo, rho_hi, G): rho_lo <= rho <= rho_hi and
     |grad_S rho| <= G everywhere on the sphere.
 
-    The bounds hold for the band-limited radius `radial` synthesises,
-    read off its harmonic coefficients.  With c_l the coefficients of
-    degree l, Cauchy-Schwarz and the addition theorem
+    The bounds hold for the band-limited radius `radial` synthesises.
+    By default they are read off its harmonic coefficients.  With c_l
+    the coefficients of degree l, Cauchy-Schwarz and the addition theorem
     sum_m Y_lm^2 = (2l+1)/(4 pi), sum_m |grad_S Y_lm|^2 = l(l+1)(2l+1)/(4 pi)
     bound the degree-l part by |c_l| sqrt((2l+1)/(4 pi)) and its
     gradient by |c_l| sqrt(l(l+1)(2l+1)/(4 pi)); summing over l >= 1
-    around the mean c_00 / sqrt(4 pi) gives the three numbers.
-    Node-only domains are bounded through the projection that `radial`
-    synthesises.  A domain with only an exact radial callable has no
-    coefficients to bound: GeometryError.
+    around the mean c_00 / sqrt(4 pi) gives the three numbers.  The sums
+    grow with the degree much faster than the radius and its gradient
+    do, so at perturbations of 0.3 and above they can leave rho_lo <= 0.
+
+    sampled=True also bounds both from samples, which is tight but costs
+    a synthesis at degree 2L on about 80 L^2 points (`_sampled_bounds`),
+    and returns the better of each pair.  Node-only domains are bounded
+    through the projection that `radial` synthesises.  A domain with only
+    an exact radial callable has no coefficients to bound: GeometryError.
     """
     coeffs = domain.coeffs
     if coeffs is None:
@@ -313,7 +318,53 @@ def radial_bounds(domain: StarDomain) -> tuple[float, float, float]:
     mean = float(coeffs.values[0]) / math.sqrt(4.0 * math.pi)
     spread = float(norms @ np.sqrt((2 * l + 1) / (4.0 * math.pi)))
     grad = float(norms @ np.sqrt(l * (l + 1) * (2 * l + 1) / (4.0 * math.pi)))
-    return mean - spread, mean + spread, grad
+    if not sampled or coeffs.max_degree == 0:
+        return mean - spread, mean + spread, grad
+    lo, hi, g = _sampled_bounds(coeffs)
+    return max(lo, mean - spread), min(hi, mean + spread), min(g, grad)
+
+
+def _sampled_bounds(coeffs: HarmonicCoeffs) -> tuple[float, float, float]:
+    """(rho_lo, rho_hi, G) for a radius of degree L >= 1, from samples.
+
+    On any circle of the sphere, latitude or great circle, a polynomial
+    of degree n on the sphere is a trigonometric polynomial T of degree
+    n, so |T''| <= n^2 sup|T| (Bernstein).  The samples lie on great
+    circles through the poles at longitudes 2 delta apart, each sampled
+    every 2 delta of arc.  At an extremum of T on the sphere T' vanishes
+    along the latitude circle, so the nearest of these great circles
+    holds a value within n^2 delta^2 sup|T| / 2 of it; at that circle's
+    own extremum T' vanishes again, so the nearest sample is within
+    another n^2 delta^2 sup|T| / 2.  The sampled extremes thus miss the
+    true ones by at most kappa sup|T - m| for any constant m, with
+    kappa = n^2 delta^2, and sup|T - m| <= r / (1 - kappa) where m and r
+    are the midpoint and half-width of the sampled range.  Here
+    delta = 1 / (4L): kappa = 1/16 for rho (n = L), and 1/4 for
+    q = |grad_S rho|^2 = Lap(rho^2) / 2 - rho Lap(rho) (n = 2L, q >= 0,
+    so sup q <= max sampled q / (1 - kappa)).  rho^2 is expanded to
+    degree 2L exactly, by a quadrature exact to degree 4L.
+    """
+    L = coeffs.max_degree
+    k = math.ceil(2.0 * math.pi * L)  # pi / k <= 2 delta, with delta = 1 / (4L)
+    colat = np.arange(2 * k) * (math.pi / k)
+    lon = np.arange(k) * (math.pi / k)
+    t, p = (a.ravel() for a in np.meshgrid(colat, lon))
+    dirs = np.column_stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)])
+    quad = build_quadrature(3, 4 * L)
+    square = expand(synthesize(coeffs, quad.nodes) ** 2, 2 * L, quad)
+    rho = synthesize(coeffs, dirs)
+    q = 0.5 * synthesize(_laplacian(square), dirs) - rho * synthesize(_laplacian(coeffs), dirs)
+    kappa = 1.0 / 16.0
+    slack = kappa / (1.0 - kappa) * 0.5 * float(rho.max() - rho.min())
+    return (float(rho.min()) - slack, float(rho.max()) + slack,
+            math.sqrt(max(float(q.max()), 0.0) / (1.0 - 4.0 * kappa)))
+
+
+def _laplacian(coeffs: HarmonicCoeffs) -> HarmonicCoeffs:
+    """Coefficients of the Laplace-Beltrami operator applied to coeffs."""
+    l = np.arange(coeffs.max_degree + 1)
+    return HarmonicCoeffs(coeffs.dimension, coeffs.max_degree,
+                          coeffs.values * np.repeat(-l * (l + 1.0), 2 * l + 1))
 
 
 def scale_domain(domain: StarDomain, lam: float) -> StarDomain:

@@ -171,10 +171,10 @@ def test_alpha_R_dominates_annulus_bound():
 POLES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
 
 
-def _certified_limit(dom):
+def _certified_limit(dom, sampled=True):
     """Largest |origin - center| the single-crossing certificate admits."""
-    lo, _, grad = radial_bounds(dom)
-    return lo / (1.0 + grad / lo)
+    lo, _, grad = radial_bounds(dom, sampled)
+    return lo * lo / math.hypot(lo, grad) if lo > 0.0 else 0.0
 
 
 def _scalar_g(dom, a):
@@ -188,7 +188,7 @@ def _scalar_g(dom, a):
 def _crossing_radii_reference(dom, origin, dirs):
     """One scalar brentq per ray, as tight as brentq goes."""
     a = np.asarray(origin) - dom.center_offset
-    lo, hi, _ = radial_bounds(dom)
+    lo, hi, _ = radial_bounds(dom, sampled=True)
     na = float(np.linalg.norm(a))
     g = _scalar_g(dom, a)
     return np.array([brentq(g, lo - na - 1e-9, hi + na + 1e-9, args=(w,),
@@ -243,8 +243,8 @@ def test_crossing_radii_match_scalar_oracle(member):
         assert np.median(err) <= 1e-15
 
 
-def test_crossing_radii_pass_cap_raises_solver_error():
-    # a radius that answers the bracket ends and then never settles
+def test_crossing_radii_nan_radius_raises_solver_error():
+    # a radius that answers the bracket ends and then turns NaN
     dom = generate_family(FamilySpec("random_star", 1, amplitude=0.3, seed=4))[0][2]
     exact = dom.radial
     calls = [0]
@@ -254,21 +254,52 @@ def test_crossing_radii_pass_cap_raises_solver_error():
         return exact(dirs) if calls[0] == 1 else np.full(len(dirs), np.nan)
 
     dom.radial = unsettled
-    with pytest.raises(SolverError, match="passes"):
+    with pytest.raises(SolverError, match="NaN"):
         _crossing_radii(dom, dom.center_offset + 0.01, dom.quad.nodes)
-    assert calls[0] == isocap.asymmetry._CROSSING_MAX_PASSES + 1
+    assert calls[0] == 2
 
 
 def test_crossing_radii_refuse_uncertified_origin():
     dom = generate_family(FamilySpec("random_star", 1, amplitude=0.3, seed=4))[0][2]
     limit = _certified_limit(dom)
-    origin = dom.center_offset + np.array([0.0, 0.6, 0.8]) * limit
-    _crossing_radii(dom, 0.99 * origin, dom.quad.nodes)
+    # the sampled bounds admit origins the coefficient bounds alone refuse
+    assert limit > 1.2 * _certified_limit(dom, sampled=False)
+    offset = np.array([0.0, 0.6, 0.8]) * limit
+    _crossing_radii(dom, dom.center_offset + 0.99 * offset, dom.quad.nodes)
     with pytest.raises(GeometryError, match="certify"):
-        _crossing_radii(dom, 1.01 * origin, dom.quad.nodes)
+        _crossing_radii(dom, dom.center_offset + 1.01 * offset, dom.quad.nodes)
+    # a star whose barycenter sits 0.33 from its center: single-crossing
+    # about the barycenter, but the bounds meet the weakest radius and the
+    # steepest slope at different points, so they cannot show it
+    far = generate_family(FamilySpec("random_star", 1, amplitude=0.45, seed=1,
+                                     max_degree=4))[0][2]
+    with pytest.raises(GeometryError, match="certify"):
+        alpha(far)
     # an exact radial callable alone gives no coefficients to certify from
     with pytest.raises(GeometryError, match="coefficients"):
         _crossing_radii(ellipsoid(0.2), np.array([1e-3, 0.0, 0.0]), POLES)
+
+
+@pytest.mark.parametrize("amplitude, max_degree, member, projected", [
+    (0.45, 16, 0, True),  # sup |phi| = 0.43, near the 0.5 cap on perturbations
+    (0.3, 16, 0, False),  # barycenter 0.19 from the center, as `asym --domain` sees it
+    (0.45, 8, 1, False),  # barycenter 0.26 from the center
+])
+def test_alpha_near_the_amplitude_cap_and_off_center(amplitude, max_degree, member,
+                                                     projected):
+    phi = generate_family(FamilySpec("random_star", member + 1, amplitude=amplitude,
+                                     seed=1, max_degree=max_degree))[member][3]
+    dom = nearly_spherical_from_phi(project_barycenter(phi) if projected else phi)
+    x0 = barycenter(dom)
+    if not projected:
+        # the coefficient bounds alone refuse this origin
+        assert _certified_limit(dom, sampled=False) < np.linalg.norm(x0 - dom.center_offset)
+    assert alpha(dom) > 0.0
+    dirs = np.vstack([dom.quad.nodes[::9], POLES])
+    got = _crossing_radii(dom, x0, dirs)
+    want = _crossing_radii_reference(dom, x0, dirs)
+    assert np.median(np.abs(got - want)) <= 1e-15
+    assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def test_alpha_solves_all_rays_in_few_radial_calls():

@@ -217,11 +217,13 @@ def test_radial_dispatch_consistency():
     npt.assert_allclose(dom.radial(quad.nodes), expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("member", range(3))
-def test_radial_bounds_enclose_radius_and_gradient(member):
-    dom = generate_family(FamilySpec("random_star", 3, amplitude=0.3, seed=4,
-                                     max_degree=8))[member][2]
-    lo, hi, grad = radial_bounds(dom)
+@pytest.mark.parametrize("sampled", [False, True])
+@pytest.mark.parametrize("amplitude, max_degree, member",
+                         [(0.3, 8, 0), (0.3, 8, 1), (0.3, 8, 2), (0.45, 16, 0)])
+def test_radial_bounds_enclose_radius_and_gradient(amplitude, max_degree, member, sampled):
+    dom = generate_family(FamilySpec("random_star", member + 1, amplitude=amplitude,
+                                     seed=4, max_degree=max_degree))[member][2]
+    lo, hi, grad = radial_bounds(dom, sampled)
     # the surface gradient by central differences on a polar grid:
     # |grad_S rho|^2 = rho_theta^2 + (rho_phi / sin theta)^2
     theta, phi = np.meshgrid(np.linspace(0.02, math.pi - 0.02, 90),
@@ -236,15 +238,23 @@ def test_radial_bounds_enclose_radius_and_gradient(member):
     r = rho(theta, phi)
     d_theta = (rho(theta + h, phi) - rho(theta - h, phi)) / (2 * h)
     d_phi = (rho(theta, phi + h) - rho(theta, phi - h)) / (2 * h * np.sin(theta))
+    slope = np.hypot(d_theta, d_phi).max()
     assert lo <= r.min() and r.max() <= hi
-    assert np.hypot(d_theta, d_phi).max() <= grad
-    # a node-only copy is bounded through the projection radial() uses
-    nodes_only = StarDomain(dimension=3, quad=dom.quad, rho=dom.rho)
-    npt.assert_allclose(radial_bounds(nodes_only), (lo, hi, grad), rtol=1e-12)
+    assert slope <= grad
+    if sampled:
+        # within the sampling slack: 1/15 of the half-range on each side
+        # of the radius, a factor sqrt(4/3) on the slope
+        assert hi - lo <= 1.25 * (r.max() - r.min())
+        assert grad <= 1.25 * slope
+    else:
+        # a node-only copy is bounded through the projection radial() uses
+        nodes_only = StarDomain(dimension=3, quad=dom.quad, rho=dom.rho)
+        npt.assert_allclose(radial_bounds(nodes_only), (lo, hi, grad), rtol=1e-12)
 
 
 def test_radial_bounds_need_coefficients():
     assert radial_bounds(ball(1.3)) == pytest.approx((1.3, 1.3, 0.0), abs=1e-15)
+    assert radial_bounds(ball(1.3), sampled=True) == pytest.approx((1.3, 1.3, 0.0), abs=1e-15)
     with pytest.raises(GeometryError, match="coefficients"):
         radial_bounds(ellipsoid(0.2))
 

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from isocap.domains import ellipsoid
+from isocap.domains import FamilySpec, ellipsoid, generate_family, save_domain
 from isocap.harness import (ExperimentConfig, fit_loglog, run_asym, run_sweep,
                             scatter_svg, verdict_for)
 from isocap.harness.cli import main as cli_main
@@ -489,6 +489,19 @@ def test_cli_malformed_domain_file(tmp_path, capsys):
     bad.write_text("not a domain\n")
     assert cli_main(["cap", "--domain", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_cli_asym_on_an_off_center_star(tmp_path, capsys):
+    # a random star as generated, not projected: its barycenter sits 0.19
+    # from its center, where the coefficient bounds alone cannot certify
+    # alpha's ray crossings and the sampled ones can
+    dom = generate_family(FamilySpec("random_star", 1, amplitude=0.3, seed=1,
+                                     max_degree=16))[0][2]
+    path = tmp_path / "star.dom"
+    save_domain(dom, path)
+    assert cli_main(["asym", "--domain", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert float(payload["alpha"]) > 0.0
 
 
 def test_cli_config_layering_and_override(tmp_path, capsys):
