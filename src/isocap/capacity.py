@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import CompositeDomain, StarDomain, normalize_volume, scale_domain, volume
+from .domains import (CompositeDomain, StarDomain, normalize_volume, radial_bounds,
+                      scale_domain, volume)
 from .errors import GeometryError, SolverError
 from .sphere import ball_volume, build_quadrature, harmonic_basis, sphere_area
 
@@ -268,76 +269,44 @@ class WosConfig:
 
 
 class _WosComponent:
-    """Distance and membership queries for one star component."""
+    """Certified step and absorption gap for one star component.
 
-    _COARSE_DEG = 20
-    _REFINE_ROUNDS = 5
+    For x = c + r u outside the component, the radial gap r - rho(u) is
+    the distance to the boundary point c + rho(u) u, so it bounds the
+    true distance from above; it also decides absorption.  The step is a
+    lower bound on that distance.  The segment from x to its nearest
+    boundary point lies outside the component, where |z - c| >= rho_lo
+    and the function |z - c| - rho((z - c)/|z - c|), which vanishes on
+    the boundary, has gradient at most sqrt(1 + (G / rho_lo)^2); so the
+    distance is at least the gap over that constant, and at least
+    r - rho_hi.  (rho_lo, rho_hi, G) come from `radial_bounds`.
+    """
 
     def __init__(self, dom: StarDomain):
         self.center = dom.center_offset
-        self.rho_min = dom.rho_min
         self.exact_ball = dom.is_ball() and dom.rho_fn is not None
         self.radius = dom.rho_max if self.exact_ball else None
         self.dom = dom
         if not self.exact_ball:
-            q = build_quadrature(3, self._COARSE_DEG)
-            self.coarse_dirs = q.nodes
-            self.coarse_pts = dom.radial(q.nodes)[:, None] * q.nodes
+            lo, self.rho_hi, g = radial_bounds(dom, sampled=True)
+            if lo <= 0.0:
+                raise GeometryError("walk on spheres needs a radius bounded away from zero; "
+                                    f"the certified lower bound is {lo:.4g}")
+            self.lipschitz = math.sqrt(1.0 + (g / lo) ** 2)
 
-    def distance_inside(self, p: np.ndarray):
-        """(distance to the boundary, inside flag) for points p, vectorised."""
+    def step_gap(self, p: np.ndarray):
+        """(certified step, signed radial gap) for points p, vectorised.
+
+        The gap is negative inside the component; the step is only
+        meaningful where the gap is positive.
+        """
         q = p - self.center
         r = np.linalg.norm(q, axis=1)
         if self.exact_ball:
-            return np.abs(r - self.radius), r < self.radius
-        inside = r < self.dom.radial(q / np.maximum(r, 1e-300)[:, None])
-        # coarse pass over a precomputed boundary cloud
-        best, d2best = _nearest_point(q, self.coarse_pts)
-        w = self.coarse_dirs[best]
-        # local pattern search on the sphere around the coarse direction
-        span = math.pi / self._COARSE_DEG
-        a1 = _any_orthonormal(w)
-        a2 = np.cross(w, a1)
-        dbest = np.sqrt(d2best)
-        offs = np.array([(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)],
-                        dtype=float)
-        for _ in range(self._REFINE_ROUNDS):
-            cand = (w[:, None, :]
-                    + span * offs[None, :, 0, None] * a1[:, None, :]
-                    + span * offs[None, :, 1, None] * a2[:, None, :])
-            cand /= np.linalg.norm(cand, axis=2, keepdims=True)
-            flat = cand.reshape(-1, 3)
-            bpts = self.dom.radial(flat)[:, None] * flat
-            dc = np.linalg.norm(q[:, None, :] - bpts.reshape(len(p), -1, 3), axis=2)
-            j = np.argmin(dc, axis=1)
-            better = dc[np.arange(len(p)), j] < dbest
-            dbest = np.where(better, dc[np.arange(len(p)), j], dbest)
-            w = np.where(better[:, None], cand[np.arange(len(p)), j], w)
-            w /= np.linalg.norm(w, axis=1, keepdims=True)
-            a1 = _any_orthonormal(w)
-            a2 = np.cross(w, a1)
-            span /= 3.0
-        return dbest, inside
-
-
-_NEAREST_ROWS = 2048  # query rows per block of the coarse distance pass
-
-
-def _nearest_point(q: np.ndarray, pts: np.ndarray):
-    """(index, squared distance) of the row of pts nearest to each row of q.
-
-    q is taken in blocks of _NEAREST_ROWS rows, so the (n, len(pts), 3)
-    difference array is never formed whole; no row depends on the blocks.
-    """
-    best = np.empty(len(q), dtype=np.intp)
-    d2best = np.empty(len(q))
-    for i in range(0, len(q), _NEAREST_ROWS):
-        block = slice(i, i + _NEAREST_ROWS)
-        d2 = ((q[block, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        j = np.argmin(d2, axis=1)
-        best[block] = j
-        d2best[block] = d2[np.arange(len(j)), j]
-    return best, d2best
+            gap = r - self.radius
+            return gap, gap
+        gap = r - self.dom.radial(q / np.maximum(r, 1e-300)[:, None])
+        return np.maximum(gap / self.lipschitz, r - self.rho_hi), gap
 
 
 def _any_orthonormal(w: np.ndarray) -> np.ndarray:
@@ -391,12 +360,12 @@ def _run_wos_block(components, walk_ids: np.ndarray, seed: int, a: float,
         idx = np.nonzero(alive)[0]
         p = pos[idx]
         d = np.full(len(idx), np.inf)
-        inside = np.zeros(len(idx), dtype=bool)
+        gap = np.full(len(idx), np.inf)
         for comp in components:
-            dc, ic = comp.distance_inside(p)
+            dc, gc = comp.step_gap(p)
             d = np.minimum(d, dc)
-            inside |= ic
-        absorbed = inside | (d <= eps)
+            gap = np.minimum(gap, gc)
+        absorbed = gap <= eps
         hit[idx[absorbed]] = True
         alive[idx[absorbed]] = False
         move = ~absorbed
@@ -441,6 +410,13 @@ def cap_wos(domain, cfg: WosConfig | None = None) -> CapacityResult:
     measure.  error_estimate is the binomial standard error plus a
     documented O(eps_shell) absorption bias bound; walks that exhaust
     max_steps count as killed and are added to the error term.
+
+    The bias bound holds because each step radius is a certified lower
+    bound on the distance to the boundary, so no sphere leaves the
+    exterior, and a walker is absorbed once its radial gap is at most
+    eps_shell, which bounds that distance from above (`_WosComponent`).
+    The absorbing set thus lies between the domain and its
+    eps_shell-neighbourhood, and so does the capacity it estimates.
     """
     cfg = cfg or WosConfig()
     comps = domain.components if isinstance(domain, CompositeDomain) else [domain]

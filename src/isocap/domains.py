@@ -61,6 +61,7 @@ class StarDomain:
     rho: np.ndarray
     coeffs: HarmonicCoeffs | None = None
     rho_fn: object | None = None  # exact radial callable dirs -> radii
+    rho_bounds: tuple | None = None  # closed-form (rho_lo, rho_hi, G) for rho_fn
     center_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
     _proj: HarmonicCoeffs | None = field(default=None, repr=False)
 
@@ -163,6 +164,12 @@ def ellipsoid(eps: float, quad: SphereQuadrature | None = None) -> StarDomain:
 
     eps = 0 gives the unit ball; the product of the axes is 1, so the
     volume equals that of the unit ball for every eps.
+
+    With a = 1+eps and c = (1+eps)^-2 the radius at polar angle t is
+    rho = ac / sqrt(c^2 sin^2 t + a^2 cos^2 t), between c and a, and
+    |d rho/dt| = rho (a^2 - c^2) sin t cos t / (c^2 sin^2 t + a^2 cos^2 t)
+    <= rho (a^2 - c^2) / (2ac) <= (a^2 - c^2) / (2c) by AM-GM: the
+    closed-form `radial_bounds` it carries.
     """
     if not 0.0 <= eps < 0.5:
         raise GeometryError(f"eps must lie in [0, 0.5), got {eps}")
@@ -171,7 +178,8 @@ def ellipsoid(eps: float, quad: SphereQuadrature | None = None) -> StarDomain:
         # needed for ~1e-12 volume accuracy grows with the eccentricity
         deg = max(16, 8 * math.ceil((32 + 150 * eps) / 8))
         quad = build_quadrature(3, deg)
-    axes = np.array([1.0 + eps, 1.0 + eps, (1.0 + eps) ** -2])
+    a, c = 1.0 + eps, (1.0 + eps) ** -2
+    axes = np.array([a, a, c])
 
     def rho_fn(dirs, axes=axes):
         d = np.atleast_2d(np.asarray(dirs, dtype=float))
@@ -182,6 +190,7 @@ def ellipsoid(eps: float, quad: SphereQuadrature | None = None) -> StarDomain:
         quad=quad,
         rho=rho_fn(quad.nodes),
         rho_fn=rho_fn,
+        rho_bounds=(c, a, (a * a - c * c) / (2.0 * c)),
     )
 
 
@@ -304,9 +313,12 @@ def radial_bounds(domain: StarDomain, sampled: bool = False) -> tuple[float, flo
     sampled=True also bounds both from samples, which is tight but costs
     a synthesis at degree 2L on about 80 L^2 points (`_sampled_bounds`),
     and returns the better of each pair.  Node-only domains are bounded
-    through the projection that `radial` synthesises.  A domain with only
-    an exact radial callable has no coefficients to bound: GeometryError.
+    through the projection that `radial` synthesises.  A domain with an
+    exact radial callable returns the closed-form bounds it carries
+    (`ellipsoid`); one without them has nothing to bound: GeometryError.
     """
+    if domain.rho_bounds is not None:
+        return domain.rho_bounds
     coeffs = domain.coeffs
     if coeffs is None:
         if domain.rho_fn is not None:
@@ -377,12 +389,14 @@ def scale_domain(domain: StarDomain, lam: float) -> StarDomain:
         coeffs.values *= lam
     fn = domain.rho_fn
     rho_fn = (lambda dirs, fn=fn, lam=lam: lam * np.asarray(fn(dirs))) if fn is not None else None
+    bounds = domain.rho_bounds
     return StarDomain(
         dimension=domain.dimension,
         quad=domain.quad,
         rho=lam * domain.rho,
         coeffs=coeffs,
         rho_fn=rho_fn,
+        rho_bounds=tuple(lam * b for b in bounds) if bounds is not None else None,
         center_offset=lam * domain.center_offset,
     )
 

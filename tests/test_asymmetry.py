@@ -16,8 +16,8 @@ import isocap.asymmetry
 from isocap.asymmetry import (_crossing_radii, alpha, alpha_R, annulus_lower_bound,
                               fraenkel, fraenkel_mc, symdiff_volume, symdiff_volume_mc)
 from isocap.capacity import counter_uniform
-from isocap.domains import (CompositeDomain, FamilySpec, ball, barycenter, ellipsoid,
-                            generate_family, nearly_spherical_from_phi,
+from isocap.domains import (CompositeDomain, FamilySpec, StarDomain, ball, barycenter,
+                            ellipsoid, generate_family, nearly_spherical_from_phi,
                             radial_bounds, translate)
 from isocap.errors import GeometryError, SolverError
 from isocap.sphere import ball_volume, build_quadrature
@@ -276,8 +276,10 @@ def test_crossing_radii_refuse_uncertified_origin():
     with pytest.raises(GeometryError, match="certify"):
         alpha(far)
     # an exact radial callable alone gives no coefficients to certify from
+    ell = ellipsoid(0.2)
+    bare = StarDomain(dimension=3, quad=ell.quad, rho=ell.rho, rho_fn=ell.rho_fn)
     with pytest.raises(GeometryError, match="coefficients"):
-        _crossing_radii(ellipsoid(0.2), np.array([1e-3, 0.0, 0.0]), POLES)
+        _crossing_radii(bare, np.array([1e-3, 0.0, 0.0]), POLES)
 
 
 @pytest.mark.parametrize("amplitude, max_degree, member, projected", [

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocap.capacity import (_NEAREST_ROWS, SolverConfig, WosConfig,
-                             _nearest_point, cap_ball, cap_ball_rel,
+from isocap.capacity import (SolverConfig, WosConfig, _any_orthonormal,
+                             _WosComponent, cap_ball, cap_ball_rel,
                              cap_exterior_harmonic, cap_relative_harmonic,
                              cap_spheroid, cap_wos, capacity, counter_uniform,
                              deficit)
-from isocap.domains import (CompositeDomain, FamilySpec, ball, ellipsoid,
-                            generate_family)
+from isocap.domains import (CompositeDomain, FamilySpec, StarDomain, ball,
+                            ellipsoid, generate_family)
 from isocap.errors import GeometryError, SolverError
-from isocap.sphere import ball_volume
+from isocap.sphere import (HarmonicCoeffs, ball_volume, build_quadrature, flat_index,
+                           synthesize)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -234,15 +235,95 @@ def test_wos_random_star_deterministic_across_threads():
     assert a == b
 
 
-def test_nearest_point_blocks_match_unblocked_pass():
-    rng = np.random.default_rng(5)
-    pts = rng.normal(size=(242, 3))
-    q = rng.normal(size=(2 * _NEAREST_ROWS + 904, 3)) * 2.0  # three blocks
-    best, d2best = _nearest_point(q, pts)
-    d2 = ((q[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    ref = np.argmin(d2, axis=1)
-    assert np.array_equal(best, ref)
-    assert np.array_equal(d2best, d2[np.arange(len(q)), ref])
+def _nearest_boundary_distance(dom, q, cloud_degree=600, rounds=200):
+    """Distance from each row of q (relative to the center) to the
+    boundary: the nearest point of a dense boundary cloud, polished by a
+    compass search over boundary directions that doubles its span after
+    a move and halves it when none of its eight neighbours is nearer."""
+    dirs = build_quadrature(3, cloud_degree).nodes
+    cloud = dom.radial(dirs)[:, None] * dirs
+    # |p - y|^2 up to the |p|^2 every candidate shares; picks the start only
+    w = dirs[np.argmin((cloud**2).sum(axis=1) - 2.0 * q @ cloud.T, axis=1)]
+
+    def dist(v):
+        return np.linalg.norm(q - dom.radial(v)[:, None] * v, axis=1)
+
+    best = dist(w)
+    span = np.full(len(q), math.pi / cloud_degree)
+    offs = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+    for _ in range(rounds):
+        a1 = _any_orthonormal(w)
+        a2 = np.cross(w, a1)
+        improved = np.zeros(len(q), dtype=bool)
+        for s, t in offs:
+            v = w + span[:, None] * (s * a1 + t * a2)
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            dv = dist(v)
+            better = dv < best
+            best = np.where(better, dv, best)
+            w = np.where(better[:, None], v, w)
+            improved |= better
+        span = np.where(improved, 2.0 * span, 0.5 * span)
+    return best
+
+
+@pytest.mark.parametrize("amplitude, max_degree", [
+    (0.3, 4), (0.3, 8), (0.3, 16), (0.45, 4), (0.45, 8), (0.45, 16),
+    (None, None),  # ellipsoid(0.3), with its closed-form bounds
+])
+def test_wos_step_is_a_certified_distance_bound(amplitude, max_degree):
+    if amplitude is None:
+        dom = ellipsoid(0.3)
+    else:
+        dom = generate_family(FamilySpec("random_star", 1, amplitude=amplitude, seed=2,
+                                         max_degree=max_degree))[0][2]
+    comp = _WosComponent(dom)
+    assert not comp.exact_ball
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=(240, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    # half the points within 1e-3 of the surface, half up to 1.5 away
+    gaps = np.concatenate([10.0 ** rng.uniform(-6, -3, 120), rng.uniform(1e-3, 1.5, 120)])
+    q = (dom.radial(u) + gaps)[:, None] * u
+    step, gap = comp.step_gap(dom.center_offset + q)
+    true = _nearest_boundary_distance(dom, q)
+    npt.assert_allclose(gap, gaps, rtol=1e-12, atol=1e-15)
+    assert np.all(step > 0.0)
+    assert np.all(step <= true)
+    assert np.all(true <= gap)
+
+
+def test_wos_refuses_a_radius_that_reaches_zero():
+    # 1 + 1.2 cos(theta) is positive at the degree-2 rule's nodes but not
+    # at the south pole, so no step can be certified
+    coeffs = HarmonicCoeffs.zeros(1)
+    coeffs.values[0] = math.sqrt(4.0 * math.pi)
+    coeffs.values[flat_index(1, 1)] = 1.2 * math.sqrt(4.0 * math.pi / 3.0)
+    quad = build_quadrature(3, 2)
+    dom = StarDomain(dimension=3, quad=quad, rho=synthesize(coeffs, quad.nodes), coeffs=coeffs)
+    with pytest.raises(GeometryError, match="bounded away from zero"):
+        cap_wos(dom, WosConfig(num_walks=100))
+
+
+def test_wos_star_path_on_a_coefficient_ball_against_closed_form():
+    # a ball known only by its harmonic coefficients, off the origin:
+    # no exact radial callable, so every query goes through synthesis
+    coeffs = HarmonicCoeffs.zeros(0)
+    coeffs.values[0] = 1.3 * math.sqrt(4.0 * math.pi)
+    quad = build_quadrature(3, 16)
+    dom = StarDomain(dimension=3, quad=quad, rho=np.full(quad.n_nodes, 1.3),
+                     coeffs=coeffs, center_offset=np.array([0.4, -0.3, 0.2]))
+    assert not _WosComponent(dom).exact_ball
+    res = cap_wos(dom, WosConfig(num_walks=40000, seed=6))
+    assert abs(res.value - cap_ball(1.3)) <= 3.0 * res.error_estimate
+    assert res.error_estimate / cap_ball(1.3) < 0.02
+
+
+def test_wos_ellipsoid_against_spheroid_closed_form():
+    res = cap_wos(ellipsoid(0.2), WosConfig(num_walks=40000, seed=7))
+    want = cap_spheroid(1.2, 1.2**-2)
+    assert abs(res.value - want) <= 3.0 * res.error_estimate
+    assert res.error_estimate / want < 0.02
 
 
 def test_wos_two_sphere_composite_against_oracle():

@@ -217,17 +217,11 @@ def test_radial_dispatch_consistency():
     npt.assert_allclose(dom.radial(quad.nodes), expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("sampled", [False, True])
-@pytest.mark.parametrize("amplitude, max_degree, member",
-                         [(0.3, 8, 0), (0.3, 8, 1), (0.3, 8, 2), (0.45, 16, 0)])
-def test_radial_bounds_enclose_radius_and_gradient(amplitude, max_degree, member, sampled):
-    dom = generate_family(FamilySpec("random_star", member + 1, amplitude=amplitude,
-                                     seed=4, max_degree=max_degree))[member][2]
-    lo, hi, grad = radial_bounds(dom, sampled)
-    # the surface gradient by central differences on a polar grid:
-    # |grad_S rho|^2 = rho_theta^2 + (rho_phi / sin theta)^2
-    theta, phi = np.meshgrid(np.linspace(0.02, math.pi - 0.02, 90),
-                             np.linspace(0.0, 2.0 * math.pi, 180, endpoint=False))
+def _radius_and_slope(dom, n_theta=90):
+    """The radius on a polar grid, and the largest surface gradient by
+    central differences: |grad_S rho|^2 = rho_theta^2 + (rho_phi / sin theta)^2."""
+    theta, phi = np.meshgrid(np.linspace(0.02, math.pi - 0.02, n_theta),
+                             np.linspace(0.0, 2.0 * math.pi, 2 * n_theta, endpoint=False))
     theta, phi = theta.ravel(), phi.ravel()
 
     def rho(t, p):
@@ -235,10 +229,19 @@ def test_radial_bounds_enclose_radius_and_gradient(amplitude, max_degree, member
                                            np.sin(t) * np.sin(p), np.cos(t)]))
 
     h = 1e-6
-    r = rho(theta, phi)
     d_theta = (rho(theta + h, phi) - rho(theta - h, phi)) / (2 * h)
     d_phi = (rho(theta, phi + h) - rho(theta, phi - h)) / (2 * h * np.sin(theta))
-    slope = np.hypot(d_theta, d_phi).max()
+    return rho(theta, phi), np.hypot(d_theta, d_phi).max()
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+@pytest.mark.parametrize("amplitude, max_degree, member",
+                         [(0.3, 8, 0), (0.3, 8, 1), (0.3, 8, 2), (0.45, 16, 0)])
+def test_radial_bounds_enclose_radius_and_gradient(amplitude, max_degree, member, sampled):
+    dom = generate_family(FamilySpec("random_star", member + 1, amplitude=amplitude,
+                                     seed=4, max_degree=max_degree))[member][2]
+    lo, hi, grad = radial_bounds(dom, sampled)
+    r, slope = _radius_and_slope(dom)
     assert lo <= r.min() and r.max() <= hi
     assert slope <= grad
     if sampled:
@@ -255,8 +258,11 @@ def test_radial_bounds_enclose_radius_and_gradient(amplitude, max_degree, member
 def test_radial_bounds_need_coefficients():
     assert radial_bounds(ball(1.3)) == pytest.approx((1.3, 1.3, 0.0), abs=1e-15)
     assert radial_bounds(ball(1.3), sampled=True) == pytest.approx((1.3, 1.3, 0.0), abs=1e-15)
+    # an exact radial callable without closed-form bounds has nothing to bound
+    dom = ellipsoid(0.2)
+    bare = StarDomain(dimension=3, quad=dom.quad, rho=dom.rho, rho_fn=dom.rho_fn)
     with pytest.raises(GeometryError, match="coefficients"):
-        radial_bounds(ellipsoid(0.2))
+        radial_bounds(bare)
 
 
 def test_diameter_of_ellipsoid():
@@ -271,6 +277,15 @@ def test_ellipsoid_radial_bounds(eps):
     dom = ellipsoid(eps)
     lo, hi = (1 + eps) ** -2, 1 + eps
     assert lo - 1e-12 <= dom.rho_min <= dom.rho_max <= hi + 1e-12
+    grad = (hi**2 - lo**2) / (2 * lo)
+    assert radial_bounds(dom) == radial_bounds(dom, sampled=True)
+    assert radial_bounds(dom) == pytest.approx((lo, hi, grad), rel=1e-15)
+    r, slope = _radius_and_slope(dom, n_theta=60)
+    assert lo - 1e-12 <= r.min() and r.max() <= hi + 1e-12
+    assert slope <= grad
+    # a dilation scales all three
+    assert radial_bounds(scale_domain(dom, 1.7)) == pytest.approx((1.7 * lo, 1.7 * hi,
+                                                                    1.7 * grad), rel=1e-15)
 
 
 @settings(deadline=None, max_examples=15)
