@@ -16,7 +16,6 @@ domains, and a walk-on-spheres Monte Carlo estimator.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,7 +263,6 @@ class WosConfig:
     start_radius: float | None = None  # default 4 * enclosing radius
     eps_shell: float | None = None  # default 1e-4 * enclosing radius
     max_steps: int = 10000
-    threads: int = 1
     block_size: int = 8192
 
 
@@ -279,20 +277,22 @@ class _WosComponent:
     and the function |z - c| - rho((z - c)/|z - c|), which vanishes on
     the boundary, has gradient at most sqrt(1 + (G / rho_lo)^2); so the
     distance is at least the gap over that constant, and at least
-    r - rho_hi.  (rho_lo, rho_hi, G) come from `radial_bounds`.
+    r - rho_hi.  (rho_lo, rho_hi, G) come from `radial_bounds`; an exact
+    ball's rho_lo is its radius.
     """
 
     def __init__(self, dom: StarDomain):
         self.center = dom.center_offset
         self.exact_ball = dom.is_ball() and dom.rho_fn is not None
-        self.radius = dom.rho_max if self.exact_ball else None
         self.dom = dom
-        if not self.exact_ball:
-            lo, self.rho_hi, g = radial_bounds(dom, sampled=True)
-            if lo <= 0.0:
+        if self.exact_ball:
+            self.rho_lo = self.radius = dom.rho_max
+        else:
+            self.rho_lo, self.rho_hi, g = radial_bounds(dom, sampled=True)
+            if self.rho_lo <= 0.0:
                 raise GeometryError("walk on spheres needs a radius bounded away from zero; "
-                                    f"the certified lower bound is {lo:.4g}")
-            self.lipschitz = math.sqrt(1.0 + (g / lo) ** 2)
+                                    f"the certified lower bound is {self.rho_lo:.4g}")
+            self.lipschitz = math.sqrt(1.0 + (g / self.rho_lo) ** 2)
 
     def step_gap(self, p: np.ndarray):
         """(certified step, signed radial gap) for points p, vectorised.
@@ -417,6 +417,10 @@ def cap_wos(domain, cfg: WosConfig | None = None) -> CapacityResult:
     eps_shell, which bounds that distance from above (`_WosComponent`).
     The absorbing set thus lies between the domain and its
     eps_shell-neighbourhood, and so does the capacity it estimates.
+    That neighbourhood lies inside each component's dilation by
+    1 + eps_shell / rho_lo about its center, with rho_lo the certified
+    lower bound on its radius, so the bias term is value * eps_shell /
+    min rho_lo.
     """
     cfg = cfg or WosConfig()
     comps = domain.components if isinstance(domain, CompositeDomain) else [domain]
@@ -429,12 +433,7 @@ def cap_wos(domain, cfg: WosConfig | None = None) -> CapacityResult:
     m = cfg.num_walks
     blocks = [np.arange(i, min(i + cfg.block_size, m), dtype=np.uint64)
               for i in range(0, m, cfg.block_size)]
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            parts = list(pool.map(
-                lambda b: _run_wos_block(geoms, b, cfg.seed, a, eps, cfg.max_steps), blocks))
-    else:
-        parts = [_run_wos_block(geoms, b, cfg.seed, a, eps, cfg.max_steps) for b in blocks]
+    parts = [_run_wos_block(geoms, b, cfg.seed, a, eps, cfg.max_steps) for b in blocks]
     hits = sum(p[0] for p in parts)
     unresolved = sum(p[1] for p in parts)
     if hits == 0:
@@ -443,7 +442,7 @@ def cap_wos(domain, cfg: WosConfig | None = None) -> CapacityResult:
     p = hits / m
     value = p * scale
     stderr = math.sqrt(p * (1.0 - p) / m) * scale
-    bias = value * eps / min(c.rho_min for c in comps) + unresolved / m * scale
+    bias = value * eps / min(g.rho_lo for g in geoms) + unresolved / m * scale
     return CapacityResult(value=value, method="wos", error_estimate=stderr + bias,
                           max_residual=None, condition=None)
 

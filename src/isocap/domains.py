@@ -64,6 +64,10 @@ class StarDomain:
     rho_bounds: tuple | None = None  # closed-form (rho_lo, rho_hi, G) for rho_fn
     center_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
     _proj: HarmonicCoeffs | None = field(default=None, repr=False)
+    # `asymmetry.symdiff_volume`'s ray samples of this domain, set once on
+    # first use; not an init field, so a domain made by `replace` starts
+    # without them
+    _rays: object | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=float)

@@ -103,7 +103,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="harmonic solver truncation degree")
     sub.add_argument("--seed", type=int, help="seed for all randomness")
     sub.add_argument("--walks", type=int, help="walk-on-spheres sample count")
-    sub.add_argument("--threads", type=int, help="walk-on-spheres block threads")
+    sub.add_argument("--threads", type=int,
+                     help="accepted and ignored: every command runs in one thread")
     sub.add_argument("--out-dir", help="directory for output files")
     sub.add_argument("--no-timestamp", action="store_const", const=True,
                      default=None, help="omit the generation-time comment in SVG")
@@ -186,7 +187,6 @@ def _experiment_config(res: _Resolver, default_mode: str = "abs") -> ExperimentC
         l_max=res.get("Lmax", int, 8),
         seed=res.get("seed", int, 0),
         walks=res.get("walks", int, 20000),
-        threads=res.get("threads", int, 1),
         out_dir=res.get("out-dir", str, "."),
         timestamp=not res.get("no-timestamp", bool, False),
     )
@@ -207,7 +207,7 @@ def _cmd_cap(res: _Resolver, args: argparse.Namespace) -> int:
     cfg = _experiment_config(res)
     dom = _build_domain(args)
     solver = res.get("solver", str, "harmonic")
-    wos = WosConfig(num_walks=cfg.walks, seed=cfg.seed, threads=cfg.threads)
+    wos = WosConfig(num_walks=cfg.walks, seed=cfg.seed)
     d = deficit(dom, mode=cfg.mode, outer_radius=cfg.outer_radius, solver=solver,
                 cfg=SolverConfig(l_max=cfg.l_max), wos_cfg=wos)
     ref = (cap_ball(1.0) if cfg.mode == "abs"
@@ -326,8 +326,7 @@ def _cmd_profile(res: _Resolver, args: argparse.Namespace) -> int:
     if cfg.mode == "abs":
         cfg = ExperimentConfig(mode="rel", outer_radius=res.get("R", float, 2.0),
                                l_max=cfg.l_max, seed=cfg.seed, walks=cfg.walks,
-                               threads=cfg.threads, out_dir=cfg.out_dir,
-                               timestamp=cfg.timestamp)
+                               out_dir=cfg.out_dir, timestamp=cfg.timestamp)
     rep, summary, paths = run_profile(
         cfg,
         eta=res.get("eta", float, 0.01),

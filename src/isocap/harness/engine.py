@@ -52,7 +52,6 @@ class ExperimentConfig:
     l_max: int = 8
     seed: int = 0
     walks: int = 20000
-    threads: int = 1  # walk-on-spheres block threads only
     out_dir: str = "."
     timestamp: bool = True
     family: FamilySpec | None = None
@@ -63,8 +62,6 @@ class ExperimentConfig:
         if self.mode == "rel" and (self.outer_radius is None
                                    or self.outer_radius <= 1.0):
             raise ConfigError("relative mode needs outer_radius > 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
     def form_spec(self) -> QuadraticFormSpec:
         r = self.outer_radius if self.mode == "rel" else None
@@ -356,7 +353,7 @@ def run_truncation(cfg: ExperimentConfig, far_volume_fraction: float = 0.01,
     else:
         dom = ball(r_near)
 
-    wos = WosConfig(num_walks=cfg.walks, seed=cfg.seed, threads=cfg.threads)
+    wos = WosConfig(num_walks=cfg.walks, seed=cfg.seed)
     cap_full = capacity(dom, mode="abs", solver="wos", wos_cfg=wos)
     dfull = cap_full.value - cap_ball(1.0)
 

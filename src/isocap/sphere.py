@@ -231,8 +231,8 @@ def _recurrence_tables(max_degree: int) -> tuple:
     b_lm = sqrt(((l-1)^2-m^2)/(4(l-1)^2-1)) for m < l-1, so that
     Pbar_l^m = a_lm (z Pbar_{l-1}^m - b_lm Pbar_{l-2}^m); at m = l-1 this
     is Pbar_l^{l-1} = sqrt(2l+1) z Pbar_{l-1}^{l-1} (Holmes & Featherstone,
-    J. Geodesy 76, 2002).  The arrays are read-only: WoS block threads
-    share the cached entry of a degree.
+    J. Geodesy 76, 2002).  The arrays are read-only: every caller
+    shares the cached entry of a degree.
     """
     diag, a, b = [0.0], [None], [None]
     for l in range(1, max_degree + 1):

@@ -1,6 +1,7 @@
 """Symmetric-difference volumes, Fraenkel asymmetry, weighted asymmetry."""
 
 import csv
+import dataclasses
 import math
 import pathlib
 from fractions import Fraction
@@ -106,6 +107,106 @@ def test_fraenkel_translation_invariance():
 def test_fraenkel_requires_unit_volume():
     with pytest.raises(GeometryError):
         fraenkel(ball(1.3))
+
+
+def _symdiff_general(dom, p, center, radius):
+    """symdiff_volume's general ray formula for every center, on the
+    degree-128 ray rule; p holds the domain's radii at its nodes."""
+    quad = build_quadrature(3, 128)
+    c = np.asarray(center, dtype=float) - dom.center_offset
+    c2 = float(c @ c)
+    dots = quad.nodes @ c
+    disc = dots**2 - c2 + radius * radius
+    s = np.sqrt(np.maximum(disc, 0.0))
+    b0 = np.where(disc <= 0.0, 0.0, np.maximum(dots - s, 0.0))
+    b1 = np.where(disc <= 0.0, 0.0, np.maximum(dots + s, 0.0))
+    ia = p * p * p
+    ib = b1 * b1 * b1 - b0 * b0 * b0
+    lo, hi = np.minimum(b0, p), np.minimum(b1, p)
+    iab = hi * hi * hi - lo * lo * lo
+    return float(quad.weights @ (ia + ib - 2.0 * iab)) / 3.0
+
+
+def _ray_path_stars():
+    stars = [dom for _, _, dom, _ in
+             generate_family(FamilySpec("random_star", 4, amplitude=0.45, seed=17,
+                                        max_degree=8))]
+    shifted = generate_family(FamilySpec("random_star", 1, amplitude=0.3, seed=18))[0][2]
+    return stars + [dataclasses.replace(shifted, center_offset=np.array([0.3, -0.2, 0.25]))]
+
+
+@pytest.mark.parametrize("member", range(5))
+def test_symdiff_fast_ray_path_matches_general_formula_bit_for_bit(member, monkeypatch):
+    # 200 ball centers c (relative to the domain's center) with 4|c|^2 <= r^2,
+    # which take the fast path, and 200 with 4|c|^2 > r^2, which take the
+    # general one, each side reaching to within 1e-12 of the boundary, and
+    # one exactly on it; then the origin at r = 1, the relative-mode
+    # denominator
+    dom = _ray_path_stars()[member]
+    assert not dom.is_ball() and dom.quad.degree < 128
+    rng = np.random.default_rng([29, member])
+    dirs = rng.normal(size=(400, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = rng.uniform(0.6, 1.4, size=400)
+    frac = np.concatenate([rng.uniform(0.0, 1.0, 196), [0.0, 1.0 - 1e-12, 1.0, 1.0 - 1e-9],
+                           rng.uniform(1.0, 5.0, 196), [1.0 + 1e-12, 1.0 + 1e-9, 2.0, 5.0]])
+    centers = dom.center_offset + dirs * (frac * radii / 2.0)[:, None]
+    centers[198] = dom.center_offset + [radii[198] / 2.0, 0.0, 0.0]
+    calls = [0]
+    general = isocap.asymmetry._ball_interval
+
+    def counted(*args):
+        calls[0] += 1
+        return general(*args)
+
+    monkeypatch.setattr(isocap.asymmetry, "_ball_interval", counted)
+    p = dom.radial(build_quadrature(3, 128).nodes)
+    fast = 0
+    for center, r in zip(centers, radii):
+        c = center - dom.center_offset
+        inside = 4.0 * float(c @ c) <= r * r
+        fast += inside
+        before = calls[0]
+        assert symdiff_volume(dom, center, r) == _symdiff_general(dom, p, center, r)
+        assert calls[0] == before + (not inside)
+    assert fast == 200
+    assert symdiff_volume(dom, np.zeros(3), 1.0) == _symdiff_general(dom, p, np.zeros(3), 1.0)
+
+
+def test_ray_cache_belongs_to_its_domain():
+    # A sweep builds each member's domains, uses them and drops them, so a
+    # new domain often takes the memory, and the id, of one just freed
+    # (CPython can reuse the freed object's slot).  Members 0 and 1 are built,
+    # used and discarded in turn; each must give what it gives on its own.
+    stars = [dom for _, _, dom, _ in
+             generate_family(FamilySpec("random_star", 2, amplitude=0.3, seed=7))]
+
+    def build(k):
+        return dataclasses.replace(stars[k])
+
+    center = np.array([0.05, -0.02, 0.03])
+    alone = [symdiff_volume(dom, center, 1.0) for dom in stars]
+    assert alone[0] != alone[1]
+    for i in range(24):
+        dom = build(i % 2)
+        assert dom._rays is None
+        assert symdiff_volume(dom, center, 1.0) == alone[i % 2]
+        del dom
+    # Fraenkel on member 1 built on its own, then on member 1 built right
+    # after member 0 was built, used and discarded, with its ray cache
+    # cold and then warm
+    ref = fraenkel(stars[1])
+    first = build(0)
+    fraenkel(first)
+    del first
+    second = build(1)
+    for res in (fraenkel(second), fraenkel(second)):
+        assert res.value == ref.value
+        assert np.array_equal(res.minimizing_center, ref.minimizing_center)
+        assert res.evaluations == ref.evaluations
+    # a copy with a new center starts with an empty cache of its own
+    assert second._rays is not None
+    assert translate(second, (0.1, 0.0, 0.0))._rays is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Capacity solvers against closed forms and image-charge oracles."""
 
 import math
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -218,21 +219,43 @@ def test_wos_ball_within_three_sigma():
     assert res.error_estimate / FOUR_PI < 0.02
 
 
+def _in_threads(calls):
+    """Run each (function, args) in its own thread, all at once; return
+    the results in order."""
+    out = [None] * len(calls)
+
+    def run(i, fn, args):
+        out[i] = fn(*args)
+
+    threads = [threading.Thread(target=run, args=(i, fn, args))
+               for i, (fn, args) in enumerate(calls)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return out
+
+
 def test_wos_deterministic_across_threads():
-    a = cap_wos(ball(1.0), WosConfig(num_walks=20000, seed=9, threads=1))
-    b = cap_wos(ball(1.0), WosConfig(num_walks=20000, seed=9, threads=4))
-    assert a.value == b.value
-    assert a.error_estimate == b.error_estimate
+    # the estimate is the same from the calling thread and from two
+    # threads running at once, and for any block size
+    a = cap_wos(ball(1.0), WosConfig(num_walks=20000, seed=9))
+    for b in _in_threads([(cap_wos, (ball(1.0), WosConfig(num_walks=20000, seed=9,
+                                                          block_size=bs)))
+                          for bs in (8192, 3000)]):
+        assert a.value == b.value
+        assert a.error_estimate == b.error_estimate
 
 
 def test_wos_random_star_deterministic_across_threads():
-    # a non-ball member takes the synthesis path, so the block threads
-    # evaluate the domain's harmonic series concurrently
+    # a non-ball member takes the synthesis path; two threads running at
+    # once evaluate the same domain's harmonic series concurrently
     dom = generate_family(FamilySpec("random_star", 1, amplitude=0.3, seed=1))[0][2]
-    cfg = dict(num_walks=1000, seed=3, block_size=250)
-    a = cap_wos(dom, WosConfig(threads=1, **cfg))
-    b = cap_wos(dom, WosConfig(threads=2, **cfg))
-    assert a == b
+    cfg = dict(num_walks=1000, seed=3)
+    a = cap_wos(dom, WosConfig(block_size=250, **cfg))
+    for b in _in_threads([(cap_wos, (dom, WosConfig(block_size=bs, **cfg)))
+                          for bs in (250, 400)]):
+        assert a == b
 
 
 def _nearest_boundary_distance(dom, q, cloud_degree=600, rounds=200):
@@ -328,7 +351,7 @@ def test_wos_ellipsoid_against_spheroid_closed_form():
 
 def test_wos_two_sphere_composite_against_oracle():
     comp = CompositeDomain([ball(1.0), ball(1.0, center=(4.0, 0.0, 0.0))])
-    res = cap_wos(comp, WosConfig(num_walks=60000, seed=4, threads=2))
+    res = cap_wos(comp, WosConfig(num_walks=60000, seed=4))
     assert abs(res.value - TWO_SPHERE_CAP_UNIT_D4) <= 3.0 * res.error_estimate
     # subadditivity: strictly below two isolated spheres
     assert res.value < 2.0 * FOUR_PI

@@ -70,24 +70,26 @@ def test_run_asym_panel_keys():
 # ---------------------------------------------------------------------------
 
 
-def test_run_sweep_threads_do_not_change_bytes(tmp_path):
+def test_run_sweep_threads_do_not_change_bytes(tmp_path, capsys):
+    # --threads is accepted and ignored: the CLI at --threads 3 writes what
+    # run_sweep writes
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     a_dir.mkdir(), b_dir.mkdir()
     spec_args = dict(variant="random_star", count=3, amplitude=0.1, seed=9)
     from isocap.domains import FamilySpec
 
-    cfg_a = ExperimentConfig(out_dir=str(a_dir), threads=1, timestamp=False,
-                             family=FamilySpec(**spec_args))
-    cfg_b = ExperimentConfig(out_dir=str(b_dir), threads=3, timestamp=False,
+    cfg_a = ExperimentConfig(out_dir=str(a_dir), timestamp=False,
                              family=FamilySpec(**spec_args))
     recs_a, summary_a, paths_a = run_sweep(cfg_a)
-    recs_b, summary_b, paths_b = run_sweep(cfg_b)
     assert len(recs_a) == 3
     assert summary_a["count"] == 3
-    assert summary_a == summary_b
+    assert cli_main(["sweep", "--family", "random_star", "--count", "3",
+                     "--amplitude", "0.1", "--seed", "9", "--threads", "3",
+                     "--no-timestamp", "--out-dir", str(b_dir)]) == 0
+    capsys.readouterr()
     for key in ("csv", "json", "svg"):
-        assert pathlib.Path(paths_a[key]).read_bytes() == \
-            pathlib.Path(paths_b[key]).read_bytes()
+        name = pathlib.Path(paths_a[key]).name
+        assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
 
 def test_sweep_and_taylor_ladder_start_no_threads(tmp_path, monkeypatch):
@@ -99,7 +101,7 @@ def test_sweep_and_taylor_ladder_start_no_threads(tmp_path, monkeypatch):
         raise AssertionError("a thread was started")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    cfg = ExperimentConfig(out_dir=str(tmp_path), threads=3, timestamp=False,
+    cfg = ExperimentConfig(out_dir=str(tmp_path), timestamp=False,
                            family=FamilySpec("random_star", 3, amplitude=0.1,
                                              seed=9))
     records, _, _ = run_sweep(cfg)
