@@ -1,8 +1,8 @@
 """Capacity, asymmetry, and isocapacitary deficit computations for
 star-shaped domains in R^3, with spectral stability checks."""
 
-from .asymmetry import (alpha, alpha_R, annulus_lower_bound, fraenkel,
-                        fraenkel_mc, symdiff_volume)
+from .asymmetry import (alpha, alpha_R, annulus_lower_bound, composite_symdiff_volume,
+                        fraenkel, symdiff_volume)
 from .capacity import (SolverConfig, WosConfig, cap_ball, cap_ball_rel,
                        cap_spheroid, cap_wos, capacity, deficit)
 from .domains import (CompositeDomain, FamilySpec, StarDomain, ball,

@@ -5,7 +5,8 @@ All exact routes reduce to one-dimensional ray integrals.  Along the
 ray t -> c + t*w the domain occupies [0, rho(w)) and a ball cuts the
 interval between the roots of a quadratic, so both the plain volume
 |A symdiff B| and the weighted integral of |1 - |x|| over it have
-closed forms per ray; the angular integral is a quadrature sum.
+closed forms per ray; the angular integral is a quadrature sum.  A
+composite's symmetric difference is a sum over its components.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .capacity import counter_uniform
 from .domains import CompositeDomain, StarDomain, barycenter, radial_bounds, volume
 from .errors import GeometryError, SolverError
 from .sphere import SphereQuadrature, ball_volume, build_quadrature, sphere_area
@@ -24,9 +24,8 @@ from .sphere import SphereQuadrature, ball_volume, build_quadrature, sphere_area
 __all__ = [
     "AsymmetryResult",
     "symdiff_volume",
-    "symdiff_volume_mc",
+    "composite_symdiff_volume",
     "fraenkel",
-    "fraenkel_mc",
     "alpha_R",
     "alpha",
     "annulus_lower_bound",
@@ -38,7 +37,6 @@ class AsymmetryResult:
     value: float
     minimizing_center: np.ndarray
     evaluations: int
-    stderr: float | None = None
 
 
 def _cube(x):
@@ -152,34 +150,57 @@ def symdiff_volume(domain: StarDomain, center, radius: float) -> float:
     return float(rays.quad.weights @ ib) / 3.0
 
 
-def fraenkel(domain: StarDomain) -> AsymmetryResult:
+def composite_symdiff_volume(comp: CompositeDomain, center, radius: float) -> float:
+    """|Omega symdiff B_r(center)| for a union of k components with
+    disjoint closures.
+
+    |Omega symdiff B| = |Omega| + |B| - 2 |Omega cap B|, and
+    |Omega cap B| is the sum of the components' |Omega_i cap B|, so
+    |Omega symdiff B| = sum_i |Omega_i symdiff B| - (k - 1) |B|.  Each
+    term is a `symdiff_volume`: a closed-form lens for a ball component,
+    the ray integral for any other.
+    """
+    parts = [symdiff_volume(c, center, radius) for c in comp.components]
+    return math.fsum(parts) - (len(parts) - 1) * ball_volume(3, radius)
+
+
+def fraenkel(domain: StarDomain | CompositeDomain) -> AsymmetryResult:
     """Fraenkel asymmetry min_c |Omega symdiff B_1(c)| / |B_1|.
 
     The domain must be volume-normalised.  The minimisation runs
-    Nelder-Mead from five starts (barycenter, origin, and 0.1-shifted
-    barycenters) under a shared budget of 500 objective evaluations.
+    Nelder-Mead under a budget of 500 objective evaluations, shared
+    among its starts.  A star domain has five starts (barycenter, origin,
+    and 0.1-shifted barycenters) and the objective `symdiff_volume`; a
+    composite has one, its largest component's center, and the objective
+    `composite_symdiff_volume`.
     """
     if abs(volume(domain) - ball_volume(3)) > 1e-8:
         raise GeometryError("fraenkel needs a volume-normalised domain")
     omega = ball_volume(3)
     count = [0]
+    if isinstance(domain, CompositeDomain):
+        measure = composite_symdiff_volume
+        starts = [max(domain.components, key=volume).center_offset]
+    else:
+        measure = symdiff_volume
+        b = barycenter(domain)
+        starts = [
+            b,
+            np.zeros(3),
+            b + np.array([0.1, 0.0, 0.0]),
+            b - np.array([0.1, 0.0, 0.0]),
+            b + np.array([0.0, 0.0, 0.1]),
+        ]
 
     def objective(c):
         count[0] += 1
-        return symdiff_volume(domain, c, 1.0) / omega
+        return measure(domain, c, 1.0) / omega
 
-    b = barycenter(domain)
-    starts = [
-        b,
-        np.zeros(3),
-        b + np.array([0.1, 0.0, 0.0]),
-        b - np.array([0.1, 0.0, 0.0]),
-        b + np.array([0.0, 0.0, 0.1]),
-    ]
-    best_val, best_c = np.inf, b
+    best_val, best_c = np.inf, starts[0]
     for s in starts:
         res = minimize(objective, s, method="Nelder-Mead",
-                       options={"maxfev": 100, "xatol": 1e-10, "fatol": 1e-10})
+                       options={"maxfev": 500 // len(starts), "xatol": 1e-10,
+                                "fatol": 1e-10})
         if res.fun < best_val:
             best_val, best_c = float(res.fun), np.asarray(res.x)
     return AsymmetryResult(value=best_val, minimizing_center=best_c,
@@ -329,105 +350,3 @@ def annulus_lower_bound(v: float, dimension: int = 3) -> float:
     delta = brentq(measure, 0.0, hi, xtol=1e-15)
     lo = max(1.0 - delta, 0.0)
     return float(sphere_area(3) * (_weighted_shell(1.0 + delta) + _weighted_shell(lo)))
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo variants for composite domains (truncation experiment only)
-# ---------------------------------------------------------------------------
-
-
-def _uniform_in_ball(seed: int, ids: np.ndarray, stratum: int, radius: float):
-    """Uniform points in B_radius(0); callers add the stratum's center."""
-    u1 = counter_uniform(seed, ids, stratum, 0)
-    u2 = counter_uniform(seed, ids, stratum, 1)
-    u3 = counter_uniform(seed, ids, stratum, 2)
-    z = 1.0 - 2.0 * u1
-    s = np.sqrt(np.maximum(0.0, 1.0 - z**2))
-    phi = 2.0 * math.pi * u2
-    r = radius * u3 ** (1.0 / 3.0)
-    return r[:, None] * np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
-
-
-def _member_of(domain: StarDomain, pts: np.ndarray) -> np.ndarray:
-    q = pts - domain.center_offset
-    r = np.linalg.norm(q, axis=1)
-    safe = np.maximum(r, 1e-300)
-    return r < domain.radial(q / safe[:, None])
-
-
-def _symdiff_sampler(comp: CompositeDomain, radius: float, n_samples: int, seed: int):
-    """Draw the strata of symdiff_volume_mc once; return center -> (value, stderr).
-
-    Nothing drawn depends on the ball center.  Each component stratum
-    keeps only its member points, the only ones that can count; the
-    ball stratum keeps its offsets about the origin, and its points for
-    a center are the float sums center + offset.
-    """
-    ids = np.arange(n_samples, dtype=np.uint64)
-    inside = []
-    for k, c in enumerate(comp.components):
-        pts = c.center_offset + _uniform_in_ball(seed, ids, 2 * k, c.rho_max)
-        inside.append(pts[_member_of(c, pts)])
-    offsets = _uniform_in_ball(seed, ids, 2 * len(comp.components) + 1, radius)
-    boxes = [ball_volume(3, c.rho_max) for c in comp.components] + [ball_volume(3, radius)]
-
-    def evaluate(center):
-        center = np.asarray(center, dtype=float)
-        counts = [np.count_nonzero(np.linalg.norm(pts - center, axis=1) >= radius)
-                  for pts in inside]
-        ball_pts = center + offsets
-        outside = np.ones(n_samples, dtype=bool)
-        for c in comp.components:
-            outside &= ~_member_of(c, ball_pts)
-        counts.append(np.count_nonzero(outside))
-        total, var = 0.0, 0.0
-        for count, vol_box in zip(counts, boxes):
-            p = count / n_samples
-            total += p * vol_box
-            var += p * (1.0 - p) / n_samples * vol_box**2
-        return total, math.sqrt(var)
-
-    return evaluate
-
-
-def symdiff_volume_mc(comp: CompositeDomain, center, radius: float,
-                      n_samples: int = 200000, seed: int = 0):
-    """Stratified Monte Carlo |Omega symdiff B_r(c)| for composite domains.
-
-    One stratum per component (uniform in its bounding sphere, counting
-    component points outside the ball) plus one for the ball (counting
-    ball points outside every component).  Deterministic for fixed seed:
-    the sample is drawn once per call, and only the ball stratum depends
-    on the center, by a translation.  Returns (value, stderr).
-    """
-    return _symdiff_sampler(comp, radius, n_samples, seed)(center)
-
-
-def fraenkel_mc(comp: CompositeDomain, n_samples: int = 200000, seed: int = 0,
-                maxfev: int = 120) -> AsymmetryResult:
-    """Fraenkel asymmetry of a composite by the stratified MC objective.
-
-    The sample is drawn once per call and shared by every objective
-    evaluation and the final estimate; only the ball stratum is
-    translated to each trial center.  So the objective is a
-    deterministic function of the center and Nelder-Mead can run on it;
-    accuracy is set by the sample count, reported through stderr at the
-    optimum.
-    """
-    if abs(volume(comp) - ball_volume(3)) > 1e-8:
-        raise GeometryError("fraenkel needs a volume-normalised domain")
-    omega = ball_volume(3)
-    count = [0]
-    sampler = _symdiff_sampler(comp, 1.0, n_samples, seed)
-
-    def objective(c):
-        count[0] += 1
-        return sampler(c)[0] / omega
-
-    vols = [volume(c) for c in comp.components]
-    start = comp.components[int(np.argmax(vols))].center_offset
-    res = minimize(objective, start, method="Nelder-Mead",
-                   options={"maxfev": maxfev, "xatol": 1e-6, "fatol": 1e-9})
-    val, err = sampler(res.x)
-    return AsymmetryResult(value=val / omega, minimizing_center=np.asarray(res.x),
-                           evaluations=count[0], stderr=err / omega)

@@ -11,7 +11,7 @@ away from the nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "normalize_volume",
     "radial_bounds",
     "scale_domain",
-    "translate",
     "diameter",
     "truncate_rescale",
     "generate_family",
@@ -63,10 +62,11 @@ class StarDomain:
     rho_fn: object | None = None  # exact radial callable dirs -> radii
     rho_bounds: tuple | None = None  # closed-form (rho_lo, rho_hi, G) for rho_fn
     center_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    _proj: HarmonicCoeffs | None = field(default=None, repr=False)
-    # `asymmetry.symdiff_volume`'s ray samples of this domain, set once on
-    # first use; not an init field, so a domain made by `replace` starts
+    # caches set once on first use: the harmonic projection of the node
+    # radii (`_projection`) and `asymmetry.symdiff_volume`'s ray samples.
+    # Neither is an init field, so a domain made by `replace` starts
     # without them
+    _proj: HarmonicCoeffs | None = field(default=None, init=False, repr=False, compare=False)
     _rays: object | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -403,11 +403,6 @@ def scale_domain(domain: StarDomain, lam: float) -> StarDomain:
         rho_bounds=tuple(lam * b for b in bounds) if bounds is not None else None,
         center_offset=lam * domain.center_offset,
     )
-
-
-def translate(domain: StarDomain, v) -> StarDomain:
-    return replace(domain, center_offset=domain.center_offset + np.asarray(v, dtype=float),
-                   _proj=None)
 
 
 def normalize_volume(domain: StarDomain) -> StarDomain:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import sys
 
@@ -324,9 +325,7 @@ def _cmd_spectrum(res: _Resolver, args: argparse.Namespace) -> int:
 def _cmd_profile(res: _Resolver, args: argparse.Namespace) -> int:
     cfg = _experiment_config(res)
     if cfg.mode == "abs":
-        cfg = ExperimentConfig(mode="rel", outer_radius=res.get("R", float, 2.0),
-                               l_max=cfg.l_max, seed=cfg.seed, walks=cfg.walks,
-                               out_dir=cfg.out_dir, timestamp=cfg.timestamp)
+        cfg = dataclasses.replace(cfg, mode="rel", outer_radius=res.get("R", float, 2.0))
     rep, summary, paths = run_profile(
         cfg,
         eta=res.get("eta", float, 0.01),

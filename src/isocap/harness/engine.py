@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..asymmetry import (alpha, alpha_R, annulus_lower_bound, fraenkel,
-                         fraenkel_mc, symdiff_volume, symdiff_volume_mc)
+from ..asymmetry import (alpha, alpha_R, annulus_lower_bound, composite_symdiff_volume,
+                         fraenkel, symdiff_volume)
 from ..capacity import (CapacityResult, DeficitResult, SolverConfig, WosConfig,
                         cap_ball, cap_spheroid, capacity, deficit)
 from ..domains import (CompositeDomain, FamilySpec, ball, barycenter,
@@ -117,14 +117,31 @@ def write_csv(path, columns, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def write_json(path, columns, rows, summary=None) -> None:
+def write_json(path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def write_outputs(cfg: ExperimentConfig, basename: str, columns=None, rows=None,
+                  summary=None) -> dict:
+    """Write a table into cfg.out_dir as <basename>.csv and <basename>.json,
+    the JSON holding the columns, the rows keyed by column and the summary
+    if given.  With columns None, write only <basename>.json, holding the
+    summary alone.  Returns the paths by extension."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    json_path = os.path.join(cfg.out_dir, basename + ".json")
+    if columns is None:
+        write_json(json_path, summary)
+        return {"json": json_path}
+    csv_path = os.path.join(cfg.out_dir, basename + ".csv")
+    write_csv(csv_path, columns, rows)
     payload = {"columns": columns,
                "rows": [dict(zip(columns, row)) for row in rows]}
     if summary is not None:
         payload["summary"] = summary
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, payload)
+    return {"csv": csv_path, "json": json_path}
 
 
 def fit_loglog(x, y):
@@ -195,14 +212,18 @@ def run_sweep(cfg: ExperimentConfig, basename: str = "sweep"):
 
     Members are evaluated in family order, in the calling thread: their
     work is small NumPy calls that hold the GIL, so worker threads only
-    add contention.  A member whose solve fails is recorded in the
-    summary and skipped in the table; the run continues.
+    add contention.  Each member is dropped from the family once its
+    record is made, so that its caches do not outlive it.  A member
+    whose solve fails is recorded in the summary and skipped in the
+    table; the run continues.
     """
     if cfg.family is None or cfg.family.count < 1:
         raise ConfigError("sweep needs a nonempty family")
     done: list[RunRecord] = []
     failures: list[dict] = []
-    for domain_id, param, dom, phi in generate_family(cfg.family):
+    members = generate_family(cfg.family)
+    for k, (domain_id, param, dom, phi) in enumerate(members):
+        members[k] = None
         try:
             done.append(_member_record(cfg, domain_id, param, dom, phi))
         except (SolverError, GeometryError) as exc:
@@ -233,16 +254,11 @@ def run_sweep(cfg: ExperimentConfig, basename: str = "sweep"):
         fit = (slope, intercept)
         slope_note = f"slope {slope:.3f} +/- {half:.3f}"
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    rows = [r.row() for r in done]
-    csv_path = os.path.join(cfg.out_dir, basename + ".csv")
-    json_path = os.path.join(cfg.out_dir, basename + ".json")
-    write_csv(csv_path, SWEEP_COLUMNS, rows)
-    write_json(json_path, SWEEP_COLUMNS, rows, summary)
-    svg_path = None
+    paths = write_outputs(cfg, basename, SWEEP_COLUMNS, [r.row() for r in done], summary)
+    paths["svg"] = None
     if len(positive) >= 3:
-        svg_path = os.path.join(cfg.out_dir, basename + ".svg")
-        with open(svg_path, "w") as fh:
+        paths["svg"] = os.path.join(cfg.out_dir, basename + ".svg")
+        with open(paths["svg"], "w") as fh:
             fh.write(scatter_svg(
                 [math.log10(r.fraenkel) for r in positive],
                 [math.log10(r.deficit) for r in positive],
@@ -250,7 +266,7 @@ def run_sweep(cfg: ExperimentConfig, basename: str = "sweep"):
                 xlabel="log10 asymmetry", ylabel="log10 deficit",
                 fit=(fit[0], fit[1] / math.log(10.0)) if fit else None,
                 fit_label=slope_note, timestamp=cfg.timestamp))
-    return done, summary, {"csv": csv_path, "json": json_path, "svg": svg_path}
+    return done, summary, paths
 
 
 def run_fuglede(cfg: ExperimentConfig, degree: int = 2, order: int = 0,
@@ -272,12 +288,7 @@ def run_fuglede(cfg: ExperimentConfig, degree: int = 2, order: int = 0,
         "limit_deficit_over_t2": repr(
             0.5 * second_variation(phi, cfg.form_spec())),
     }
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    csv_path = os.path.join(cfg.out_dir, basename + ".csv")
-    json_path = os.path.join(cfg.out_dir, basename + ".json")
-    write_csv(csv_path, TAYLOR_COLUMNS, rows)
-    write_json(json_path, TAYLOR_COLUMNS, rows, summary)
-    return rows_t, summary, {"csv": csv_path, "json": json_path}
+    return rows_t, summary, write_outputs(cfg, basename, TAYLOR_COLUMNS, rows, summary)
 
 
 def run_spectrum(cfg: ExperimentConfig, radii=(2.0,), l_max: int = 6,
@@ -292,12 +303,7 @@ def run_spectrum(cfg: ExperimentConfig, radii=(2.0,), l_max: int = 6,
         for e in spectrum_table(l_max, QuadraticFormSpec(3, "rel", float(R))):
             rows.append(["rel", repr(float(R)), repr(e.degree),
                          repr(e.energy_eigenvalue), repr(e.form_eigenvalue)])
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    csv_path = os.path.join(cfg.out_dir, basename + ".csv")
-    json_path = os.path.join(cfg.out_dir, basename + ".json")
-    write_csv(csv_path, SPECTRUM_COLUMNS, rows)
-    write_json(json_path, SPECTRUM_COLUMNS, rows)
-    return rows, {"csv": csv_path, "json": json_path}
+    return rows, write_outputs(cfg, basename, SPECTRUM_COLUMNS, rows)
 
 
 def run_profile(cfg: ExperimentConfig, eta: float = 0.01, r_lo: float = 0.2,
@@ -318,12 +324,7 @@ def run_profile(cfg: ExperimentConfig, eta: float = 0.01, r_lo: float = 0.2,
         "argmin_radius": repr(rep.argmin_radius),
         "linear_constant": repr(rep.linear_constant),
     }
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    csv_path = os.path.join(cfg.out_dir, basename + ".csv")
-    json_path = os.path.join(cfg.out_dir, basename + ".json")
-    write_csv(csv_path, PROFILE_COLUMNS, rows)
-    write_json(json_path, PROFILE_COLUMNS, rows, summary)
-    return rep, summary, {"csv": csv_path, "json": json_path}
+    return rep, summary, write_outputs(cfg, basename, PROFILE_COLUMNS, rows, summary)
 
 
 def run_truncation(cfg: ExperimentConfig, far_volume_fraction: float = 0.01,
@@ -358,31 +359,18 @@ def run_truncation(cfg: ExperimentConfig, far_volume_fraction: float = 0.01,
     dfull = cap_full.value - cap_ball(1.0)
 
     trunc, rep = truncate_rescale(dom, cut_radius)
-
-    if isinstance(dom, CompositeDomain):
-        fr_full = fraenkel_mc(dom, n_samples=max(cfg.walks, 100000), seed=cfg.seed)
-        asym_full, asym_err = fr_full.value, fr_full.stderr
-    else:
-        r = fraenkel(dom)
-        asym_full, asym_err = r.value, 0.0
-
+    asym_full = fraenkel(dom).value
     if rep.outside_volume == 0.0:
         # nothing was dropped: the truncated set IS the full set, so both
         # sides of the ratio checks use the identical measurement
-        dtrunc = dfull
-        asym_trunc = asym_full
+        dtrunc, asym_trunc = dfull, asym_full
+        deficit_ratio, asym_drop = 1.0, 0.0
     else:
-        # the kept part is a single ball here, so its deficit is closed form
-        cap_kept = capacity(trunc, mode="abs",
-                            solver="closed" if not isinstance(trunc, CompositeDomain)
-                            and trunc.is_ball() else "wos", wos_cfg=wos)
-        dtrunc = cap_kept.value - cap_ball(1.0)
-        if isinstance(trunc, CompositeDomain):
-            fr_t = fraenkel_mc(trunc, n_samples=max(cfg.walks, 100000),
-                               seed=cfg.seed)
-            asym_trunc = fr_t.value
-        else:
-            asym_trunc = fraenkel(trunc).value
+        # the kept part is the rescaled near ball, so its deficit is closed form
+        dtrunc = capacity(trunc, mode="abs", solver="closed").value - cap_ball(1.0)
+        asym_trunc = fraenkel(trunc).value
+        deficit_ratio = dtrunc / dfull if dfull > 0 else 0.0
+        asym_drop = (asym_full - asym_trunc) / dfull if dfull > 0 else 0.0
 
     # capacity sandwich on the kept, un-rescaled part: the closed-form
     # lower bound from the isocapacitary inequality at reduced volume
@@ -394,13 +382,6 @@ def run_truncation(cfg: ExperimentConfig, far_volume_fraction: float = 0.01,
 
     def _r(x) -> str:
         return repr(float(x))
-
-    if rep.outside_volume == 0.0:
-        deficit_ratio = 1.0
-        asym_drop = 0.0
-    else:
-        deficit_ratio = dtrunc / dfull if dfull > 0 else 0.0
-        asym_drop = (asym_full - asym_trunc) / dfull if dfull > 0 else 0.0
 
     report = {
         "far_volume_fraction": _r(far_volume_fraction),
@@ -415,7 +396,6 @@ def run_truncation(cfg: ExperimentConfig, far_volume_fraction: float = 0.01,
         "scale": _r(rep.scale),
         "outside_volume": _r(rep.outside_volume),
         "asymmetry_full": _r(asym_full),
-        "asymmetry_full_err": _r(asym_err),
         "asymmetry_truncated": _r(asym_trunc),
         "deficit_ratio_c": _r(deficit_ratio),
         "asymmetry_drop_c": _r(asym_drop),
@@ -427,34 +407,27 @@ def run_truncation(cfg: ExperimentConfig, far_volume_fraction: float = 0.01,
             1e-12 - abs(volume(trunc) - omega), 0.0),
         "diameter_bound_d": _r(max(rep.diameter, 2.0)),
     }
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    json_path = os.path.join(cfg.out_dir, basename + ".json")
-    with open(json_path, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return report, {"json": json_path}
+    return report, write_outputs(cfg, basename, summary=report)
 
 
 def run_asym(domain, outer_radius: float | None = None) -> dict:
-    """Asymmetry panel for one domain: Fraenkel, weighted, and the bound."""
-    if isinstance(domain, CompositeDomain):
-        fr = fraenkel_mc(domain)
-        v, err = symdiff_volume_mc(domain, np.zeros(3), 1.0)
-        return {
-            "fraenkel": repr(float(fr.value)),
-            "fraenkel_stderr": repr(float(fr.stderr)),
-            "symdiff_origin": repr(float(v)),
-            "symdiff_origin_stderr": repr(float(err)),
-        }
+    """Asymmetry panel for one domain: Fraenkel, weighted, and the bound.
+
+    A composite gets Fraenkel and the symmetric difference with B_1 only:
+    the weighted asymmetries integrate along the rays of one star.
+    """
+    composite = isinstance(domain, CompositeDomain)
     fr = fraenkel(domain)
-    v = symdiff_volume(domain, np.zeros(3), 1.0)
+    v = (composite_symdiff_volume if composite else symdiff_volume)(domain, np.zeros(3), 1.0)
     out = {
         "fraenkel": repr(float(fr.value)),
         "minimizing_center": [repr(float(c)) for c in fr.minimizing_center],
-        "alpha": repr(float(alpha(domain))),
         "symdiff_origin": repr(float(v)),
-        "annulus_lower_bound": repr(float(annulus_lower_bound(v))),
     }
+    if composite:
+        return out
+    out["alpha"] = repr(float(alpha(domain)))
+    out["annulus_lower_bound"] = repr(float(annulus_lower_bound(v)))
     if outer_radius is not None:
         out["alpha_R"] = repr(float(alpha_R(domain, outer_radius)))
     return out

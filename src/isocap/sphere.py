@@ -27,8 +27,6 @@ import numpy as np
 __all__ = [
     "sphere_area",
     "ball_volume",
-    "lb_eigenvalue",
-    "harmonic_space_dim",
     "direction",
     "SphereQuadrature",
     "build_quadrature",
@@ -51,23 +49,6 @@ def ball_volume(dimension: int, radius: float = 1.0) -> float:
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
     return math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0 + 1.0) * radius**dimension
-
-
-def lb_eigenvalue(degree: int, dimension: int) -> float:
-    """Laplace-Beltrami eigenvalue l(l+N-2) of degree-l harmonics on S^{N-1}."""
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    return float(degree * (degree + dimension - 2))
-
-
-def harmonic_space_dim(degree: int, dimension: int) -> int:
-    """Dimension of the space of degree-l spherical harmonics on S^{N-1}."""
-    l, n = degree, dimension
-    if l < 0:
-        raise ValueError(f"degree must be >= 0, got {l}")
-    if l < 2:
-        return 1 if l == 0 else n
-    return math.comb(n + l - 1, l) - math.comb(n + l - 3, l - 2)
 
 
 def direction(v: np.ndarray) -> np.ndarray:
@@ -198,17 +179,6 @@ class HarmonicCoeffs:
     def degree_slice(self, degree: int) -> np.ndarray:
         i0 = degree**2
         return self.values[i0 : i0 + 2 * degree + 1]
-
-    def l2_norm(self) -> float:
-        """L^2(S^2) norm; the basis is orthonormal so this is the 2-norm."""
-        return float(np.linalg.norm(self.values))
-
-    def padded(self, max_degree: int) -> "HarmonicCoeffs":
-        if max_degree < self.max_degree:
-            raise ValueError("cannot pad to a smaller degree")
-        out = HarmonicCoeffs.zeros(max_degree, self.dimension)
-        out.values[: self.values.size] = self.values
-        return out
 
     def copy(self) -> "HarmonicCoeffs":
         return HarmonicCoeffs(self.dimension, self.max_degree, self.values.copy())

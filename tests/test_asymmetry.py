@@ -11,15 +11,14 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
 
 import isocap.asymmetry
 from isocap.asymmetry import (_crossing_radii, alpha, alpha_R, annulus_lower_bound,
-                              fraenkel, fraenkel_mc, symdiff_volume, symdiff_volume_mc)
-from isocap.capacity import counter_uniform
+                              composite_symdiff_volume, fraenkel, symdiff_volume)
 from isocap.domains import (CompositeDomain, FamilySpec, StarDomain, ball, barycenter,
                             ellipsoid, generate_family, nearly_spherical_from_phi,
-                            radial_bounds, translate)
+                            radial_bounds, volume)
 from isocap.errors import GeometryError, SolverError
 from isocap.sphere import ball_volume, build_quadrature
 from isocap.stability import project_barycenter
@@ -98,7 +97,7 @@ def test_fraenkel_translation_invariance():
     fam = generate_family(FamilySpec("random_star", 1, amplitude=0.12, seed=3))
     dom = fam[0][2]
     base = fraenkel(dom)
-    moved = fraenkel(translate(dom, (0.25, -0.15, 0.35)))
+    moved = fraenkel(dataclasses.replace(dom, center_offset=(0.25, -0.15, 0.35)))
     assert moved.value == pytest.approx(base.value, abs=1e-8)
     npt.assert_allclose(moved.minimizing_center - base.minimizing_center,
                         [0.25, -0.15, 0.35], atol=1e-4)
@@ -206,7 +205,7 @@ def test_ray_cache_belongs_to_its_domain():
         assert res.evaluations == ref.evaluations
     # a copy with a new center starts with an empty cache of its own
     assert second._rays is not None
-    assert translate(second, (0.1, 0.0, 0.0))._rays is None
+    assert dataclasses.replace(second, center_offset=(0.1, 0.0, 0.0))._rays is None
 
 
 # ---------------------------------------------------------------------------
@@ -463,140 +462,82 @@ def test_weighted_shell_matches_exact_integral():
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo variants for composites
+# composites
 # ---------------------------------------------------------------------------
 
 
-def _two_ball_composite():
-    near = ball((1 - 0.01) ** (1 / 3))
-    far = ball(0.01 ** (1 / 3), center=(10.0, 0.0, 0.0))
+def _truncation_composite(f=0.01):
+    # the truncation experiment's domain: volume fraction f in a far ball
+    near = ball((1 - f) ** (1 / 3))
+    far = ball(f ** (1 / 3), center=(10.0, 0.0, 0.0))
     return CompositeDomain([near, far])
 
 
-def test_symdiff_mc_unit_ball_against_truth():
-    comp = _two_ball_composite()
+def test_symdiff_composite_unit_ball_against_truth():
+    comp = _truncation_composite()
     # symdiff with B_1 at origin: the far ball sticks out entirely and the
     # near ball misses a thin spherical shell
     r_near = (1 - 0.01) ** (1 / 3)
     truth = 0.01 * OMEGA + (OMEGA - ball_volume(3, r_near))
-    v, err = symdiff_volume_mc(comp, np.zeros(3), 1.0, n_samples=200000, seed=1)
-    assert abs(v - truth) <= 4.0 * err
-    assert err < 0.01
+    assert composite_symdiff_volume(comp, np.zeros(3), 1.0) == pytest.approx(truth, abs=1e-14)
 
 
-def test_symdiff_mc_deterministic():
-    comp = _two_ball_composite()
-    a = symdiff_volume_mc(comp, np.zeros(3), 1.0, n_samples=50000, seed=7)
-    b = symdiff_volume_mc(comp, np.zeros(3), 1.0, n_samples=50000, seed=7)
-    assert a == b
+@pytest.mark.parametrize("f", [0.01, 0.05])
+def test_fraenkel_truncation_composite_is_2f(f):
+    # no unit ball meets both components, so |Omega symdiff B| is at least
+    # |far| + (|B_1| - |near|) = 2f |B_1|, with equality for the ball
+    # centred on the near component
+    res = fraenkel(_truncation_composite(f))
+    assert abs(res.value - 2.0 * f) <= 1e-12
+    assert np.linalg.norm(res.minimizing_center) <= 1.0 - (1 - f) ** (1 / 3)
+    assert 0 < res.evaluations <= 500
 
 
-def test_fraenkel_mc_two_ball():
-    comp = _two_ball_composite()
-    res = fraenkel_mc(comp, n_samples=100000, seed=2)
-    truth = 0.02  # both defect volumes are 0.01 * omega
-    assert res.value == pytest.approx(truth, abs=4.0 * res.stderr + 1e-3)
-    assert res.stderr < 0.01
-    assert res.evaluations > 0
+def _lens_by_caps(r1, r2, d):
+    """Intersection volume of two balls that overlap partially, as the sum
+    of the two caps cut off by the plane through their intersection circle."""
+    assert abs(r1 - r2) < d < r1 + r2
+    x = (d * d - r2 * r2 + r1 * r1) / (2.0 * d)  # the plane, from center 1
+    h1, h2 = r1 - x, r2 - (d - x)
+    return math.pi * (h1 * h1 * (3 * r1 - h1) + h2 * h2 * (3 * r2 - h2)) / 3.0
 
 
-def _uniform_in_ball_reference(seed, ids, stratum, center, radius):
-    u1 = counter_uniform(seed, ids, stratum, 0)
-    u2 = counter_uniform(seed, ids, stratum, 1)
-    u3 = counter_uniform(seed, ids, stratum, 2)
-    z = 1.0 - 2.0 * u1
-    s = np.sqrt(np.maximum(0.0, 1.0 - z**2))
-    phi = 2.0 * math.pi * u2
-    r = radius * u3 ** (1.0 / 3.0)
-    return np.asarray(center) + r[:, None] * np.column_stack(
-        [s * np.cos(phi), s * np.sin(phi), z])
+_LENS_CENTERS = [(0.55, 0.0, 0.0), (0.5, 0.15, 0.0), (0.6, -0.1, 0.05),
+                 (0.45, 0.05, -0.2), tuple(np.random.default_rng(20).uniform(0.45, 0.6, 3)
+                                           * (1.0, 0.3, 0.3))]
 
 
-def _member_of_reference(domain, pts):
-    q = pts - domain.center_offset
-    r = np.linalg.norm(q, axis=1)
-    safe = np.maximum(r, 1e-300)
-    return r < domain.radial(q / safe[:, None])
-
-
-def _symdiff_volume_mc_reference(comp, center, radius, n_samples, seed):
-    """The estimator drawing every stratum afresh for each center."""
-    center = np.asarray(center, dtype=float)
-    ids = np.arange(n_samples, dtype=np.uint64)
-    total, var = 0.0, 0.0
-    for k, c in enumerate(comp.components):
-        pts = _uniform_in_ball_reference(seed, ids, 2 * k, c.center_offset, c.rho_max)
-        good = (_member_of_reference(c, pts)
-                & (np.linalg.norm(pts - center, axis=1) >= radius))
-        p = good.mean()
-        vol_box = ball_volume(3, c.rho_max)
-        total += p * vol_box
-        var += p * (1.0 - p) / n_samples * vol_box**2
-    pts = _uniform_in_ball_reference(seed, ids, 2 * len(comp.components) + 1,
-                                     center, radius)
-    outside = np.ones(n_samples, dtype=bool)
-    for c in comp.components:
-        outside &= ~_member_of_reference(c, pts)
-    p = outside.mean()
-    vol_box = ball_volume(3, radius)
-    total += p * vol_box
-    var += p * (1.0 - p) / n_samples * vol_box**2
-    return total, math.sqrt(var)
-
-
-_MC_CENTERS = [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (10.0, 0.0, 0.0), (9.3, 0.2, 0.0),
-               tuple(np.random.default_rng(20).uniform(-1.0, 1.0, 3))]
-
-
-@pytest.mark.parametrize("seed", [1, 7])
 @pytest.mark.parametrize("radius", [1.0, 0.7])
-@pytest.mark.parametrize("center", _MC_CENTERS)
-def test_symdiff_mc_matches_per_center_draw(center, radius, seed):
-    comp = _two_ball_composite()
-    got = symdiff_volume_mc(comp, center, radius, n_samples=20000, seed=seed)
-    want = _symdiff_volume_mc_reference(comp, center, radius, 20000, seed)
-    assert got == want
+@pytest.mark.parametrize("center", _LENS_CENTERS)
+def test_symdiff_two_ball_composite_matches_lens(center, radius):
+    # B_r(center) cuts into both balls, so both terms are true lenses
+    r1, r2, c2 = 0.6, 0.45, np.array([1.2, 0.0, 0.0])
+    comp = CompositeDomain([ball(r1), ball(r2, center=c2)])
+    c = np.asarray(center)
+    inter = (_lens_by_caps(r1, radius, float(np.linalg.norm(c)))
+             + _lens_by_caps(r2, radius, float(np.linalg.norm(c - c2))))
+    want = ball_volume(3, r1) + ball_volume(3, r2) + ball_volume(3, radius) - 2.0 * inter
+    assert composite_symdiff_volume(comp, c, radius) == pytest.approx(want, rel=1e-13)
 
 
-@pytest.mark.parametrize("seed", [1, 7])
-def test_fraenkel_mc_matches_per_center_draw(seed):
-    comp = _two_ball_composite()
-    n = 20000
-    count = [0]
-
-    def objective(c):
-        count[0] += 1
-        return _symdiff_volume_mc_reference(comp, c, 1.0, n, seed)[0] / OMEGA
-
-    start = comp.components[0].center_offset
-    ref = minimize(objective, start, method="Nelder-Mead",
-                   options={"maxfev": 120, "xatol": 1e-6, "fatol": 1e-9})
-    val, err = _symdiff_volume_mc_reference(comp, ref.x, 1.0, n, seed)
-    res = fraenkel_mc(comp, n_samples=n, seed=seed)
-    assert res.value == val / OMEGA
-    assert res.stderr == err / OMEGA
-    npt.assert_array_equal(res.minimizing_center, ref.x)
-    assert res.evaluations == count[0]
+def test_symdiff_star_plus_far_ball_sums_its_components():
+    star = generate_family(FamilySpec("random_star", 1, amplitude=0.3, seed=2))[0][2]
+    far = ball(0.3, center=(6.0, 0.0, 0.0))
+    comp = CompositeDomain([star, far])
+    # a ball that misses the far component: the far ball adds its volume
+    for c in [(0.0, 0.0, 0.0), (0.2, -0.1, 0.3)]:
+        got = composite_symdiff_volume(comp, c, 1.0)
+        assert got == pytest.approx(symdiff_volume(star, c, 1.0) + volume(far), rel=1e-14)
+    # in general, the sum over the components less the extra copy of the ball
+    for c, r in [((0.4, 0.2, -0.1), 1.0), ((6.1, 0.1, 0.0), 0.5), ((3.0, 0.0, 0.0), 3.0)]:
+        want = symdiff_volume(star, c, r) + symdiff_volume(far, c, r) - ball_volume(3, r)
+        assert composite_symdiff_volume(comp, c, r) == pytest.approx(want, rel=1e-14)
 
 
-def test_fraenkel_mc_draws_each_stratum_once(monkeypatch):
-    comp = _two_ball_composite()
-    draws = [0]
-
-    def counting(*args):
-        draws[0] += 1
-        return counter_uniform(*args)
-
-    monkeypatch.setattr(isocap.asymmetry, "counter_uniform", counting)
-    res = fraenkel_mc(comp, n_samples=20000, seed=1)
-    assert draws[0] == 3 * (len(comp.components) + 1)
-    assert res.evaluations > draws[0]
-
-
-def test_fraenkel_mc_requires_unit_volume():
+def test_fraenkel_composite_requires_unit_volume():
     comp = CompositeDomain([ball(1.0), ball(0.5, center=(9.0, 0.0, 0.0))])
     with pytest.raises(GeometryError):
-        fraenkel_mc(comp)
+        fraenkel(comp)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from isocap.domains import (CompositeDomain, FamilySpec, StarDomain, ball,
                             barycenter, boundary_cloud, diameter, ellipsoid,
                             generate_family, load_domain,
                             nearly_spherical_from_phi, normalize_volume,
-                            radial_bounds, save_domain, scale_domain, translate,
+                            radial_bounds, save_domain, scale_domain,
                             truncate_rescale, volume)
 from isocap.errors import GeometryError
 from isocap.sphere import HarmonicCoeffs, ball_volume, build_quadrature
@@ -99,7 +99,7 @@ def test_scale_translate_normalize():
     assert volume(scaled) == pytest.approx(8.0 * volume(dom), rel=1e-12)
     back = normalize_volume(scaled)
     assert volume(back) == pytest.approx(OMEGA, rel=1e-12)
-    moved = translate(ball(1.0), (1.0, 0.0, 0.0))
+    moved = ball(1.0, center=(1.0, 0.0, 0.0))
     npt.assert_allclose(barycenter(moved), [1.0, 0.0, 0.0], atol=1e-14)
     with pytest.raises(GeometryError):
         scale_domain(dom, -1.0)

@@ -9,12 +9,14 @@ import threading
 import numpy as np
 import pytest
 
-from isocap.domains import FamilySpec, ellipsoid, generate_family, save_domain
+from isocap.domains import (CompositeDomain, FamilySpec, ball, ellipsoid, generate_family,
+                            save_domain)
 from isocap.harness import (ExperimentConfig, fit_loglog, run_asym, run_sweep,
                             scatter_svg, verdict_for)
 from isocap.harness.cli import main as cli_main
+from isocap.sphere import ball_volume
 
-GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens" / "v2"
+GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens" / "v3"
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +55,17 @@ def test_scatter_svg_deterministic_without_timestamp():
     assert "generated" in stamped
     with pytest.raises(ValueError):
         scatter_svg([], [], "t", "x", "y")
+
+
+def test_run_asym_on_a_composite_is_exact():
+    f = 0.05
+    comp = CompositeDomain([ball((1 - f) ** (1 / 3)),
+                            ball(f ** (1 / 3), center=(10.0, 0.0, 0.0))])
+    out = run_asym(comp)
+    assert sorted(out) == ["fraenkel", "minimizing_center", "symdiff_origin"]
+    assert float(out["fraenkel"]) == pytest.approx(2.0 * f, abs=1e-12)
+    # B_1 at the origin holds the near ball and misses the far one
+    assert float(out["symdiff_origin"]) == pytest.approx(2.0 * f * ball_volume(3), abs=1e-12)
 
 
 def test_run_asym_panel_keys():
@@ -361,13 +374,13 @@ GOLDEN_V2_MOVES = [
 
 
 def test_goldens_v2_depart_from_v1_only_in_recorded_cells():
-    v1 = GOLDEN_DIR.parent / "v1"
-    assert sorted(p.name for p in v1.iterdir()) == sorted(p.name for p in GOLDEN_DIR.iterdir())
+    v1, v2 = GOLDEN_DIR.parent / "v1", GOLDEN_DIR.parent / "v2"
+    assert sorted(p.name for p in v1.iterdir()) == sorted(p.name for p in v2.iterdir())
     moves = {(name, line): (old, new) for name, line, old, new in GOLDEN_V2_MOVES}
     seen = set()
     for path in sorted(v1.iterdir()):
         old_lines = path.read_text().split("\n")
-        new_lines = (GOLDEN_DIR / path.name).read_text().split("\n")
+        new_lines = (v2 / path.name).read_text().split("\n")
         assert len(old_lines) == len(new_lines), path.name
         for k, (was, now) in enumerate(zip(old_lines, new_lines), 1):
             if (path.name, k) in moves:
@@ -377,6 +390,50 @@ def test_goldens_v2_depart_from_v1_only_in_recorded_cells():
             else:
                 assert was == now, f"{path.name}:{k} differs from v1 with no recorded move"
     assert seen == moves.keys()
+
+
+# Every line in which goldens/v3 departs from goldens/v2, as (file, v2 line,
+# v3 line or None where the line was dropped).  The truncation experiment's
+# asymmetry is now the exact minimum over ball centers, not a Monte Carlo
+# estimate, so it has no standard error; CHANGES.md gives the size of each
+# move.
+GOLDEN_V3_MOVES = [
+    ("truncation.json", ' "asymmetry_drop_c": "0.008394965954525898",',
+     ' "asymmetry_drop_c": "0.00869944658500085",'),
+    ("truncation.json", ' "asymmetry_full": "0.0193",',
+     ' "asymmetry_full": "0.019999999999999817",'),
+    ("truncation.json", ' "asymmetry_full_err": "0.0003035376418172876",', None),
+]
+
+
+def test_goldens_v3_depart_from_v2_only_in_recorded_cells():
+    v2 = GOLDEN_DIR.parent / "v2"
+    assert sorted(p.name for p in v2.iterdir()) == sorted(p.name for p in GOLDEN_DIR.iterdir())
+    for path in sorted(v2.iterdir()):
+        want = path.read_text().split("\n")
+        for name, old, new in GOLDEN_V3_MOVES:
+            if name == path.name:
+                assert want.count(old) == 1, (name, old)
+                k = want.index(old)
+                want[k:k + 1] = [] if new is None else [new]
+        assert (GOLDEN_DIR / path.name).read_text().split("\n") == want, path.name
+
+
+def test_golden_v3_truncation_asymmetry_moved_toward_the_closed_form():
+    # no unit ball meets both components of the default truncation
+    # composite, and the one centred on the near ball misses only the far
+    # ball and the near ball's missing shell: the asymmetry is exactly 2f
+    f = 0.01
+    v2, v3 = (json.loads((GOLDEN_DIR.parent / v / "truncation.json").read_text())
+              for v in ("v2", "v3"))
+    assert float(v3["far_volume_fraction"]) == f
+    exact = 2.0 * f
+    assert abs(float(v3["asymmetry_full"]) - exact) <= 1e-12
+    assert abs(float(v2["asymmetry_full"]) - exact) > 1e-4
+    # the drop constant moved by the same numerator change over the same deficit
+    drop = (float(v3["asymmetry_full"]) - float(v3["asymmetry_truncated"])) \
+        / float(v3["deficit_full"])
+    assert float(v3["asymmetry_drop_c"]) == drop
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.iterdir()))

@@ -11,8 +11,7 @@ from scipy.special import gammaln, lpmv
 
 from isocap.sphere import (HarmonicCoeffs, ball_volume, build_quadrature,
                            direction, expand, flat_index, harmonic_basis,
-                           harmonic_space_dim, lb_eigenvalue, sphere_area,
-                           synthesize)
+                           sphere_area, synthesize)
 
 
 def test_sphere_area_and_ball_volume():
@@ -22,13 +21,6 @@ def test_sphere_area_and_ball_volume():
     # N-dimensional identity: area = N * volume at radius 1
     for n in (3, 4, 5, 7):
         assert sphere_area(n) == pytest.approx(n * ball_volume(n), rel=1e-14)
-
-
-def test_lb_eigenvalues_and_space_dims():
-    assert [lb_eigenvalue(l, 3) for l in range(4)] == [0.0, 2.0, 6.0, 12.0]
-    assert [harmonic_space_dim(l, 3) for l in range(4)] == [1, 3, 5, 7]
-    # N = 4: dimensions (l+1)^2
-    assert [harmonic_space_dim(l, 4) for l in range(4)] == [1, 4, 9, 16]
 
 
 def test_quadrature_weights_sum_to_area():
@@ -165,10 +157,6 @@ def test_single_and_coefficient_access():
     c = HarmonicCoeffs.single(2, 2, 0.5, max_degree=4)
     assert c.max_degree == 4
     assert c.coefficient(2, 2) == 0.5
-    assert c.l2_norm() == pytest.approx(0.5)
-    padded = HarmonicCoeffs.single(1, 0, 1.0).padded(3)
-    assert padded.max_degree == 3
-    assert padded.coefficient(1, 0) == 1.0
 
 
 def test_synthesize_single_harmonic_l2_norm():
@@ -202,11 +190,6 @@ def test_build_quadrature_is_shared_and_read_only(degree):
     for arr in (quad.nodes, quad.weights):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-
-
-@given(st.integers(min_value=0, max_value=12), st.integers(min_value=3, max_value=8))
-def test_lb_eigenvalue_formula(l, n):
-    assert lb_eigenvalue(l, n) == l * (l + n - 2)
 
 
 @settings(deadline=None, max_examples=25)
