@@ -3,8 +3,8 @@ star-shaped domains in R^3, with spectral stability checks."""
 
 from .asymmetry import (alpha, alpha_R, annulus_lower_bound, composite_symdiff_volume,
                         fraenkel, symdiff_volume)
-from .capacity import (SolverConfig, WosConfig, cap_ball, cap_ball_rel,
-                       cap_spheroid, cap_wos, capacity, deficit)
+from .capacity import (WosConfig, cap_ball, cap_ball_rel, cap_spheroid, cap_wos,
+                       capacity, deficit)
 from .domains import (CompositeDomain, FamilySpec, StarDomain, ball,
                       barycenter, diameter, ellipsoid, generate_family,
                       load_domain, nearly_spherical_from_phi, save_domain,

@@ -50,7 +50,7 @@ def _lens_volume(r1: float, r2: float, d: float) -> float:
     if d >= r1 + r2:
         return 0.0
     if d <= abs(r1 - r2):
-        return ball_volume(3, min(r1, r2))
+        return ball_volume(min(r1, r2))
     return (math.pi * (r1 + r2 - d) ** 2
             * (d * d + 2.0 * d * (r1 + r2) - 3.0 * (r1 - r2) ** 2) / (12.0 * d))
 
@@ -80,7 +80,7 @@ def _ray_samples(domain: StarDomain) -> _RaySamples:
             if domain.quad.degree >= _RAY_DEGREE:
                 quad, rho = domain.quad, domain.rho
             else:
-                quad = build_quadrature(3, _RAY_DEGREE)
+                quad = build_quadrature(_RAY_DEGREE)
                 rho = domain.radial(quad.nodes)
             domain._rays = _RaySamples(False, quad, rho, _cube(rho))
     return domain._rays
@@ -125,7 +125,7 @@ def symdiff_volume(domain: StarDomain, center, radius: float) -> float:
     if rays.ball:
         r1 = domain.rho_max
         cap = _lens_volume(r1, radius, math.sqrt(c2))
-        return max(ball_volume(3, r1) + ball_volume(3, radius) - 2.0 * cap, 0.0)
+        return max(ball_volume(r1) + ball_volume(radius) - 2.0 * cap, 0.0)
     p = rays.rho
     dots = rays.quad.nodes @ c
     # |1_A - 1_B| integrates to vol(A) + vol(B) - 2 vol(A cap B) per ray
@@ -161,7 +161,7 @@ def composite_symdiff_volume(comp: CompositeDomain, center, radius: float) -> fl
     the ray integral for any other.
     """
     parts = [symdiff_volume(c, center, radius) for c in comp.components]
-    return math.fsum(parts) - (len(parts) - 1) * ball_volume(3, radius)
+    return math.fsum(parts) - (len(parts) - 1) * ball_volume(radius)
 
 
 def fraenkel(domain: StarDomain | CompositeDomain) -> AsymmetryResult:
@@ -174,9 +174,9 @@ def fraenkel(domain: StarDomain | CompositeDomain) -> AsymmetryResult:
     composite has one, its largest component's center, and the objective
     `composite_symdiff_volume`.
     """
-    if abs(volume(domain) - ball_volume(3)) > 1e-8:
+    if abs(volume(domain) - ball_volume()) > 1e-8:
         raise GeometryError("fraenkel needs a volume-normalised domain")
-    omega = ball_volume(3)
+    omega = ball_volume()
     count = [0]
     if isinstance(domain, CompositeDomain):
         measure = composite_symdiff_volume
@@ -325,22 +325,19 @@ def alpha(domain: StarDomain) -> float:
     return _weighted_asymmetry(domain, None if centered else x0)
 
 
-def annulus_lower_bound(v: float, dimension: int = 3) -> float:
+def annulus_lower_bound(v: float) -> float:
     """Smallest possible integral of |1 - |x|| over a set of volume v.
 
     The minimiser is the sublevel annulus {|1 - |x|| <= delta} with
     measure v (bathtub principle); delta comes from a scalar root-find
-    and the integral is closed-form.  Behaves like v^2 / (4 sigma_{N-1})
-    as v -> 0.
+    and the integral is closed-form.  Behaves like v^2 / (16 pi) as
+    v -> 0.
     """
     if v < 0:
         raise ValueError("volume must be nonnegative")
     if v == 0.0:
         return 0.0
-    n = dimension
-    if n != 3:
-        raise NotImplementedError("annulus bound implemented for dimension 3")
-    omega = ball_volume(3)
+    omega = ball_volume()
 
     def measure(delta):
         inner = max(1.0 - delta, 0.0)
@@ -349,4 +346,4 @@ def annulus_lower_bound(v: float, dimension: int = 3) -> float:
     hi = (v / omega + 1.0) ** (1.0 / 3.0) - 1.0 + 1e-12
     delta = brentq(measure, 0.0, hi, xtol=1e-15)
     lo = max(1.0 - delta, 0.0)
-    return float(sphere_area(3) * (_weighted_shell(1.0 + delta) + _weighted_shell(lo)))
+    return float(sphere_area() * (_weighted_shell(1.0 + delta) + _weighted_shell(lo)))

@@ -5,7 +5,7 @@ Dirichlet energy integral |grad u|^2 over functions u >= 1 on K that
 decay at infinity (absolute case), or vanish on the boundary sphere of
 radius R (relative case).  With this convention the unit ball in R^3
 has absolute capacity 4*pi and capacity 8*pi relative to R = 2.  The
-surface-area factor sigma_{N-1} is carried explicitly everywhere; some
+sphere-area factor 4*pi is carried explicitly everywhere; some
 classical references quote the same formulas with that factor dropped.
 
 Three routes are provided and kept deliberately independent of each
@@ -16,18 +16,16 @@ domains, and a walk-on-spheres Monte Carlo estimator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (CompositeDomain, StarDomain, normalize_volume, radial_bounds,
-                      scale_domain, volume)
+from .domains import CompositeDomain, StarDomain, radial_bounds, scale_domain, volume
 from .errors import GeometryError, SolverError
 from .sphere import ball_volume, build_quadrature, harmonic_basis, sphere_area
 
 __all__ = [
     "CapacityResult",
-    "SolverConfig",
     "WosConfig",
     "cap_ball",
     "cap_ball_rel",
@@ -53,30 +51,25 @@ class CapacityResult:
             raise ValueError("error_estimate must be nonnegative")
 
 
-def cap_ball(radius: float, dimension: int = 3) -> float:
-    """Absolute capacity of a ball, (N-2) * sigma_{N-1} * r^(N-2)."""
+def cap_ball(radius: float) -> float:
+    """Absolute capacity of a ball, 4 * pi * r."""
     if radius <= 0:
         raise GeometryError("radius must be positive")
-    if dimension < 3:
-        raise ValueError("capacity in this normalisation needs dimension >= 3")
-    n = dimension
-    return (n - 2) * sphere_area(n) * radius ** (n - 2)
+    return sphere_area() * radius
 
 
-def cap_ball_rel(radius: float, outer_radius: float, dimension: int = 3) -> float:
-    """Capacity of B_r relative to the centered ball B_R, r < R.
+def cap_ball_rel(radius: float, outer_radius: float) -> float:
+    """Capacity of B_r relative to the centered ball B_R, r < R:
+    4 * pi / (1/r - 1/R).
 
     Tends to the absolute value as R grows.
     """
     if not 0 < radius < outer_radius:
         raise GeometryError(f"need 0 < r < R, got r={radius}, R={outer_radius}")
-    if dimension < 3:
-        raise ValueError("capacity in this normalisation needs dimension >= 3")
-    n = dimension
-    return (n - 2) * sphere_area(n) / (radius ** -(n - 2) - outer_radius ** -(n - 2))
+    return sphere_area() / (radius ** -1 - outer_radius ** -1)
 
 
-def cap_spheroid(equatorial: float, polar: float, dimension: int = 3) -> float:
+def cap_spheroid(equatorial: float, polar: float) -> float:
     """Absolute capacity of a spheroid with semi-axes (a, a, c), closed form.
 
     Classical reduction of the ellipsoid capacity integral
@@ -90,8 +83,6 @@ def cap_spheroid(equatorial: float, polar: float, dimension: int = 3) -> float:
     a, c = float(equatorial), float(polar)
     if a <= 0 or c <= 0:
         raise GeometryError("semi-axes must be positive")
-    if dimension != 3:
-        raise NotImplementedError("spheroid closed form is implemented for dimension 3")
     if abs(a - c) < 1e-12 * a:
         return cap_ball(0.5 * (a + c))
     if a > c:
@@ -101,55 +92,32 @@ def cap_spheroid(equatorial: float, polar: float, dimension: int = 3) -> float:
     return 4.0 * math.pi * t / math.atanh(t / c)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs for the harmonic collocation solvers.
-
-    max_radius_ratio is the validated geometry range; domains with a
-    larger radial spread are refused rather than silently mis-solved.
-    Widening it is legitimate when paired with a larger l_max (solver
-    agreement and refinement checks still apply).
-    """
-
-    l_max: int = 8
-    ridge: float = 1e-12
-    max_radius_ratio: float = 2.0
-    outer_margin: float = 0.05
-    max_condition: float = 1e14
+_RIDGE = 1e-12  # Tikhonov weight on the column-equilibrated normal equations
+_MAX_CONDITION = 1e14  # normal equations worse than this are refused
+# The validated geometry range: a domain whose boundary radii about the
+# origin spread by more than this factor is refused rather than
+# silently mis-solved.
+_MAX_RADIUS_RATIO = 2.0
+_OUTER_MARGIN = 0.05  # relative gap a domain must keep from the outer sphere
 
 
 def _surface_polar(domain: StarDomain, degree: int):
     """Boundary points of a star domain in polar form about the origin."""
-    quad = build_quadrature(3, degree)
+    quad = build_quadrature(degree)
     surface = domain.center_offset + domain.radial(quad.nodes)[:, None] * quad.nodes
     r = np.linalg.norm(surface, axis=1)
     dirs = surface / r[:, None]
     return quad, r, dirs
 
 
-def _collocation_geometry(domain: StarDomain, cfg: SolverConfig):
-    quad, r, dirs = _surface_polar(domain, 2 * cfg.l_max)
-    if r.min() <= 0:
-        raise GeometryError("surface passes through the origin")
-    ratio = r.max() / r.min()
-    if ratio > cfg.max_radius_ratio:
-        raise GeometryError(
-            f"radial spread {ratio:.3f} outside the validated range "
-            f"(max_radius_ratio={cfg.max_radius_ratio})"
-        )
-    if np.linalg.norm(domain.center_offset) >= domain.rho_min:
-        raise GeometryError("origin must lie inside the domain for the harmonic expansion")
-    return quad, r, dirs
-
-
-def _ridge_weighted_lstsq(A: np.ndarray, w: np.ndarray, cfg: SolverConfig):
+def _ridge_weighted_lstsq(A: np.ndarray, w: np.ndarray):
     # equilibrate columns so the ridge acts uniformly across degrees
     scale = np.sqrt((w[:, None] * A**2).sum(axis=0))
     scale[scale == 0] = 1.0
     As = A / scale
-    M = As.T @ (w[:, None] * As) + cfg.ridge * np.eye(A.shape[1])
+    M = As.T @ (w[:, None] * As) + _RIDGE * np.eye(A.shape[1])
     cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > cfg.max_condition:
+    if not np.isfinite(cond) or cond > _MAX_CONDITION:
         raise SolverError(
             f"normal equations ill-conditioned beyond regularisation (cond={cond:.3e})"
         )
@@ -157,31 +125,53 @@ def _ridge_weighted_lstsq(A: np.ndarray, w: np.ndarray, cfg: SolverConfig):
     return coef, cond
 
 
-def cap_exterior_harmonic(domain: StarDomain, cfg: SolverConfig | None = None) -> CapacityResult:
+def _collocate(domain: StarDomain, l_max: int, radial):
+    """Fit sum_lm c_lm radial(l, |x|) Y_lm(x/|x|) = 1 on the boundary.
+
+    radial(l, r) is the radial factor of the degree-l modes, broadcast
+    over an (n, 1) column of radii and the (L+1)^2 degrees of the
+    columns.  The fit is ridge-regularised weighted least squares at
+    quadrature nodes of degree 2*l_max.  The maximum-principle bounds of
+    both solvers need the residual sup over the whole boundary, so it is
+    measured on a grid finer than the collocation nodes.
+
+    Returns (c_00, largest boundary radius, max residual, condition).
+    """
+    quad, r, dirs = _surface_polar(domain, 2 * l_max)
+    if r.min() <= 0:
+        raise GeometryError("surface passes through the origin")
+    ratio = r.max() / r.min()
+    if ratio > _MAX_RADIUS_RATIO:
+        raise GeometryError(
+            f"radial spread {ratio:.3f} outside the validated range "
+            f"(max_radius_ratio={_MAX_RADIUS_RATIO})"
+        )
+    if np.linalg.norm(domain.center_offset) >= domain.rho_min:
+        raise GeometryError("origin must lie inside the domain for the harmonic expansion")
+    l_of = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
+    A = harmonic_basis(l_max, dirs) * radial(l_of, r[:, None])
+    coef, cond = _ridge_weighted_lstsq(A, quad.weights)
+    _, rf, df = _surface_polar(domain, 4 * l_max + 8)
+    fit = (harmonic_basis(l_max, df) * radial(l_of, rf[:, None])) @ coef
+    max_res = float(np.abs(fit - 1.0).max())
+    return coef[0], r.max(), max_res, cond
+
+
+def cap_exterior_harmonic(domain: StarDomain, l_max: int = 8) -> CapacityResult:
     """Absolute capacity by collocation in decaying solid harmonics.
 
     The candidate potential sum_lm c_lm |x|^-(l+1) Y_lm(x/|x|) is fitted
-    to the boundary condition u = 1 at quadrature nodes of degree
-    2*l_max by ridge-regularised weighted least squares.  The capacity
-    is read off the monopole: (N-2) * sqrt(sigma_{N-1}) * c_00.
+    to the boundary condition u = 1 (`_collocate`).  The capacity is
+    read off the monopole: sqrt(4 pi) * c_00.
 
     error_estimate is a maximum-principle style bound: a boundary
     mismatch of size max|residual| changes the capacity by at most
-    (N-2) * sigma_{N-1} * max_res * (1 + r_max)^(N-2).
+    4 pi * max_res * (1 + r_max).
     """
-    cfg = cfg or SolverConfig()
-    quad, r, dirs = _collocation_geometry(domain, cfg)
-    l_of = np.repeat(np.arange(cfg.l_max + 1), 2 * np.arange(cfg.l_max + 1) + 1)
-    A = harmonic_basis(cfg.l_max, dirs) * r[:, None] ** -(l_of + 1)
-    coef, cond = _ridge_weighted_lstsq(A, quad.weights, cfg)
-    # the maximum-principle bound needs the residual sup over the whole
-    # boundary; measure it on a grid finer than the collocation nodes
-    _, rf, df = _surface_polar(domain, 4 * cfg.l_max + 8)
-    fit = (harmonic_basis(cfg.l_max, df) * rf[:, None] ** -(l_of + 1)) @ coef
-    max_res = float(np.abs(fit - 1.0).max())
-    sigma = sphere_area(3)
-    value = math.sqrt(sigma) * coef[0]
-    err = sigma * max_res * (1.0 + r.max())
+    c00, r_max, max_res, cond = _collocate(domain, l_max, lambda l, r: r ** -(l + 1))
+    sigma = sphere_area()
+    value = math.sqrt(sigma) * c00
+    err = sigma * max_res * (1.0 + r_max)
     return CapacityResult(value=float(value), method="harmonic", error_estimate=float(err),
                           max_residual=max_res, condition=cond)
 
@@ -193,7 +183,7 @@ def _shell_radial(l: np.ndarray, r: np.ndarray, outer_radius: float) -> np.ndarr
 
 
 def cap_relative_harmonic(domain: StarDomain, outer_radius: float,
-                          cfg: SolverConfig | None = None) -> CapacityResult:
+                          l_max: int = 8) -> CapacityResult:
     """Capacity relative to the centered ball B_R by shell collocation.
 
     Same scheme as the absolute solver with the decaying solid
@@ -201,25 +191,18 @@ def cap_relative_harmonic(domain: StarDomain, outer_radius: float,
     comes from the radial flux of the l = 0 mode, which is conserved
     across the shell.
     """
-    cfg = cfg or SolverConfig()
     if outer_radius <= 0:
         raise GeometryError("outer radius must be positive")
-    if domain.enclosing_radius >= outer_radius * (1.0 - cfg.outer_margin):
+    if domain.enclosing_radius >= outer_radius * (1.0 - _OUTER_MARGIN):
         raise GeometryError(
             f"domain (enclosing radius {domain.enclosing_radius:.4f}) too close to "
-            f"the outer sphere R={outer_radius} (margin {cfg.outer_margin})"
+            f"the outer sphere R={outer_radius} (margin {_OUTER_MARGIN})"
         )
-    quad, r, dirs = _collocation_geometry(domain, cfg)
-    l_of = np.repeat(np.arange(cfg.l_max + 1), 2 * np.arange(cfg.l_max + 1) + 1)
-    A = harmonic_basis(cfg.l_max, dirs) * _shell_radial(l_of, r[:, None], outer_radius)
-    coef, cond = _ridge_weighted_lstsq(A, quad.weights, cfg)
-    _, rf, df = _surface_polar(domain, 4 * cfg.l_max + 8)
-    fit = (harmonic_basis(cfg.l_max, df) * _shell_radial(l_of, rf[:, None], outer_radius)) @ coef
-    max_res = float(np.abs(fit - 1.0).max())
-    sigma = sphere_area(3)
-    k0 = outer_radius - 1.0  # R^(N-2) - 1 at N = 3
-    value = math.sqrt(sigma) * coef[0] * (1.0 + 1.0 / k0)
-    err = max_res * cap_ball_rel(min(r.max(), outer_radius * (1 - cfg.outer_margin)),
+    c00, r_max, max_res, cond = _collocate(
+        domain, l_max, lambda l, r: _shell_radial(l, r, outer_radius))
+    k0 = outer_radius - 1.0  # R^(2l+1) - 1 at l = 0
+    value = math.sqrt(sphere_area()) * c00 * (1.0 + 1.0 / k0)
+    err = max_res * cap_ball_rel(min(r_max, outer_radius * (1 - _OUTER_MARGIN)),
                                  outer_radius)
     return CapacityResult(value=float(value), method="harmonic", error_estimate=float(err),
                           max_residual=max_res, condition=cond)
@@ -260,10 +243,10 @@ def counter_uniform(seed: int, walk: np.ndarray, step: int, slot: int) -> np.nda
 class WosConfig:
     num_walks: int = 20000
     seed: int = 0
-    start_radius: float | None = None  # default 4 * enclosing radius
-    eps_shell: float | None = None  # default 1e-4 * enclosing radius
-    max_steps: int = 10000
     block_size: int = 8192
+
+
+_WOS_MAX_STEPS = 10000  # a walk still alive after this many steps counts as killed
 
 
 class _WosComponent:
@@ -342,8 +325,7 @@ def _reentry_points(p: np.ndarray, a: float, u_pol: np.ndarray, u_azi: np.ndarra
     return a * out
 
 
-def _run_wos_block(components, walk_ids: np.ndarray, seed: int, a: float,
-                   eps: float, max_steps: int):
+def _run_wos_block(components, walk_ids: np.ndarray, seed: int, a: float, eps: float):
     n = len(walk_ids)
     u1 = counter_uniform(seed, walk_ids, 0, 0)
     u2 = counter_uniform(seed, walk_ids, 0, 1)
@@ -354,7 +336,7 @@ def _run_wos_block(components, walk_ids: np.ndarray, seed: int, a: float,
     alive = np.ones(n, dtype=bool)
     hit = np.zeros(n, dtype=bool)
     ids = walk_ids.copy()
-    for step in range(1, max_steps + 1):
+    for step in range(1, _WOS_MAX_STEPS + 1):
         if not alive.any():
             break
         idx = np.nonzero(alive)[0]
@@ -398,18 +380,20 @@ def _run_wos_block(components, walk_ids: np.ndarray, seed: int, a: float,
 def cap_wos(domain, cfg: WosConfig | None = None) -> CapacityResult:
     """Absolute capacity by walk on spheres.
 
-    Walks start uniformly on the sphere of radius rho_far; the
-    spherical mean of the capacitary potential there is exactly
-    c0 * rho_far^-(N-2) (higher harmonics integrate to zero), so the
-    hit fraction rescales to the capacity:
+    Walks start uniformly on the sphere of radius rho_far, four times
+    the enclosing radius; the spherical mean of the capacitary potential
+    there is exactly c0 / rho_far (higher harmonics integrate to zero),
+    so the hit fraction rescales to the capacity:
 
-        value = hit_rate * (N-2) * sigma_{N-1} * rho_far^(N-2).
+        value = hit_rate * 4 * pi * rho_far.
 
     A walker farther out than rho_far survives with probability
     rho_far/|x| and re-enters through the exact conditional harmonic
     measure.  error_estimate is the binomial standard error plus a
-    documented O(eps_shell) absorption bias bound; walks that exhaust
-    max_steps count as killed and are added to the error term.
+    documented O(eps_shell) absorption bias bound, with eps_shell
+    1e-4 times the enclosing radius; walks still alive after
+    _WOS_MAX_STEPS steps count as killed and are added to the error
+    term.
 
     The bias bound holds because each step radius is a certified lower
     bound on the distance to the boundary, so no sphere leaves the
@@ -425,20 +409,18 @@ def cap_wos(domain, cfg: WosConfig | None = None) -> CapacityResult:
     cfg = cfg or WosConfig()
     comps = domain.components if isinstance(domain, CompositeDomain) else [domain]
     encl = max(c.enclosing_radius for c in comps)
-    a = cfg.start_radius if cfg.start_radius is not None else 4.0 * encl
-    if a <= encl:
-        raise GeometryError(f"start radius {a} must exceed the enclosing radius {encl:.4f}")
-    eps = cfg.eps_shell if cfg.eps_shell is not None else 1e-4 * encl
+    a = 4.0 * encl
+    eps = 1e-4 * encl
     geoms = [_WosComponent(c) for c in comps]
     m = cfg.num_walks
     blocks = [np.arange(i, min(i + cfg.block_size, m), dtype=np.uint64)
               for i in range(0, m, cfg.block_size)]
-    parts = [_run_wos_block(geoms, b, cfg.seed, a, eps, cfg.max_steps) for b in blocks]
+    parts = [_run_wos_block(geoms, b, cfg.seed, a, eps) for b in blocks]
     hits = sum(p[0] for p in parts)
     unresolved = sum(p[1] for p in parts)
     if hits == 0:
         raise SolverError("walk on spheres recorded zero hits; result inconclusive")
-    scale = sphere_area(3) * a
+    scale = sphere_area() * a
     p = hits / m
     value = p * scale
     stderr = math.sqrt(p * (1.0 - p) / m) * scale
@@ -448,7 +430,7 @@ def cap_wos(domain, cfg: WosConfig | None = None) -> CapacityResult:
 
 
 def capacity(domain, mode: str = "abs", outer_radius: float | None = None,
-             solver: str = "harmonic", cfg: SolverConfig | None = None,
+             solver: str = "harmonic", l_max: int = 8,
              wos_cfg: WosConfig | None = None) -> CapacityResult:
     """Dispatch to a solver by mode and method name."""
     if mode not in ("abs", "rel"):
@@ -470,8 +452,8 @@ def capacity(domain, mode: str = "abs", outer_radius: float | None = None,
         if isinstance(domain, CompositeDomain):
             raise SolverError("harmonic collocation needs a single star component")
         if mode == "abs":
-            return cap_exterior_harmonic(domain, cfg)
-        return cap_relative_harmonic(domain, outer_radius, cfg)
+            return cap_exterior_harmonic(domain, l_max)
+        return cap_relative_harmonic(domain, outer_radius, l_max)
     raise ValueError(f"unknown solver {solver!r}")
 
 
@@ -484,7 +466,7 @@ class DeficitResult:
 
 
 def deficit(domain, mode: str = "abs", outer_radius: float | None = None,
-            solver: str = "harmonic", cfg: SolverConfig | None = None,
+            solver: str = "harmonic", l_max: int = 8,
             wos_cfg: WosConfig | None = None) -> DeficitResult:
     """Capacity excess over the unit ball at fixed volume.
 
@@ -492,14 +474,13 @@ def deficit(domain, mode: str = "abs", outer_radius: float | None = None,
     any ball is zero up to solver error, and the value is nonnegative
     up to solver error for every domain.
     """
+    lam = (ball_volume() / volume(domain)) ** (1.0 / 3.0)
     if isinstance(domain, CompositeDomain):
-        lam = (ball_volume(3) / volume(domain)) ** (1.0 / 3.0)
         dom = CompositeDomain([scale_domain(c, lam) for c in domain.components])
     else:
-        lam = (ball_volume(3) / volume(domain)) ** (1.0 / 3.0)
-        dom = normalize_volume(domain)
+        dom = scale_domain(domain, lam)
     res = capacity(dom, mode=mode, outer_radius=outer_radius, solver=solver,
-                   cfg=cfg, wos_cfg=wos_cfg)
+                   l_max=l_max, wos_cfg=wos_cfg)
     ref = cap_ball(1.0) if mode == "abs" else cap_ball_rel(1.0, outer_radius)
     return DeficitResult(value=res.value - ref, error_estimate=res.error_estimate,
                          capacity=res, scale=lam)

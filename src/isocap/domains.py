@@ -55,7 +55,6 @@ _NEWTON_MAX_ITER = 50
 class StarDomain:
     """Radial-graph domain.  rho holds the radii at the quadrature nodes."""
 
-    dimension: int
     quad: SphereQuadrature
     rho: np.ndarray
     coeffs: HarmonicCoeffs | None = None
@@ -76,7 +75,7 @@ class StarDomain:
             raise GeometryError("rho must be sampled at the quadrature nodes")
         if not np.all(np.isfinite(self.rho)) or np.any(self.rho <= 0.0):
             raise GeometryError("radial function must be finite and strictly positive")
-        if self.center_offset.shape != (self.dimension,):
+        if self.center_offset.shape != (3,):
             raise GeometryError("center_offset has wrong shape")
 
     @property
@@ -149,12 +148,11 @@ def ball(radius: float = 1.0, center=(0.0, 0.0, 0.0),
     if radius <= 0:
         raise GeometryError(f"radius must be positive, got {radius}")
     if quad is None:
-        quad = build_quadrature(3, 16)
+        quad = build_quadrature(16)
     r = float(radius)
     coeffs = HarmonicCoeffs.zeros(0)
     coeffs.values[0] = r * math.sqrt(4.0 * math.pi)
     return StarDomain(
-        dimension=3,
         quad=quad,
         rho=np.full(quad.n_nodes, r),
         coeffs=coeffs,
@@ -181,7 +179,7 @@ def ellipsoid(eps: float, quad: SphereQuadrature | None = None) -> StarDomain:
         # the radial integrands are smooth but not band-limited; the degree
         # needed for ~1e-12 volume accuracy grows with the eccentricity
         deg = max(16, 8 * math.ceil((32 + 150 * eps) / 8))
-        quad = build_quadrature(3, deg)
+        quad = build_quadrature(deg)
     a, c = 1.0 + eps, (1.0 + eps) ** -2
     axes = np.array([a, a, c])
 
@@ -190,7 +188,6 @@ def ellipsoid(eps: float, quad: SphereQuadrature | None = None) -> StarDomain:
         return 1.0 / np.sqrt((d**2 / axes**2).sum(axis=1))
 
     return StarDomain(
-        dimension=3,
         quad=quad,
         rho=rho_fn(quad.nodes),
         rho_fn=rho_fn,
@@ -201,42 +198,42 @@ def ellipsoid(eps: float, quad: SphereQuadrature | None = None) -> StarDomain:
 def _sup_norm_dense(coeffs: HarmonicCoeffs) -> float:
     """Sup norm of a band-limited function by dense sampling."""
     deg = max(6 * coeffs.max_degree, 48)
-    fine = build_quadrature(3, deg)
+    fine = build_quadrature(deg)
     return float(np.abs(synthesize(coeffs, fine.nodes)).max())
 
 
-def nearly_spherical_from_phi(phi: HarmonicCoeffs, quad: SphereQuadrature | None = None,
-                              volume_correct: bool = True) -> StarDomain:
-    """Domain with radial graph 1 + phi for a band-limited perturbation.
+def nearly_spherical_from_phi(phi: HarmonicCoeffs,
+                              quad: SphereQuadrature | None = None) -> StarDomain:
+    """Domain with radial graph 1 + phi + shift for a band-limited
+    perturbation phi.
 
-    Requires sup|phi| < 1/2 (checked by dense sampling).  With
-    volume_correct the constant mode is adjusted by Newton iteration so
-    the volume equals that of the unit ball to within 1e-13.
+    Requires sup|phi| < 1/2 (checked by dense sampling).  The constant
+    shift is found by Newton iteration so that the volume equals that of
+    the unit ball to within 1e-13.
     """
     if quad is None:
-        quad = build_quadrature(3, max(2 * phi.max_degree, 16))
+        quad = build_quadrature(max(2 * phi.max_degree, 16))
     if quad.degree < 3 * phi.max_degree:
         # the volume integrand rho^3 must stay inside the exactness range
-        quad = build_quadrature(3, 3 * phi.max_degree)
+        quad = build_quadrature(3 * phi.max_degree)
     if _sup_norm_dense(phi) >= _SUP_NORM_BOUND:
         raise GeometryError("perturbation exceeds the sup-norm bound 1/2")
     phi_nodes = synthesize(phi, quad.nodes)
     shift = 0.0
-    if volume_correct:
-        w = quad.weights
-        target = ball_volume(3)
-        for _ in range(_NEWTON_MAX_ITER):
-            r = 1.0 + phi_nodes + shift
-            v = float(w @ (r**3)) / 3.0
-            if abs(v - target) < _NEWTON_TOL:
-                break
-            dv = float(w @ (r**2))
-            shift -= (v - target) / dv
-        else:
-            raise GeometryError("volume correction did not converge")
+    w = quad.weights
+    target = ball_volume()
+    for _ in range(_NEWTON_MAX_ITER):
+        r = 1.0 + phi_nodes + shift
+        v = float(w @ (r**3)) / 3.0
+        if abs(v - target) < _NEWTON_TOL:
+            break
+        dv = float(w @ (r**2))
+        shift -= (v - target) / dv
+    else:
+        raise GeometryError("volume correction did not converge")
     coeffs = phi.copy()
     coeffs.values[flat_index(0, 0)] += (1.0 + shift) * math.sqrt(4.0 * math.pi)
-    dom = StarDomain(dimension=3, quad=quad, rho=1.0 + phi_nodes + shift, coeffs=coeffs)
+    dom = StarDomain(quad=quad, rho=1.0 + phi_nodes + shift, coeffs=coeffs)
     if dom.rho_max - 1.0 >= _SUP_NORM_BOUND or 1.0 - dom.rho_min >= _SUP_NORM_BOUND:
         raise GeometryError("perturbation exceeds the sup-norm bound 1/2 after correction")
     return dom
@@ -278,15 +275,14 @@ def _exact_moment(weights: np.ndarray, rho: np.ndarray, power: int) -> float:
 
 
 def volume(domain) -> float:
-    """Lebesgue volume; exact when rho^N is inside the quadrature range.
+    """Lebesgue volume; exact when rho^3 is inside the quadrature range.
 
-    The quadrature sum sum_i w_i rho_i^N is correctly rounded and then
-    divided by N once, so the value is the same on every machine.
+    The quadrature sum sum_i w_i rho_i^3 is correctly rounded and then
+    divided by 3 once, so the value is the same on every machine.
     """
     if isinstance(domain, CompositeDomain):
         return sum(volume(c) for c in domain.components)
-    n = domain.dimension
-    return _exact_moment(domain.quad.weights, domain.rho, n) / n
+    return _exact_moment(domain.quad.weights, domain.rho, 3) / 3
 
 
 def barycenter(domain) -> np.ndarray:
@@ -294,9 +290,8 @@ def barycenter(domain) -> np.ndarray:
         vols = np.array([volume(c) for c in domain.components])
         cents = np.array([barycenter(c) for c in domain.components])
         return (vols[:, None] * cents).sum(axis=0) / vols.sum()
-    n = domain.dimension
     v = volume(domain)
-    moment = (domain.quad.weights * domain.rho ** (n + 1)) @ domain.quad.nodes / (n + 1)
+    moment = (domain.quad.weights * domain.rho ** 4) @ domain.quad.nodes / 4
     return domain.center_offset + moment / v
 
 
@@ -366,7 +361,7 @@ def _sampled_bounds(coeffs: HarmonicCoeffs) -> tuple[float, float, float]:
     lon = np.arange(k) * (math.pi / k)
     t, p = (a.ravel() for a in np.meshgrid(colat, lon))
     dirs = np.column_stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)])
-    quad = build_quadrature(3, 4 * L)
+    quad = build_quadrature(4 * L)
     square = expand(synthesize(coeffs, quad.nodes) ** 2, 2 * L, quad)
     rho = synthesize(coeffs, dirs)
     q = 0.5 * synthesize(_laplacian(square), dirs) - rho * synthesize(_laplacian(coeffs), dirs)
@@ -379,7 +374,7 @@ def _sampled_bounds(coeffs: HarmonicCoeffs) -> tuple[float, float, float]:
 def _laplacian(coeffs: HarmonicCoeffs) -> HarmonicCoeffs:
     """Coefficients of the Laplace-Beltrami operator applied to coeffs."""
     l = np.arange(coeffs.max_degree + 1)
-    return HarmonicCoeffs(coeffs.dimension, coeffs.max_degree,
+    return HarmonicCoeffs(coeffs.max_degree,
                           coeffs.values * np.repeat(-l * (l + 1.0), 2 * l + 1))
 
 
@@ -395,7 +390,6 @@ def scale_domain(domain: StarDomain, lam: float) -> StarDomain:
     rho_fn = (lambda dirs, fn=fn, lam=lam: lam * np.asarray(fn(dirs))) if fn is not None else None
     bounds = domain.rho_bounds
     return StarDomain(
-        dimension=domain.dimension,
         quad=domain.quad,
         rho=lam * domain.rho,
         coeffs=coeffs,
@@ -407,7 +401,7 @@ def scale_domain(domain: StarDomain, lam: float) -> StarDomain:
 
 def normalize_volume(domain: StarDomain) -> StarDomain:
     """Dilate so the volume equals that of the unit ball (within 1e-12)."""
-    lam = (ball_volume(domain.dimension) / volume(domain)) ** (1.0 / domain.dimension)
+    lam = (ball_volume() / volume(domain)) ** (1.0 / 3)
     return scale_domain(domain, lam)
 
 
@@ -462,7 +456,7 @@ def truncate_rescale(domain, radius_cut: float):
     if not inside:
         raise GeometryError("no component lies inside the cut sphere")
     kept_volume = sum(volume(c) for c in inside)
-    lam = (ball_volume(3) / kept_volume) ** (1.0 / 3.0)
+    lam = (ball_volume() / kept_volume) ** (1.0 / 3.0)
     rescaled = [scale_domain(c, lam) for c in inside]
     out = CompositeDomain(rescaled) if len(rescaled) > 1 else rescaled[0]
     report = TruncationReport(
@@ -485,7 +479,6 @@ class FamilySpec:
 
     variant: str
     count: int
-    normalize: bool = True
     eps_min: float = 0.05
     eps_max: float = 0.4
     degree: int = 2
@@ -519,21 +512,19 @@ def generate_family(spec: FamilySpec, quad: SphereQuadrature | None = None):
     if spec.variant == "ellipsoid":
         eps_grid = np.linspace(spec.eps_min, spec.eps_max, spec.count)
         for k, eps in enumerate(eps_grid):
-            dom = ellipsoid(float(eps), quad)
-            if spec.normalize:
-                dom = normalize_volume(dom)
+            dom = normalize_volume(ellipsoid(float(eps), quad))
             out.append((f"ellipsoid-{k:03d}", float(eps), dom, None))
     elif spec.variant == "harmonic_perturbation":
         ts = spec.amplitude * (1.0 + np.arange(spec.count)) / spec.count
         for k, t in enumerate(ts):
             phi = HarmonicCoeffs.single(spec.degree, spec.order, float(t),
                                         max_degree=max(spec.degree, 1))
-            dom = nearly_spherical_from_phi(phi, quad, volume_correct=spec.normalize)
+            dom = nearly_spherical_from_phi(phi, quad)
             out.append((f"harm-{spec.degree}-{spec.order}-{k:03d}", float(t), dom, phi))
     elif spec.variant == "random_star":
         for k in range(spec.count):
             phi = _random_phi(spec.seed, k, spec.max_degree, spec.amplitude)
-            dom = nearly_spherical_from_phi(phi, quad, volume_correct=spec.normalize)
+            dom = nearly_spherical_from_phi(phi, quad)
             amp = float(np.abs(synthesize(phi, dom.quad.nodes)).max())
             out.append((f"random-{k:03d}", amp, dom, phi))
     else:
@@ -542,6 +533,7 @@ def generate_family(spec: FamilySpec, quad: SphereQuadrature | None = None):
 
 
 _FORMAT_LINE = "stardomain 1"
+_DIMENSION_LINE = "dimension 3"  # the only space a domain file may describe
 
 
 def save_domain(domain: StarDomain, path) -> None:
@@ -556,7 +548,7 @@ def save_domain(domain: StarDomain, path) -> None:
         coeffs = expand(domain.rho, domain.quad.degree // 2, domain.quad)
     lines = [
         f"format {_FORMAT_LINE}",
-        f"dimension {domain.dimension}",
+        _DIMENSION_LINE,
         f"max_degree {coeffs.max_degree}",
         "center " + " ".join(repr(float(x)) for x in domain.center_offset),
         "coeffs",
@@ -567,6 +559,8 @@ def save_domain(domain: StarDomain, path) -> None:
 
 
 def load_domain(path, quad: SphereQuadrature | None = None) -> StarDomain:
+    """Read a file written by `save_domain`.  A file that describes
+    another space than R^3 is refused with GeometryError."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != f"format {_FORMAT_LINE}":
@@ -577,15 +571,16 @@ def load_domain(path, quad: SphereQuadrature | None = None) -> StarDomain:
         key, _, val = lines[i].partition(" ")
         fields[key] = val
         i += 1
-    dim = int(fields["dimension"])
     max_degree = int(fields["max_degree"])
     center = np.array([float(x) for x in fields["center"].split()])
+    if _DIMENSION_LINE not in lines[1:i] or center.shape != (3,):
+        raise GeometryError(f"a domain file must hold the line {_DIMENSION_LINE!r} "
+                            "and a center with 3 entries")
     values = np.array([float(x) for x in lines[i + 1 :]])
-    coeffs = HarmonicCoeffs(dim, max_degree, values)
+    coeffs = HarmonicCoeffs(max_degree, values)
     if quad is None:
-        quad = build_quadrature(3, max(3 * max_degree, 16))
+        quad = build_quadrature(max(3 * max_degree, 16))
     return StarDomain(
-        dimension=dim,
         quad=quad,
         rho=synthesize(coeffs, quad.nodes),
         coeffs=coeffs,

@@ -28,7 +28,7 @@ import dataclasses
 import json
 import sys
 
-from ..capacity import SolverConfig, WosConfig, cap_ball, cap_ball_rel, deficit
+from ..capacity import WosConfig, cap_ball, cap_ball_rel, deficit
 from ..domains import FamilySpec, ball, ellipsoid, load_domain, volume
 from ..errors import ConfigError, GeometryError, SolverError
 from .engine import (ExperimentConfig, run_asym, run_fuglede, run_profile,
@@ -210,7 +210,7 @@ def _cmd_cap(res: _Resolver, args: argparse.Namespace) -> int:
     solver = res.get("solver", str, "harmonic")
     wos = WosConfig(num_walks=cfg.walks, seed=cfg.seed)
     d = deficit(dom, mode=cfg.mode, outer_radius=cfg.outer_radius, solver=solver,
-                cfg=SolverConfig(l_max=cfg.l_max), wos_cfg=wos)
+                l_max=cfg.l_max, wos_cfg=wos)
     ref = (cap_ball(1.0) if cfg.mode == "abs"
            else cap_ball_rel(1.0, cfg.outer_radius))
     out = {

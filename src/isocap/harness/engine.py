@@ -20,11 +20,10 @@ import numpy as np
 
 from ..asymmetry import (alpha, alpha_R, annulus_lower_bound, composite_symdiff_volume,
                          fraenkel, symdiff_volume)
-from ..capacity import (CapacityResult, DeficitResult, SolverConfig, WosConfig,
-                        cap_ball, cap_spheroid, capacity, deficit)
-from ..domains import (CompositeDomain, FamilySpec, ball, barycenter,
-                       generate_family, nearly_spherical_from_phi,
-                       truncate_rescale, volume)
+from ..capacity import (CapacityResult, DeficitResult, WosConfig, cap_ball,
+                        cap_spheroid, capacity, deficit)
+from ..domains import (CompositeDomain, FamilySpec, ball, generate_family,
+                       nearly_spherical_from_phi, truncate_rescale, volume)
 from ..errors import ConfigError, GeometryError, SolverError
 from ..sphere import HarmonicCoeffs, ball_volume
 from ..stability import (QuadraticFormSpec, ball_profile, h_half_norm,
@@ -65,10 +64,7 @@ class ExperimentConfig:
 
     def form_spec(self) -> QuadraticFormSpec:
         r = self.outer_radius if self.mode == "rel" else None
-        return QuadraticFormSpec(3, self.mode, r)
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(l_max=self.l_max)
+        return QuadraticFormSpec(self.mode, r)
 
 
 @dataclass
@@ -83,7 +79,6 @@ class RunRecord:
     hhalf: float | None
     ratio: float
     verdict: str
-    barycenter: np.ndarray | None = None
     seconds: float = 0.0
 
     def row(self) -> list[str]:
@@ -168,7 +163,6 @@ def _spheroid_deficit(eps: float) -> DeficitResult:
 
 def _member_record(cfg: ExperimentConfig, domain_id, param, dom, phi) -> RunRecord:
     t0 = time.perf_counter()
-    scfg = cfg.solver_config()
     spec = cfg.form_spec()
     hh = None
     if phi is not None:
@@ -182,7 +176,7 @@ def _member_record(cfg: ExperimentConfig, domain_id, param, dom, phi) -> RunReco
         d = _spheroid_deficit(float(param))
     else:
         d = deficit(dom, mode=cfg.mode, outer_radius=cfg.outer_radius,
-                    solver="harmonic", cfg=scfg)
+                    solver="harmonic", l_max=cfg.l_max)
     fr = fraenkel(dom)
     if cfg.mode == "abs":
         a = alpha(dom)
@@ -202,7 +196,6 @@ def _member_record(cfg: ExperimentConfig, domain_id, param, dom, phi) -> RunReco
         hhalf=hh,
         ratio=ratio,
         verdict=verdict_for(d.value, d.error_estimate),
-        barycenter=barycenter(dom),
         seconds=time.perf_counter() - t0,
     )
 
@@ -278,7 +271,7 @@ def run_fuglede(cfg: ExperimentConfig, degree: int = 2, order: int = 0,
     if degree < 1 or abs(order) > degree:
         raise ConfigError("need degree >= 1 and |order| <= degree")
     phi = HarmonicCoeffs.single(degree, degree + order, 1.0)
-    rows_t = taylor_check(phi, ladder, cfg.form_spec(), cfg=cfg.solver_config())
+    rows_t = taylor_check(phi, ladder, cfg.form_spec(), l_max=cfg.l_max)
     rows = [[repr(r.t), repr(r.deficit), repr(r.deficit_error),
              repr(r.form_half), repr(r.remainder_ratio)] for r in rows_t]
     summary = {
@@ -295,12 +288,12 @@ def run_spectrum(cfg: ExperimentConfig, radii=(2.0,), l_max: int = 6,
                  basename: str = "spectrum"):
     """Eigenvalue tables for the exterior problem and each shell radius."""
     rows = []
-    ext = spectrum_table(l_max, QuadraticFormSpec(3, "abs"))
+    ext = spectrum_table(l_max, QuadraticFormSpec("abs"))
     for e in ext:
         rows.append(["abs", "", repr(e.degree), repr(e.energy_eigenvalue),
                      repr(e.form_eigenvalue)])
     for R in radii:
-        for e in spectrum_table(l_max, QuadraticFormSpec(3, "rel", float(R))):
+        for e in spectrum_table(l_max, QuadraticFormSpec("rel", float(R))):
             rows.append(["rel", repr(float(R)), repr(e.degree),
                          repr(e.energy_eigenvalue), repr(e.form_eigenvalue)])
     return rows, write_outputs(cfg, basename, SPECTRUM_COLUMNS, rows)
@@ -341,7 +334,7 @@ def run_truncation(cfg: ExperimentConfig, far_volume_fraction: float = 0.01,
     """
     if not 0.0 <= far_volume_fraction < 0.5:
         raise ConfigError("far volume fraction must be small and nonnegative")
-    omega = ball_volume(3)
+    omega = ball_volume()
     r_near = (1.0 - far_volume_fraction) ** (1.0 / 3.0)
     if far_volume_fraction > 0.0:
         r_far = far_volume_fraction ** (1.0 / 3.0)

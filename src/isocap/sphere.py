@@ -1,19 +1,13 @@
-"""Quadrature and real spherical harmonics on the unit sphere.
+"""Quadrature and real spherical harmonics on the unit sphere S^2.
 
 Conventions used throughout the package:
 
-* directions are unit vectors in R^N stored as rows of shape (..., N);
-* surface integrals are with respect to the (N-1)-dimensional Hausdorff
-  measure, so the weights of a quadrature rule sum to the full sphere
-  area sigma_{N-1} = 2 pi^{N/2} / Gamma(N/2);
+* directions are unit vectors in R^3 stored as rows of shape (..., 3);
+* surface integrals are with respect to the area measure of S^2, so
+  the weights of a quadrature rule sum to the sphere area 4 pi;
 * spherical harmonics are real and orthonormal in L^2 of that measure
-  (no 1/sigma normalisation), so the constant harmonic of degree zero
-  equals sigma_{N-1}^{-1/2}.
-
-Closed-form pieces (surface area, ball volume, Laplace-Beltrami
-eigenvalues, harmonic space dimensions) work in any dimension N >= 3.
-Node generation and harmonic evaluation are implemented for N = 3,
-which is the dimension every solver in this package runs in.
+  (no 1/(4 pi) normalisation), so the constant harmonic of degree zero
+  equals (4 pi)^{-1/2}.
 """
 
 from __future__ import annotations
@@ -27,7 +21,6 @@ import numpy as np
 __all__ = [
     "sphere_area",
     "ball_volume",
-    "direction",
     "SphereQuadrature",
     "build_quadrature",
     "HarmonicCoeffs",
@@ -37,27 +30,14 @@ __all__ = [
 ]
 
 
-def sphere_area(dimension: int) -> float:
-    """Surface area of the unit sphere S^{N-1} in R^N."""
-    if dimension < 2:
-        raise ValueError(f"dimension must be >= 2, got {dimension}")
-    return 2.0 * math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0)
+def sphere_area() -> float:
+    """Surface area of the unit sphere S^2 in R^3."""
+    return 4.0 * math.pi
 
 
-def ball_volume(dimension: int, radius: float = 1.0) -> float:
-    """Volume of the ball of given radius in R^N."""
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
-    return math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0 + 1.0) * radius**dimension
-
-
-def direction(v: np.ndarray) -> np.ndarray:
-    """Validate a unit vector; raises if the norm is off by more than 1e-14."""
-    v = np.asarray(v, dtype=float)
-    nrm = np.linalg.norm(v, axis=-1)
-    if np.any(np.abs(nrm - 1.0) > 1e-14):
-        raise ValueError("direction is not normalised to unit length")
-    return v
+def ball_volume(radius: float = 1.0) -> float:
+    """Volume of the ball of given radius in R^3."""
+    return 4.0 * math.pi / 3.0 * radius**3
 
 
 @dataclass(frozen=True)
@@ -69,9 +49,8 @@ class SphereQuadrature:
     total degree `degree`; weights sum to the sphere area.
     """
 
-    dimension: int
     degree: int
-    nodes: np.ndarray  # (n, dimension), unit rows
+    nodes: np.ndarray  # (n, 3), unit rows
     weights: np.ndarray  # (n,), positive
 
     @property
@@ -80,34 +59,25 @@ class SphereQuadrature:
 
 
 @functools.lru_cache(maxsize=None)
-def build_quadrature(dimension: int, degree: int) -> SphereQuadrature:
-    """Product quadrature on S^{N-1} exact up to the requested degree.
+def build_quadrature(degree: int) -> SphereQuadrature:
+    """Product quadrature on S^2 exact up to the requested degree.
 
-    Rules are built once per (dimension, degree) and shared by every
-    caller, so their arrays are read-only.
+    Rules are built once per degree and shared by every caller, so
+    their arrays are read-only.
 
     Parameters
     ----------
-    dimension : int
-        Ambient dimension N.  Node generation is implemented for N = 3.
     degree : int
         Polynomial exactness degree, >= 0.
 
     Notes
     -----
-    For N = 3 the rule uses ceil((degree+1)/2) Gauss-Legendre nodes in
+    The rule uses ceil((degree+1)/2) Gauss-Legendre nodes in
     cos(theta) and an even number >= degree+1 of uniform azimuth nodes,
     which makes the node set antipodally symmetric.
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    if dimension < 3:
-        raise ValueError(f"dimension must be >= 3, got {dimension}")
-    if dimension != 3:
-        raise NotImplementedError(
-            "node generation is implemented for dimension 3 only; "
-            "closed-form operations accept any dimension"
-        )
     n_theta = (degree + 2) // 2
     n_theta = max(n_theta, 1)
     n_phi = degree + 1
@@ -124,7 +94,7 @@ def build_quadrature(dimension: int, degree: int) -> SphereQuadrature:
     weights = np.outer(wz, np.full(n_phi, 2.0 * np.pi / n_phi)).ravel()
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return SphereQuadrature(dimension=3, degree=degree, nodes=nodes, weights=weights)
+    return SphereQuadrature(degree=degree, nodes=nodes, weights=weights)
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -147,7 +117,6 @@ class HarmonicCoeffs:
     (negative orders are the sin(|m| phi) modes, positive the cos).
     """
 
-    dimension: int
     max_degree: int
     values: np.ndarray
 
@@ -161,8 +130,8 @@ class HarmonicCoeffs:
             )
 
     @staticmethod
-    def zeros(max_degree: int, dimension: int = 3) -> "HarmonicCoeffs":
-        return HarmonicCoeffs(dimension, max_degree, np.zeros(_n_coeffs(max_degree)))
+    def zeros(max_degree: int) -> "HarmonicCoeffs":
+        return HarmonicCoeffs(max_degree, np.zeros(_n_coeffs(max_degree)))
 
     @staticmethod
     def single(degree: int, order: int, amplitude: float = 1.0,
@@ -181,7 +150,7 @@ class HarmonicCoeffs:
         return self.values[i0 : i0 + 2 * degree + 1]
 
     def copy(self) -> "HarmonicCoeffs":
-        return HarmonicCoeffs(self.dimension, self.max_degree, self.values.copy())
+        return HarmonicCoeffs(self.max_degree, self.values.copy())
 
 
 def flat_index(degree: int, order: int) -> int:
@@ -298,7 +267,7 @@ def expand(samples: np.ndarray, max_degree: int, quad: SphereQuadrature) -> Harm
         raise ValueError("samples must be given at the quadrature nodes")
     B = harmonic_basis(max_degree, quad.nodes)
     coeffs = B.T @ (quad.weights * samples)
-    return HarmonicCoeffs(quad.dimension, max_degree, coeffs)
+    return HarmonicCoeffs(max_degree, coeffs)
 
 
 def _synthesize_rows(coeffs: HarmonicCoeffs, dirs: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from isocap.asymmetry import alpha_R, annulus_lower_bound, symdiff_volume
-from isocap.capacity import SolverConfig, WosConfig, capacity, deficit
+from isocap.capacity import WosConfig, capacity, deficit
 from isocap.domains import (FamilySpec, ball, generate_family,
                             nearly_spherical_from_phi)
 from isocap.harness import ExperimentConfig, run_profile, run_sweep, run_truncation
@@ -32,10 +32,9 @@ def test_criterion_01_ball_capacities_closed_form(tmp_path):
     # harmonic solver on the unit ball: 4 pi absolute, 8 pi relative at
     # R = 2, both within relative error 1e-8 at l_max = 8; budget 1 s
     t0 = time.monotonic()
-    cfg = SolverConfig(l_max=8)
-    got_abs = capacity(ball(1.0), mode="abs", solver="harmonic", cfg=cfg)
+    got_abs = capacity(ball(1.0), mode="abs", solver="harmonic", l_max=8)
     got_rel = capacity(ball(1.0), mode="rel", outer_radius=2.0,
-                       solver="harmonic", cfg=cfg)
+                       solver="harmonic", l_max=8)
     assert got_abs.value == pytest.approx(4.0 * math.pi, rel=1e-8)
     assert got_rel.value == pytest.approx(8.0 * math.pi, rel=1e-8)
     assert time.monotonic() - t0 < 1.0
@@ -47,11 +46,11 @@ def test_criterion_02_spectral_identities():
     # degree-0 gap is exactly 1/(R-1), far above 1e-10 at any feasible R,
     # so the convergence tolerance applies to degrees 1..6
     t0 = time.monotonic()
-    assert dtn_relative(1, 3, 2.0) == 17.0 / 7.0
+    assert dtn_relative(1, 2.0) == 17.0 / 7.0
     R = 1e6
     for l in range(1, 7):
-        assert abs(dtn_relative(l, 3, R) - dtn_exterior(l)) <= 1e-10
-    gap0 = dtn_relative(0, 3, R) - dtn_exterior(0)
+        assert abs(dtn_relative(l, R) - dtn_exterior(l)) <= 1e-10
+    gap0 = dtn_relative(0, R) - dtn_exterior(0)
     assert gap0 == pytest.approx(1.0 / (R - 1.0), rel=1e-9)
     assert time.monotonic() - t0 < 1.0
 

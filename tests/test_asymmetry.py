@@ -24,7 +24,7 @@ from isocap.errors import GeometryError, SolverError
 from isocap.sphere import ball_volume, build_quadrature
 from isocap.stability import project_barycenter
 
-OMEGA = ball_volume(3)
+OMEGA = ball_volume()
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,7 @@ def test_symdiff_disjoint_and_nested_balls():
     far = symdiff_volume(ball(1.0), (5.0, 0.0, 0.0), 1.0)
     assert far == pytest.approx(2.0 * OMEGA, rel=1e-14)
     nested = symdiff_volume(ball(1.0), (0.0, 0.0, 0.0), 0.5)
-    assert nested == pytest.approx(OMEGA - ball_volume(3, 0.5), rel=1e-14)
+    assert nested == pytest.approx(OMEGA - ball_volume(0.5), rel=1e-14)
 
 
 def test_symdiff_general_path_matches_lens():
@@ -112,7 +112,7 @@ def test_fraenkel_requires_unit_volume():
 def _symdiff_general(dom, p, center, radius):
     """symdiff_volume's general ray formula for every center, on the
     degree-128 ray rule; p holds the domain's radii at its nodes."""
-    quad = build_quadrature(3, 128)
+    quad = build_quadrature(128)
     c = np.asarray(center, dtype=float) - dom.center_offset
     c2 = float(c @ c)
     dots = quad.nodes @ c
@@ -160,7 +160,7 @@ def test_symdiff_fast_ray_path_matches_general_formula_bit_for_bit(member, monke
         return general(*args)
 
     monkeypatch.setattr(isocap.asymmetry, "_ball_interval", counted)
-    p = dom.radial(build_quadrature(3, 128).nodes)
+    p = dom.radial(build_quadrature(128).nodes)
     fast = 0
     for center, r in zip(centers, radii):
         c = center - dom.center_offset
@@ -312,7 +312,7 @@ def test_crossing_radii_off_center_ball_closed_form():
     r = 1.3
     a = np.array([0.4, -0.3, 0.5])
     u = a / np.linalg.norm(a)
-    dirs = np.vstack([build_quadrature(3, 16).nodes, POLES, u, -u])
+    dirs = np.vstack([build_quadrature(16).nodes, POLES, u, -u])
     got = _crossing_radii(ball(r), a, dirs)
     aw = dirs @ a
     exact = -aw + np.sqrt(aw * aw - a @ a + r * r)
@@ -378,7 +378,7 @@ def test_crossing_radii_refuse_uncertified_origin():
         alpha(far)
     # an exact radial callable alone gives no coefficients to certify from
     ell = ellipsoid(0.2)
-    bare = StarDomain(dimension=3, quad=ell.quad, rho=ell.rho, rho_fn=ell.rho_fn)
+    bare = StarDomain(quad=ell.quad, rho=ell.rho, rho_fn=ell.rho_fn)
     with pytest.raises(GeometryError, match="coefficients"):
         _crossing_radii(bare, np.array([1e-3, 0.0, 0.0]), POLES)
 
@@ -479,7 +479,7 @@ def test_symdiff_mc_unit_ball_against_truth():
     # symdiff with B_1 at origin: the far ball sticks out entirely and the
     # near ball misses a thin spherical shell
     r_near = (1 - 0.01) ** (1 / 3)
-    truth = 0.01 * OMEGA + (OMEGA - ball_volume(3, r_near))
+    truth = 0.01 * OMEGA + (OMEGA - ball_volume(r_near))
     assert composite_symdiff_volume(comp, np.zeros(3), 1.0) == pytest.approx(truth, abs=1e-14)
     # the Monte Carlo oracle below agrees with the same truth
     v, err = _symdiff_mc_reference(comp, np.zeros(3), 1.0, n_samples=200000, seed=1)
@@ -532,7 +532,7 @@ def _symdiff_mc_reference(comp, center, radius, n_samples, seed):
         good = (_member_of_reference(c, pts)
                 & (np.linalg.norm(pts - center, axis=1) >= radius))
         p = good.mean()
-        vol_box = ball_volume(3, c.rho_max)
+        vol_box = ball_volume(c.rho_max)
         total += p * vol_box
         var += p * (1.0 - p) / n_samples * vol_box**2
     pts = _uniform_in_ball_reference(seed, ids, 2 * len(comp.components) + 1,
@@ -541,7 +541,7 @@ def _symdiff_mc_reference(comp, center, radius, n_samples, seed):
     for c in comp.components:
         outside &= ~_member_of_reference(c, pts)
     p = outside.mean()
-    vol_box = ball_volume(3, radius)
+    vol_box = ball_volume(radius)
     total += p * vol_box
     var += p * (1.0 - p) / n_samples * vol_box**2
     return total, math.sqrt(var)
@@ -599,7 +599,7 @@ def test_symdiff_two_ball_composite_matches_lens(center, radius):
     c = np.asarray(center)
     inter = (_lens_by_caps(r1, radius, float(np.linalg.norm(c)))
              + _lens_by_caps(r2, radius, float(np.linalg.norm(c - c2))))
-    want = ball_volume(3, r1) + ball_volume(3, r2) + ball_volume(3, radius) - 2.0 * inter
+    want = ball_volume(r1) + ball_volume(r2) + ball_volume(radius) - 2.0 * inter
     assert composite_symdiff_volume(comp, c, radius) == pytest.approx(want, rel=1e-13)
 
 
@@ -613,7 +613,7 @@ def test_symdiff_star_plus_far_ball_sums_its_components():
         assert got == pytest.approx(symdiff_volume(star, c, 1.0) + volume(far), rel=1e-14)
     # in general, the sum over the components less the extra copy of the ball
     for c, r in [((0.4, 0.2, -0.1), 1.0), ((6.1, 0.1, 0.0), 0.5), ((3.0, 0.0, 0.0), 3.0)]:
-        want = symdiff_volume(star, c, r) + symdiff_volume(far, c, r) - ball_volume(3, r)
+        want = symdiff_volume(star, c, r) + symdiff_volume(far, c, r) - ball_volume(r)
         assert composite_symdiff_volume(comp, c, r) == pytest.approx(want, rel=1e-14)
 
 
@@ -642,7 +642,7 @@ def test_annulus_bound_monotone(v1, v2):
 def test_symdiff_bounds(d, r):
     # 0 <= |B_1 symdiff B_r(c)| <= |B_1| + |B_r|, with equality when disjoint
     v = symdiff_volume(ball(1.0), (d, 0.0, 0.0), r)
-    total = OMEGA + ball_volume(3, r)
+    total = OMEGA + ball_volume(r)
     assert -1e-12 <= v <= total + 1e-12
     if d >= 1.0 + r:
         assert v == pytest.approx(total, rel=1e-12)

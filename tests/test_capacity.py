@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocap.capacity import (SolverConfig, WosConfig, _any_orthonormal,
+from isocap.capacity import (WosConfig, _any_orthonormal,
                              _WosComponent, cap_ball, cap_ball_rel,
                              cap_exterior_harmonic, cap_relative_harmonic,
                              cap_spheroid, cap_wos, capacity, counter_uniform,
@@ -89,10 +89,6 @@ def test_oracles_self_consistent():
 def test_cap_ball_closed_forms():
     assert cap_ball(1.0) == pytest.approx(FOUR_PI, rel=1e-15)
     assert cap_ball(2.0) == pytest.approx(2.0 * FOUR_PI, rel=1e-15)
-    # N = 5: (N-2) * area(S^4) * r^(N-2)
-    from isocap.sphere import sphere_area
-
-    assert cap_ball(1.0, 5) == pytest.approx(3.0 * sphere_area(5), rel=1e-14)
 
 
 def test_cap_ball_rel_closed_forms():
@@ -132,7 +128,7 @@ def test_capacity_monotone_in_radius():
 
 
 def test_harmonic_ball_machine_accurate():
-    res = cap_exterior_harmonic(ball(1.0), SolverConfig(l_max=8))
+    res = cap_exterior_harmonic(ball(1.0), l_max=8)
     assert res.value == pytest.approx(FOUR_PI, rel=1e-12)
     assert res.error_estimate < 1e-9
     assert res.max_residual < 1e-11
@@ -140,14 +136,14 @@ def test_harmonic_ball_machine_accurate():
 
 def test_harmonic_offset_ball_translation_invariance():
     res = cap_exterior_harmonic(ball(1.0, center=(0.2, -0.1, 0.15)),
-                                SolverConfig(l_max=12))
+                                l_max=12)
     assert res.value == pytest.approx(FOUR_PI, rel=1e-9)
 
 
 def test_harmonic_ellipsoid_matches_spheroid_closed_form():
     for eps in (0.1, 0.2):
         truth = cap_spheroid(1.0 + eps, (1.0 + eps) ** -2)
-        res = cap_exterior_harmonic(ellipsoid(eps), SolverConfig(l_max=16))
+        res = cap_exterior_harmonic(ellipsoid(eps), l_max=16)
         assert res.value == pytest.approx(truth, rel=1e-8)
         assert abs(res.value - truth) < max(res.error_estimate, 1e-8 * truth)
 
@@ -168,7 +164,7 @@ def test_harmonic_refuses_origin_outside():
 
 
 def test_relative_harmonic_ball():
-    res = cap_relative_harmonic(ball(1.0), 2.0, SolverConfig(l_max=8))
+    res = cap_relative_harmonic(ball(1.0), 2.0, l_max=8)
     assert res.value == pytest.approx(8.0 * math.pi, rel=1e-12)
 
 
@@ -176,16 +172,16 @@ def test_relative_harmonic_eccentric_shell_oracle():
     a, b, c = 0.6, 2.0, 0.15
     truth = eccentric_shell_cap(a, b, c)
     res = cap_relative_harmonic(ball(a, center=(c, 0.0, 0.0)), b,
-                                SolverConfig(l_max=14))
+                                l_max=14)
     assert res.value == pytest.approx(truth, rel=1e-9)
 
 
 def test_relative_approaches_absolute_for_large_shell():
     dom = ellipsoid(0.1)
-    absval = cap_exterior_harmonic(dom, SolverConfig(l_max=12)).value
+    absval = cap_exterior_harmonic(dom, l_max=12).value
     # the gap decays like 1/R: still ~2% at R=50, below 1e-3 at R=2000
-    rel50 = cap_relative_harmonic(dom, 50.0, SolverConfig(l_max=12)).value
-    rel2000 = cap_relative_harmonic(dom, 2000.0, SolverConfig(l_max=12)).value
+    rel50 = cap_relative_harmonic(dom, 50.0, l_max=12).value
+    rel2000 = cap_relative_harmonic(dom, 2000.0, l_max=12).value
     assert rel50 > absval
     assert (rel50 - absval) / absval == pytest.approx(0.0206, abs=0.005)
     assert (rel2000 - absval) / absval < 1e-3
@@ -263,7 +259,7 @@ def _nearest_boundary_distance(dom, q, cloud_degree=600, rounds=200):
     boundary: the nearest point of a dense boundary cloud, polished by a
     compass search over boundary directions that doubles its span after
     a move and halves it when none of its eight neighbours is nearer."""
-    dirs = build_quadrature(3, cloud_degree).nodes
+    dirs = build_quadrature(cloud_degree).nodes
     cloud = dom.radial(dirs)[:, None] * dirs
     # |p - y|^2 up to the |p|^2 every candidate shares; picks the start only
     w = dirs[np.argmin((cloud**2).sum(axis=1) - 2.0 * q @ cloud.T, axis=1)]
@@ -322,8 +318,8 @@ def test_wos_refuses_a_radius_that_reaches_zero():
     coeffs = HarmonicCoeffs.zeros(1)
     coeffs.values[0] = math.sqrt(4.0 * math.pi)
     coeffs.values[flat_index(1, 1)] = 1.2 * math.sqrt(4.0 * math.pi / 3.0)
-    quad = build_quadrature(3, 2)
-    dom = StarDomain(dimension=3, quad=quad, rho=synthesize(coeffs, quad.nodes), coeffs=coeffs)
+    quad = build_quadrature(2)
+    dom = StarDomain(quad=quad, rho=synthesize(coeffs, quad.nodes), coeffs=coeffs)
     with pytest.raises(GeometryError, match="bounded away from zero"):
         cap_wos(dom, WosConfig(num_walks=100))
 
@@ -333,8 +329,8 @@ def test_wos_star_path_on_a_coefficient_ball_against_closed_form():
     # no exact radial callable, so every query goes through synthesis
     coeffs = HarmonicCoeffs.zeros(0)
     coeffs.values[0] = 1.3 * math.sqrt(4.0 * math.pi)
-    quad = build_quadrature(3, 16)
-    dom = StarDomain(dimension=3, quad=quad, rho=np.full(quad.n_nodes, 1.3),
+    quad = build_quadrature(16)
+    dom = StarDomain(quad=quad, rho=np.full(quad.n_nodes, 1.3),
                      coeffs=coeffs, center_offset=np.array([0.4, -0.3, 0.2]))
     assert not _WosComponent(dom).exact_ball
     res = cap_wos(dom, WosConfig(num_walks=40000, seed=6))
@@ -404,7 +400,7 @@ def test_deficit_positive_for_ellipsoid():
     # error bound grows more conservative, so check against the oracle
     d = deficit(ellipsoid(0.2))
     assert d.value == pytest.approx(truth, rel=1e-3)
-    d16 = deficit(ellipsoid(0.2), cfg=SolverConfig(l_max=16))
+    d16 = deficit(ellipsoid(0.2), l_max=16)
     assert d16.value == pytest.approx(truth, rel=1e-7)
     assert d16.value > 0
 

@@ -16,9 +16,9 @@ from isocap.domains import (CompositeDomain, FamilySpec, StarDomain, ball,
                             radial_bounds, save_domain, scale_domain,
                             truncate_rescale, volume)
 from isocap.errors import GeometryError
-from isocap.sphere import HarmonicCoeffs, ball_volume, build_quadrature
+from isocap.sphere import HarmonicCoeffs, ball_volume, build_quadrature, synthesize
 
-OMEGA = ball_volume(3)
+OMEGA = ball_volume()
 
 
 def test_ball_basics():
@@ -26,7 +26,7 @@ def test_ball_basics():
     assert b.is_ball()
     assert b.rho_max == pytest.approx(1.5)
     assert b.rho_min == pytest.approx(1.5)
-    assert volume(b) == pytest.approx(ball_volume(3, 1.5), rel=1e-14)
+    assert volume(b) == pytest.approx(ball_volume(1.5), rel=1e-14)
     assert diameter(b) == pytest.approx(3.0, rel=1e-14)
     with pytest.raises(GeometryError):
         ball(0.0)
@@ -69,8 +69,8 @@ def test_nearly_spherical_volume_correction():
     dom = nearly_spherical_from_phi(phi)
     assert abs(volume(dom) - OMEGA) < 1e-12
     # without correction the volume picks up the quadratic term
-    raw = nearly_spherical_from_phi(phi, volume_correct=False)
-    assert abs(volume(raw) - OMEGA) > 1e-4
+    raw = 1.0 + synthesize(phi, dom.quad.nodes)
+    assert abs(dom.quad.weights @ raw**3 / 3.0 - OMEGA) > 1e-4
 
 
 @pytest.mark.parametrize("make", [
@@ -210,7 +210,7 @@ def test_radial_dispatch_consistency():
     # radial() from the callable and from stored coefficients agree
     phi = HarmonicCoeffs.single(2, 0, 0.15)
     dom = nearly_spherical_from_phi(phi)
-    quad = build_quadrature(3, 20)
+    quad = build_quadrature(20)
     from isocap.sphere import synthesize
 
     expected = synthesize(dom.coeffs, quad.nodes)
@@ -251,7 +251,7 @@ def test_radial_bounds_enclose_radius_and_gradient(amplitude, max_degree, member
         assert grad <= 1.25 * slope
     else:
         # a node-only copy is bounded through the projection radial() uses
-        nodes_only = StarDomain(dimension=3, quad=dom.quad, rho=dom.rho)
+        nodes_only = StarDomain(quad=dom.quad, rho=dom.rho)
         npt.assert_allclose(radial_bounds(nodes_only), (lo, hi, grad), rtol=1e-12)
 
 
@@ -260,7 +260,7 @@ def test_radial_bounds_need_coefficients():
     assert radial_bounds(ball(1.3), sampled=True) == pytest.approx((1.3, 1.3, 0.0), abs=1e-15)
     # an exact radial callable without closed-form bounds has nothing to bound
     dom = ellipsoid(0.2)
-    bare = StarDomain(dimension=3, quad=dom.quad, rho=dom.rho, rho_fn=dom.rho_fn)
+    bare = StarDomain(quad=dom.quad, rho=dom.rho, rho_fn=dom.rho_fn)
     with pytest.raises(GeometryError, match="coefficients"):
         radial_bounds(bare)
 

@@ -1,0 +1,29 @@
+"""Every name a module exports resolves."""
+
+import ast
+import importlib
+import inspect
+
+import pytest
+
+MODULES = ["isocap", "isocap.sphere", "isocap.domains", "isocap.capacity",
+           "isocap.asymmetry", "isocap.stability", "isocap.harness"]
+
+
+def _exports(module) -> list:
+    """The module's __all__, or else every name its package-relative
+    `from . import` lines bind."""
+    if hasattr(module, "__all__"):
+        return list(module.__all__)
+    tree = ast.parse(inspect.getsource(module))
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_resolves(name):
+    module = importlib.import_module(name)
+    names = _exports(module)
+    assert names
+    assert [n for n in names if not hasattr(module, n)] == []

@@ -65,7 +65,7 @@ def test_run_asym_on_a_composite_is_exact():
     assert sorted(out) == ["fraenkel", "minimizing_center", "symdiff_origin"]
     assert float(out["fraenkel"]) == pytest.approx(2.0 * f, abs=1e-12)
     # B_1 at the origin holds the near ball and misses the far one
-    assert float(out["symdiff_origin"]) == pytest.approx(2.0 * f * ball_volume(3), abs=1e-12)
+    assert float(out["symdiff_origin"]) == pytest.approx(2.0 * f * ball_volume(), abs=1e-12)
 
 
 def test_run_asym_panel_keys():
@@ -548,6 +548,19 @@ def test_cli_malformed_domain_file(tmp_path, capsys):
     bad.write_text("not a domain\n")
     assert cli_main(["cap", "--domain", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("dim,entries", [(2, 2), (5, 5), (3, 2)])
+def test_cli_refuses_a_domain_file_outside_three_dimensions(tmp_path, capsys, dim, entries):
+    path = tmp_path / "ball.dom"
+    save_domain(ball(1.0), path)
+    text = path.read_text().replace("dimension 3", f"dimension {dim}")
+    text = re.sub(r"center .*", "center " + " ".join(["0.0"] * entries), text)
+    path.write_text(text)
+    assert cli_main(["cap", "--domain", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 2
+    assert "'dimension 3'" in err["message"]
 
 
 def test_cli_asym_on_an_off_center_star(tmp_path, capsys):

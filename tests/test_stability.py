@@ -1,21 +1,18 @@
 """Spectral second-variation forms, penalties, and Taylor checks."""
 
-import math
-
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocap.capacity import cap_ball, cap_ball_rel
-from isocap.domains import (FamilySpec, ball, barycenter, generate_family,
+from isocap.capacity import cap_ball_rel
+from isocap.domains import (FamilySpec, barycenter, generate_family,
                             nearly_spherical_from_phi)
 from isocap.errors import ConfigError
 from isocap.sphere import HarmonicCoeffs, ball_volume
 from isocap.stability import (QuadraticFormSpec, ball_profile, dtn_exterior,
-                              dtn_relative, f_eta, h_half_norm, penalized,
-                              penalized_j, project_barycenter,
+                              dtn_relative, f_eta, h_half_norm, project_barycenter,
                               second_variation, spectrum_table, taylor_check)
 
 ABS = QuadraticFormSpec()
@@ -31,7 +28,6 @@ def test_dtn_exterior_values():
     assert dtn_exterior(0) == 1.0
     assert dtn_exterior(1) == 2.0
     assert dtn_exterior(5) == 6.0
-    assert dtn_exterior(1, dimension=5) == 4.0
     with pytest.raises(ValueError):
         dtn_exterior(-1)
 
@@ -72,8 +68,6 @@ def test_form_spec_validation():
         QuadraticFormSpec(mode="abs", outer_radius=2.0)
     with pytest.raises(ConfigError):
         QuadraticFormSpec(mode="weird")
-    with pytest.raises(ConfigError):
-        QuadraticFormSpec(dimension=2)
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +131,12 @@ def test_spectrum_table_shape_and_signs():
 
 
 # ---------------------------------------------------------------------------
-# volume penalty and penalized functionals
+# volume penalty and the penalized ball profile
 # ---------------------------------------------------------------------------
 
 
 def test_f_eta_shape():
-    w = ball_volume(3)
+    w = ball_volume()
     eta = 0.05
     assert f_eta(w, eta) == 0.0
     assert f_eta(w - 0.1, eta) == pytest.approx(0.1 / eta, rel=1e-12)
@@ -151,24 +145,6 @@ def test_f_eta_shape():
         f_eta(w, 0.0)
     with pytest.raises(ValueError):
         f_eta(-1.0, eta)
-
-
-def test_penalized_ball_is_capacity():
-    assert penalized(ball(1.0), 0.05) == pytest.approx(cap_ball(1.0), rel=1e-12)
-    grown = penalized(ball(1.1), 0.05)
-    expected = cap_ball(1.1) + f_eta(ball_volume(3, 1.1), 0.05)
-    assert grown == pytest.approx(expected, rel=1e-10)
-
-
-def test_penalized_j_ball_and_validation():
-    eta, sigma, eps_j = 0.05, 0.5, 0.01
-    got = penalized_j(ball(1.0), eta, sigma, eps_j)
-    expected = cap_ball(1.0) + eps_j * math.sqrt(1.0 + sigma**2)
-    assert got == pytest.approx(expected, rel=1e-10)
-    with pytest.raises(ConfigError):
-        penalized_j(ball(1.0), eta, 1.0, eps_j)
-    with pytest.raises(ConfigError):
-        penalized_j(ball(1.0), eta, sigma, 0.0)
 
 
 def test_ball_profile_minimum_at_unit_radius():
