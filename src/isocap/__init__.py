@@ -11,8 +11,8 @@ from .domains import (CompositeDomain, FamilySpec, StarDomain, ball,
                       truncate_rescale, volume)
 from .errors import ConfigError, GeometryError, SolverError
 from .sphere import HarmonicCoeffs, build_quadrature, expand, synthesize
-from .stability import (QuadraticFormSpec, ball_profile, dtn_exterior,
-                        dtn_relative, h_half_norm, project_barycenter,
-                        second_variation, spectrum_table, taylor_check)
+from .stability import (ball_profile, dtn_exterior, dtn_relative, h_half_norm,
+                        project_barycenter, second_variation, spectrum_table,
+                        taylor_check)
 
 __version__ = "0.1.0"

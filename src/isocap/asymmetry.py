@@ -63,12 +63,14 @@ _RAY_DEGREE = 128  # internal angular rule; ray integrands have kinks at
 class _RaySamples:
     """What `symdiff_volume` reads of a domain on every call.  A ball
     needs only its flag; any other domain has its radii rho at the nodes
-    of a rule of degree >= _RAY_DEGREE, and their cubes."""
+    of a rule of degree >= _RAY_DEGREE, their cubes, and the certified
+    upper bound rho_hi on its radius (`radial_bounds`)."""
 
     ball: bool
     quad: SphereQuadrature | None = None
     rho: np.ndarray | None = None
     rho_cubed: np.ndarray | None = None
+    rho_hi: float = math.inf
 
 
 def _ray_samples(domain: StarDomain) -> _RaySamples:
@@ -82,7 +84,8 @@ def _ray_samples(domain: StarDomain) -> _RaySamples:
             else:
                 quad = build_quadrature(_RAY_DEGREE)
                 rho = domain.radial(quad.nodes)
-            domain._rays = _RaySamples(False, quad, rho, _cube(rho))
+            domain._rays = _RaySamples(False, quad, rho, _cube(rho),
+                                       radial_bounds(domain)[1])
     return domain._rays
 
 
@@ -110,6 +113,10 @@ def symdiff_volume(domain: StarDomain, center, radius: float) -> float:
     take a closed-form lens route instead: the per-ray integrand has a
     derivative kink along the curve where the surfaces cross, which
     limits the quadrature path to roughly 1e-5 accuracy at unit scale.
+    A ball that misses the domain's certified enclosing sphere,
+    |c| >= rho_hi + r, is disjoint from it, so the value is exactly
+    |Omega| + |B|; the rays would see it as a small cap with a kinked
+    edge, off by up to a few percent of |B|.
 
     When 4|c|^2 <= r^2, with c the ball center relative to the domain's,
     the ray origin lies inside the ball, and the discriminant is at least
@@ -126,6 +133,8 @@ def symdiff_volume(domain: StarDomain, center, radius: float) -> float:
         r1 = domain.rho_max
         cap = _lens_volume(r1, radius, math.sqrt(c2))
         return max(ball_volume(r1) + ball_volume(radius) - 2.0 * cap, 0.0)
+    if c2 >= (rays.rho_hi + radius) ** 2:
+        return volume(domain) + ball_volume(radius)
     p = rays.rho
     dots = rays.quad.nodes @ c
     # |1_A - 1_B| integrates to vol(A) + vol(B) - 2 vol(A cap B) per ray

@@ -429,29 +429,26 @@ def cap_wos(domain, cfg: WosConfig | None = None) -> CapacityResult:
                           max_residual=None, condition=None)
 
 
-def capacity(domain, mode: str = "abs", outer_radius: float | None = None,
+def capacity(domain, outer_radius: float | None = None,
              solver: str = "harmonic", l_max: int = 8,
              wos_cfg: WosConfig | None = None) -> CapacityResult:
-    """Dispatch to a solver by mode and method name."""
-    if mode not in ("abs", "rel"):
-        raise ValueError(f"mode must be 'abs' or 'rel', got {mode!r}")
-    if mode == "rel" and outer_radius is None:
-        raise ValueError("relative mode needs outer_radius")
+    """Dispatch to a solver by method name.  outer_radius None is the
+    absolute problem; a radius R is the problem relative to B_R."""
     if solver == "closed":
         if isinstance(domain, CompositeDomain) or not domain.is_ball() \
                 or np.linalg.norm(domain.center_offset) > 0:
             raise SolverError("closed form only covers centered balls")
         r = domain.rho_max
-        v = cap_ball(r) if mode == "abs" else cap_ball_rel(r, outer_radius)
+        v = cap_ball(r) if outer_radius is None else cap_ball_rel(r, outer_radius)
         return CapacityResult(value=v, method="closed-form", error_estimate=0.0)
     if solver == "wos":
-        if mode == "rel":
+        if outer_radius is not None:
             raise SolverError("walk on spheres is implemented for the absolute problem")
         return cap_wos(domain, wos_cfg)
     if solver == "harmonic":
         if isinstance(domain, CompositeDomain):
             raise SolverError("harmonic collocation needs a single star component")
-        if mode == "abs":
+        if outer_radius is None:
             return cap_exterior_harmonic(domain, l_max)
         return cap_relative_harmonic(domain, outer_radius, l_max)
     raise ValueError(f"unknown solver {solver!r}")
@@ -465,9 +462,8 @@ class DeficitResult:
     scale: float  # dilation applied to reach unit-ball volume
 
 
-def deficit(domain, mode: str = "abs", outer_radius: float | None = None,
-            solver: str = "harmonic", l_max: int = 8,
-            wos_cfg: WosConfig | None = None) -> DeficitResult:
+def deficit(domain, outer_radius: float | None = None, solver: str = "harmonic",
+            l_max: int = 8, wos_cfg: WosConfig | None = None) -> DeficitResult:
     """Capacity excess over the unit ball at fixed volume.
 
     The domain is dilated to unit-ball volume first, so the deficit of
@@ -479,8 +475,8 @@ def deficit(domain, mode: str = "abs", outer_radius: float | None = None,
         dom = CompositeDomain([scale_domain(c, lam) for c in domain.components])
     else:
         dom = scale_domain(domain, lam)
-    res = capacity(dom, mode=mode, outer_radius=outer_radius, solver=solver,
+    res = capacity(dom, outer_radius=outer_radius, solver=solver,
                    l_max=l_max, wos_cfg=wos_cfg)
-    ref = cap_ball(1.0) if mode == "abs" else cap_ball_rel(1.0, outer_radius)
+    ref = cap_ball(1.0) if outer_radius is None else cap_ball_rel(1.0, outer_radius)
     return DeficitResult(value=res.value - ref, error_estimate=res.error_estimate,
                          capacity=res, scale=lam)

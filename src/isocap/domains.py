@@ -2,10 +2,9 @@
 
 A domain is the set {c + t*w : w on S^2, 0 <= t < rho(w)} for a strictly
 positive radial function rho and a center c.  rho is carried as samples
-at the nodes of a sphere quadrature; band-limited domains additionally
-carry their harmonic coefficients, and special families (balls,
-ellipsoids) carry an exact radial callable used wherever rho is needed
-away from the nodes.
+at the nodes of a sphere quadrature, and away from the nodes by either
+its harmonic coefficients (band-limited domains) or an exact radial
+callable with closed-form bounds (ellipsoids); balls carry both.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ __all__ = [
     "diameter",
     "truncate_rescale",
     "generate_family",
+    "family_member",
     "save_domain",
     "load_domain",
 ]
@@ -61,11 +61,8 @@ class StarDomain:
     rho_fn: object | None = None  # exact radial callable dirs -> radii
     rho_bounds: tuple | None = None  # closed-form (rho_lo, rho_hi, G) for rho_fn
     center_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    # caches set once on first use: the harmonic projection of the node
-    # radii (`_projection`) and `asymmetry.symdiff_volume`'s ray samples.
-    # Neither is an init field, so a domain made by `replace` starts
-    # without them
-    _proj: HarmonicCoeffs | None = field(default=None, init=False, repr=False, compare=False)
+    # `asymmetry.symdiff_volume`'s ray samples, set once on first use; not
+    # an init field, so a domain made by `replace` starts without them
     _rays: object | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -77,6 +74,9 @@ class StarDomain:
             raise GeometryError("radial function must be finite and strictly positive")
         if self.center_offset.shape != (3,):
             raise GeometryError("center_offset has wrong shape")
+        if self.coeffs is None and (self.rho_fn is None or self.rho_bounds is None):
+            raise GeometryError("a star domain needs harmonic coefficients, or an exact "
+                                "radial callable together with its rho_bounds")
 
     @property
     def rho_max(self) -> float:
@@ -92,23 +92,13 @@ class StarDomain:
         return float(np.linalg.norm(self.center_offset) + self.rho_max)
 
     def radial(self, dirs: np.ndarray) -> np.ndarray:
-        """Radii in arbitrary unit directions (from the domain's center).
-
-        Uses the exact callable when available, then the band-limited
-        generator; otherwise a cached band-limited projection of the
-        node samples (exact whenever the samples came from one).
-        """
+        """Radii in arbitrary unit directions (from the domain's center):
+        the exact callable when there is one, else the band-limited
+        generator."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         if self.rho_fn is not None:
             return np.asarray(self.rho_fn(dirs), dtype=float)
-        if self.coeffs is not None:
-            return synthesize(self.coeffs, dirs)
-        return synthesize(self._projection(), dirs)
-
-    def _projection(self) -> HarmonicCoeffs:
-        if self._proj is None:
-            self._proj = expand(self.rho, self.quad.degree // 2, self.quad)
-        return self._proj
+        return synthesize(self.coeffs, dirs)
 
     def is_ball(self, tol: float = 1e-13) -> bool:
         return self.rho_max - self.rho_min <= tol
@@ -311,19 +301,13 @@ def radial_bounds(domain: StarDomain, sampled: bool = False) -> tuple[float, flo
 
     sampled=True also bounds both from samples, which is tight but costs
     a synthesis at degree 2L on about 80 L^2 points (`_sampled_bounds`),
-    and returns the better of each pair.  Node-only domains are bounded
-    through the projection that `radial` synthesises.  A domain with an
-    exact radial callable returns the closed-form bounds it carries
-    (`ellipsoid`); one without them has nothing to bound: GeometryError.
+    and returns the better of each pair.  A domain with an exact radial
+    callable and no coefficients returns the closed-form bounds it
+    carries (`ellipsoid`).
     """
     if domain.rho_bounds is not None:
         return domain.rho_bounds
     coeffs = domain.coeffs
-    if coeffs is None:
-        if domain.rho_fn is not None:
-            raise GeometryError("radial bounds need harmonic coefficients; "
-                                "this domain has only an exact radial callable")
-        coeffs = domain._projection()
     l = np.arange(1, coeffs.max_degree + 1)
     norms = np.array([np.linalg.norm(coeffs.degree_slice(k)) for k in l])
     mean = float(coeffs.values[0]) / math.sqrt(4.0 * math.pi)
@@ -487,6 +471,18 @@ class FamilySpec:
     seed: int = 0
     max_degree: int = 4
 
+    def __post_init__(self):
+        if self.variant not in ("ellipsoid", "harmonic_perturbation", "random_star"):
+            raise GeometryError(f"unknown family variant {self.variant!r}")
+        if self.count < 1:
+            raise GeometryError("family count must be >= 1")
+
+    def member_id(self, k: int) -> str:
+        """The domain_id of member k, known before the member is built."""
+        prefix = {"ellipsoid": "ellipsoid", "random_star": "random",
+                  "harmonic_perturbation": f"harm-{self.degree}-{self.order}"}
+        return f"{prefix[self.variant]}-{k:03d}"
+
 
 def _random_phi(seed: int, member: int, max_degree: int, amplitude: float) -> HarmonicCoeffs:
     rng = np.random.default_rng([seed, member])
@@ -500,36 +496,33 @@ def _random_phi(seed: int, member: int, max_degree: int, amplitude: float) -> Ha
     return phi
 
 
-def generate_family(spec: FamilySpec, quad: SphereQuadrature | None = None):
-    """Instantiate a family; yields (domain_id, parameter, domain, phi).
+def family_member(spec: FamilySpec, k: int, quad: SphereQuadrature | None = None):
+    """Member k of a family, as (domain_id, parameter, domain, phi).
 
     phi is the generating perturbation (volume-corrected) when the
-    member is nearly spherical, else None.
+    member is nearly spherical, else None.  Each member is built on its
+    own: a random star's generator is keyed by (seed, k), and a grid
+    member takes entry k of the family's grid, so a member that fails to
+    build leaves the others as they are.
     """
-    if spec.count < 1:
-        raise GeometryError("family count must be >= 1")
-    out = []
     if spec.variant == "ellipsoid":
-        eps_grid = np.linspace(spec.eps_min, spec.eps_max, spec.count)
-        for k, eps in enumerate(eps_grid):
-            dom = normalize_volume(ellipsoid(float(eps), quad))
-            out.append((f"ellipsoid-{k:03d}", float(eps), dom, None))
-    elif spec.variant == "harmonic_perturbation":
-        ts = spec.amplitude * (1.0 + np.arange(spec.count)) / spec.count
-        for k, t in enumerate(ts):
-            phi = HarmonicCoeffs.single(spec.degree, spec.order, float(t),
-                                        max_degree=max(spec.degree, 1))
-            dom = nearly_spherical_from_phi(phi, quad)
-            out.append((f"harm-{spec.degree}-{spec.order}-{k:03d}", float(t), dom, phi))
-    elif spec.variant == "random_star":
-        for k in range(spec.count):
-            phi = _random_phi(spec.seed, k, spec.max_degree, spec.amplitude)
-            dom = nearly_spherical_from_phi(phi, quad)
-            amp = float(np.abs(synthesize(phi, dom.quad.nodes)).max())
-            out.append((f"random-{k:03d}", amp, dom, phi))
-    else:
-        raise GeometryError(f"unknown family variant {spec.variant!r}")
-    return out
+        eps = float(np.linspace(spec.eps_min, spec.eps_max, spec.count)[k])
+        return spec.member_id(k), eps, normalize_volume(ellipsoid(eps, quad)), None
+    if spec.variant == "harmonic_perturbation":
+        t = float((spec.amplitude * (1.0 + np.arange(spec.count)) / spec.count)[k])
+        phi = HarmonicCoeffs.single(spec.degree, spec.order, t,
+                                    max_degree=max(spec.degree, 1))
+        dom = nearly_spherical_from_phi(phi, quad)
+        return spec.member_id(k), t, dom, phi
+    phi = _random_phi(spec.seed, k, spec.max_degree, spec.amplitude)
+    dom = nearly_spherical_from_phi(phi, quad)
+    amp = float(np.abs(synthesize(phi, dom.quad.nodes)).max())
+    return spec.member_id(k), amp, dom, phi
+
+
+def generate_family(spec: FamilySpec, quad: SphereQuadrature | None = None):
+    """Every member of a family, in order (`family_member`)."""
+    return [family_member(spec, k, quad) for k in range(spec.count)]
 
 
 _FORMAT_LINE = "stardomain 1"

@@ -179,11 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _experiment_config(res: _Resolver, default_mode: str = "abs") -> ExperimentConfig:
-    mode = res.get("mode", str, default_mode)
+def _experiment_config(res: _Resolver) -> ExperimentConfig:
+    """The shared knobs.  This is where --mode and --R become the one
+    outer_radius the library takes: None for abs, R (default 2) for rel."""
+    mode = res.get("mode", str, "abs")
+    if mode not in ("abs", "rel"):
+        raise ConfigError(f"mode must be 'abs' or 'rel', got {mode!r}")
     outer = res.get("R", float, 2.0 if mode == "rel" else None)
     return ExperimentConfig(
-        mode=mode,
         outer_radius=outer if mode == "rel" else None,
         l_max=res.get("Lmax", int, 8),
         seed=res.get("seed", int, 0),
@@ -209,23 +212,21 @@ def _cmd_cap(res: _Resolver, args: argparse.Namespace) -> int:
     dom = _build_domain(args)
     solver = res.get("solver", str, "harmonic")
     wos = WosConfig(num_walks=cfg.walks, seed=cfg.seed)
-    d = deficit(dom, mode=cfg.mode, outer_radius=cfg.outer_radius, solver=solver,
-                l_max=cfg.l_max, wos_cfg=wos)
-    ref = (cap_ball(1.0) if cfg.mode == "abs"
-           else cap_ball_rel(1.0, cfg.outer_radius))
+    R = cfg.outer_radius
+    d = deficit(dom, R, solver=solver, l_max=cfg.l_max, wos_cfg=wos)
     out = {
-        "mode": cfg.mode,
+        "mode": "abs" if R is None else "rel",
         "solver": solver,
         "volume": volume(dom),
         "capacity_normalized": d.capacity.value,
         "error_estimate": d.error_estimate,
-        "reference_ball": ref,
+        "reference_ball": cap_ball(1.0) if R is None else cap_ball_rel(1.0, R),
         "deficit": d.value,
         "scale_to_unit_volume": d.scale,
         "method": d.capacity.method,
     }
-    if cfg.mode == "rel":
-        out["outer_radius"] = cfg.outer_radius
+    if R is not None:
+        out["outer_radius"] = R
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return EXIT_OK
@@ -323,9 +324,10 @@ def _cmd_spectrum(res: _Resolver, args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(res: _Resolver, args: argparse.Namespace) -> int:
+    # the profile is relative whatever --mode says: to --R when given,
+    # else to B_2 (run_profile's default for an absolute cfg)
     cfg = _experiment_config(res)
-    if cfg.mode == "abs":
-        cfg = dataclasses.replace(cfg, mode="rel", outer_radius=res.get("R", float, 2.0))
+    cfg = dataclasses.replace(cfg, outer_radius=res.get("R", float, cfg.outer_radius))
     rep, summary, paths = run_profile(
         cfg,
         eta=res.get("eta", float, 0.01),

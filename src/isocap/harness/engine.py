@@ -22,11 +22,11 @@ from ..asymmetry import (alpha, alpha_R, annulus_lower_bound, composite_symdiff_
                          fraenkel, symdiff_volume)
 from ..capacity import (CapacityResult, DeficitResult, WosConfig, cap_ball,
                         cap_spheroid, capacity, deficit)
-from ..domains import (CompositeDomain, FamilySpec, ball, generate_family,
+from ..domains import (CompositeDomain, FamilySpec, ball, family_member,
                        nearly_spherical_from_phi, truncate_rescale, volume)
 from ..errors import ConfigError, GeometryError, SolverError
 from ..sphere import HarmonicCoeffs, ball_volume
-from ..stability import (QuadraticFormSpec, ball_profile, h_half_norm,
+from ..stability import (_check_outer_radius, ball_profile, h_half_norm,
                          project_barycenter, second_variation, spectrum_table,
                          taylor_check)
 from .svg import scatter_svg
@@ -44,9 +44,12 @@ PROFILE_COLUMNS = ["radius", "value"]
 
 @dataclass
 class ExperimentConfig:
-    """Shared knobs for the experiment commands."""
+    """Shared knobs for the experiment commands.
 
-    mode: str = "abs"
+    outer_radius None is the absolute problem; a radius R > 1 is the
+    problem relative to the ball B_R.
+    """
+
     outer_radius: float | None = None
     l_max: int = 8
     seed: int = 0
@@ -56,15 +59,8 @@ class ExperimentConfig:
     family: FamilySpec | None = None
 
     def __post_init__(self):
-        if self.mode not in ("abs", "rel"):
-            raise ConfigError(f"mode must be 'abs' or 'rel', got {self.mode!r}")
-        if self.mode == "rel" and (self.outer_radius is None
-                                   or self.outer_radius <= 1.0):
-            raise ConfigError("relative mode needs outer_radius > 1")
-
-    def form_spec(self) -> QuadraticFormSpec:
-        r = self.outer_radius if self.mode == "rel" else None
-        return QuadraticFormSpec(self.mode, r)
+        if self.outer_radius is not None:
+            _check_outer_radius(self.outer_radius)
 
 
 @dataclass
@@ -163,26 +159,25 @@ def _spheroid_deficit(eps: float) -> DeficitResult:
 
 def _member_record(cfg: ExperimentConfig, domain_id, param, dom, phi) -> RunRecord:
     t0 = time.perf_counter()
-    spec = cfg.form_spec()
+    R = cfg.outer_radius
     hh = None
     if phi is not None:
-        if cfg.mode == "abs":
+        if R is None:
             phi = project_barycenter(phi)
             dom = nearly_spherical_from_phi(phi)
-        hh = h_half_norm(phi, spec)
+        hh = h_half_norm(phi, R)
     spheroid = (phi is None and cfg.family is not None
                 and cfg.family.variant == "ellipsoid")
-    if spheroid and cfg.mode == "abs":
+    if spheroid and R is None:
         d = _spheroid_deficit(float(param))
     else:
-        d = deficit(dom, mode=cfg.mode, outer_radius=cfg.outer_radius,
-                    solver="harmonic", l_max=cfg.l_max)
+        d = deficit(dom, R, solver="harmonic", l_max=cfg.l_max)
     fr = fraenkel(dom)
-    if cfg.mode == "abs":
+    if R is None:
         a = alpha(dom)
         denom = fr.value**2
     else:
-        a = alpha_R(dom, cfg.outer_radius)
+        a = alpha_R(dom, R)
         denom = symdiff_volume(dom, np.zeros(3), 1.0) ** 2
     ratio = d.value / denom if denom > 0 else math.inf
     return RunRecord(
@@ -203,24 +198,22 @@ def _member_record(cfg: ExperimentConfig, domain_id, param, dom, phi) -> RunReco
 def run_sweep(cfg: ExperimentConfig, basename: str = "sweep"):
     """Evaluate a family, write CSV/JSON/SVG, return records and summary.
 
-    Members are evaluated in family order, in the calling thread: their
-    work is small NumPy calls that hold the GIL, so worker threads only
-    add contention.  Each member is dropped from the family once its
-    record is made, so that its caches do not outlive it.  A member
-    whose solve fails is recorded in the summary and skipped in the
-    table; the run continues.
+    Members are built and evaluated one at a time, in family order, in
+    the calling thread: their work is small NumPy calls that hold the
+    GIL, so worker threads only add contention, and no member's domain
+    and caches outlive its record.  A member that fails to build or to
+    solve is recorded in the summary and skipped in the table; the run
+    continues.
     """
-    if cfg.family is None or cfg.family.count < 1:
-        raise ConfigError("sweep needs a nonempty family")
+    if cfg.family is None:
+        raise ConfigError("sweep needs a family")
     done: list[RunRecord] = []
     failures: list[dict] = []
-    members = generate_family(cfg.family)
-    for k, (domain_id, param, dom, phi) in enumerate(members):
-        members[k] = None
+    for k in range(cfg.family.count):
         try:
-            done.append(_member_record(cfg, domain_id, param, dom, phi))
+            done.append(_member_record(cfg, *family_member(cfg.family, k)))
         except (SolverError, GeometryError) as exc:
-            failures.append({"domain_id": domain_id, "error": str(exc)})
+            failures.append({"domain_id": cfg.family.member_id(k), "error": str(exc)})
     if not done:
         raise SolverError("every family member failed")
 
@@ -271,15 +264,15 @@ def run_fuglede(cfg: ExperimentConfig, degree: int = 2, order: int = 0,
     if degree < 1 or abs(order) > degree:
         raise ConfigError("need degree >= 1 and |order| <= degree")
     phi = HarmonicCoeffs.single(degree, degree + order, 1.0)
-    rows_t = taylor_check(phi, ladder, cfg.form_spec(), l_max=cfg.l_max)
+    rows_t = taylor_check(phi, ladder, cfg.outer_radius, l_max=cfg.l_max)
     rows = [[repr(r.t), repr(r.deficit), repr(r.deficit_error),
              repr(r.form_half), repr(r.remainder_ratio)] for r in rows_t]
+    s2 = second_variation(phi, cfg.outer_radius)
     summary = {
         "degree": degree,
         "order": order,
-        "second_variation": repr(second_variation(phi, cfg.form_spec())),
-        "limit_deficit_over_t2": repr(
-            0.5 * second_variation(phi, cfg.form_spec())),
+        "second_variation": repr(s2),
+        "limit_deficit_over_t2": repr(0.5 * s2),
     }
     return rows_t, summary, write_outputs(cfg, basename, TAYLOR_COLUMNS, rows, summary)
 
@@ -288,23 +281,24 @@ def run_spectrum(cfg: ExperimentConfig, radii=(2.0,), l_max: int = 6,
                  basename: str = "spectrum"):
     """Eigenvalue tables for the exterior problem and each shell radius."""
     rows = []
-    ext = spectrum_table(l_max, QuadraticFormSpec("abs"))
-    for e in ext:
-        rows.append(["abs", "", repr(e.degree), repr(e.energy_eigenvalue),
-                     repr(e.form_eigenvalue)])
-    for R in radii:
-        for e in spectrum_table(l_max, QuadraticFormSpec("rel", float(R))):
-            rows.append(["rel", repr(float(R)), repr(e.degree),
-                         repr(e.energy_eigenvalue), repr(e.form_eigenvalue)])
+    for R in (None, *map(float, radii)):
+        head = ["abs", ""] if R is None else ["rel", repr(R)]
+        for e in spectrum_table(l_max, R):
+            rows.append(head + [repr(e.degree), repr(e.energy_eigenvalue),
+                                repr(e.form_eigenvalue)])
     return rows, write_outputs(cfg, basename, SPECTRUM_COLUMNS, rows)
 
 
 def run_profile(cfg: ExperimentConfig, eta: float = 0.01, r_lo: float = 0.2,
                 r_hi: float = 1.8, points: int = 400, basename: str = "profile"):
-    """Penalized ball profile on a grid that contains r = 1 exactly."""
+    """Penalized ball profile on a grid that contains r = 1 exactly.
+
+    The profile is of the relative capacity: relative to B_R for
+    cfg.outer_radius R, and to B_2 for the absolute cfg.
+    """
     if not 0 < r_lo < 1.0 < r_hi:
         raise ConfigError("grid must straddle r = 1")
-    R = cfg.outer_radius if cfg.mode == "rel" else 2.0
+    R = 2.0 if cfg.outer_radius is None else cfg.outer_radius
     half = points // 2
     grid = np.concatenate([np.linspace(r_lo, 1.0, half),
                            np.linspace(1.0, r_hi, points - half + 1)[1:]])
@@ -348,7 +342,7 @@ def run_truncation(cfg: ExperimentConfig, far_volume_fraction: float = 0.01,
         dom = ball(r_near)
 
     wos = WosConfig(num_walks=cfg.walks, seed=cfg.seed)
-    cap_full = capacity(dom, mode="abs", solver="wos", wos_cfg=wos)
+    cap_full = capacity(dom, solver="wos", wos_cfg=wos)
     dfull = cap_full.value - cap_ball(1.0)
 
     trunc, rep = truncate_rescale(dom, cut_radius)
@@ -360,7 +354,7 @@ def run_truncation(cfg: ExperimentConfig, far_volume_fraction: float = 0.01,
         deficit_ratio, asym_drop = 1.0, 0.0
     else:
         # the kept part is the rescaled near ball, so its deficit is closed form
-        dtrunc = capacity(trunc, mode="abs", solver="closed").value - cap_ball(1.0)
+        dtrunc = capacity(trunc, solver="closed").value - cap_ball(1.0)
         asym_trunc = fraenkel(trunc).value
         deficit_ratio = dtrunc / dfull if dfull > 0 else 0.0
         asym_drop = (asym_full - asym_trunc) / dfull if dfull > 0 else 0.0
@@ -369,7 +363,7 @@ def run_truncation(cfg: ExperimentConfig, far_volume_fraction: float = 0.01,
     # lower bound from the isocapacitary inequality at reduced volume
     lower = cap_ball(1.0) * (1.0 - far_volume_fraction) ** (1.0 / 3.0)
     kept = ball(r_near)
-    cap_kept_raw = capacity(kept, mode="abs", solver="wos", wos_cfg=wos)
+    cap_kept_raw = capacity(kept, solver="wos", wos_cfg=wos)
     sandwich_margin = cap_kept_raw.value - lower
     sandwich = verdict_for(sandwich_margin, 3.0 * cap_kept_raw.error_estimate)
 

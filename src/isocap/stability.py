@@ -23,7 +23,6 @@ from .errors import ConfigError, SolverError
 from .sphere import HarmonicCoeffs, ball_volume
 
 __all__ = [
-    "QuadraticFormSpec",
     "SpectrumEntry",
     "dtn_exterior",
     "dtn_relative",
@@ -37,27 +36,6 @@ __all__ = [
     "taylor_check",
     "TaylorRow",
 ]
-
-
-@dataclass(frozen=True)
-class QuadraticFormSpec:
-    """Problem selector for the spectral forms.
-
-    mode 'abs' is the exterior problem; 'rel' is the shell problem
-    inside the ball of outer_radius.
-    """
-
-    mode: str = "abs"
-    outer_radius: float | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("abs", "rel"):
-            raise ConfigError(f"mode must be 'abs' or 'rel', got {self.mode!r}")
-        if self.mode == "rel":
-            if self.outer_radius is None or self.outer_radius <= 1.0:
-                raise ConfigError("relative mode needs outer_radius > 1")
-        elif self.outer_radius is not None:
-            raise ConfigError("absolute mode takes no outer_radius")
 
 
 @dataclass(frozen=True)
@@ -87,48 +65,55 @@ def dtn_relative(l: int, outer_radius: float = 2.0) -> float:
     """
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    if outer_radius <= 1.0:
-        raise ValueError("outer radius must exceed 1")
+    _check_outer_radius(outer_radius)
     k = outer_radius ** (2 * l + 1) - 1.0
     return float((l + 1) + (2 * l + 1) / k)
 
 
-def _eigenvalue(l: int, spec: QuadraticFormSpec) -> float:
-    if spec.mode == "abs":
+def _check_outer_radius(outer_radius: float) -> None:
+    """Refuse an outer radius that does not enclose the unit ball."""
+    if not outer_radius > 1.0:
+        raise ConfigError(f"the outer radius must exceed 1, got {outer_radius!r}")
+
+
+def _eigenvalue(l: int, outer_radius: float | None) -> float:
+    if outer_radius is None:
         return dtn_exterior(l)
-    return dtn_relative(l, spec.outer_radius)
+    return dtn_relative(l, outer_radius)
 
 
-def _prefactor(spec: QuadraticFormSpec) -> float:
+def _prefactor(outer_radius: float | None) -> float:
     # The shell prefactor is the SQUARE of the flux normalisation
     # q = 1/(1 - 1/R): the first-order potential response to a
     # boundary perturbation phi is the shell extension of q*phi,
     # so its energy carries q^2.  Cross-checked against an image-charge
     # solution for the eccentric spherical capacitor.
-    if spec.mode == "abs":
+    if outer_radius is None:
         return 2.0
-    return 2.0 / (1.0 - spec.outer_radius ** -1) ** 2
+    _check_outer_radius(outer_radius)
+    return 2.0 / (1.0 - outer_radius ** -1) ** 2
 
 
-def second_variation(phi: HarmonicCoeffs, spec: QuadraticFormSpec) -> float:
+def second_variation(phi: HarmonicCoeffs, outer_radius: float | None = None) -> float:
     """Second variation of capacity at the unit ball in direction phi.
 
-    Diagonal sum prefactor * sum_l |phi_l|^2 (lambda_l - 2); the
-    degree-1 weight vanishes in absolute mode (translations) and the
-    degree-0 weight is negative (volume changes), which is why the
-    stability statements fix the volume and, in absolute mode, the
-    barycenter.
+    outer_radius None is the absolute problem; a radius R > 1 the
+    problem relative to B_R.  Diagonal sum prefactor * sum_l |phi_l|^2
+    (lambda_l - 2); the degree-1 weight vanishes in the absolute problem
+    (translations) and the degree-0 weight is negative (volume changes),
+    which is why the stability statements fix the volume and, in the
+    absolute problem, the barycenter.
     """
-    pre = _prefactor(spec)
+    pre = _prefactor(outer_radius)
     out = 0.0
     for l in range(phi.max_degree + 1):
         a2 = float(np.sum(phi.degree_slice(l) ** 2))
         if a2 != 0.0:
-            out += a2 * (_eigenvalue(l, spec) - 2)
+            out += a2 * (_eigenvalue(l, outer_radius) - 2)
     return pre * out
 
 
-def h_half_norm(phi: HarmonicCoeffs, spec: QuadraticFormSpec) -> float:
+def h_half_norm(phi: HarmonicCoeffs, outer_radius: float | None = None) -> float:
     """Squared boundary norm: L^2 part plus the extension's energy.
 
     Spectrally sum_l |phi_l|^2 (1 + lambda_l), which dominates the
@@ -138,16 +123,17 @@ def h_half_norm(phi: HarmonicCoeffs, spec: QuadraticFormSpec) -> float:
     for l in range(phi.max_degree + 1):
         a2 = float(np.sum(phi.degree_slice(l) ** 2))
         if a2 != 0.0:
-            out += a2 * (1.0 + _eigenvalue(l, spec))
+            out += a2 * (1.0 + _eigenvalue(l, outer_radius))
     return out
 
 
-def spectrum_table(max_degree: int, spec: QuadraticFormSpec) -> list[SpectrumEntry]:
+def spectrum_table(max_degree: int,
+                   outer_radius: float | None = None) -> list[SpectrumEntry]:
     """Eigenvalue and form-weight table through max_degree."""
-    pre = _prefactor(spec)
+    pre = _prefactor(outer_radius)
     out = []
     for l in range(max_degree + 1):
-        lam = _eigenvalue(l, spec)
+        lam = _eigenvalue(l, outer_radius)
         out.append(SpectrumEntry(degree=l, energy_eigenvalue=lam,
                                  form_eigenvalue=pre * (lam - 2)))
     return out
@@ -248,7 +234,7 @@ class TaylorRow:
     remainder_ratio: float  # (deficit - form_half) / t^2
 
 
-def taylor_check(phi: HarmonicCoeffs, t_ladder, spec: QuadraticFormSpec,
+def taylor_check(phi: HarmonicCoeffs, t_ladder, outer_radius: float | None = None,
                  l_max: int = 8) -> list[TaylorRow]:
     """Deficit of domains 1 + t*phi against the second-variation form.
 
@@ -257,14 +243,13 @@ def taylor_check(phi: HarmonicCoeffs, t_ladder, spec: QuadraticFormSpec,
     (deficit - t^2/2 * form) reported relative to t^2; the ratios must
     shrink as t does when the form matches the true second variation.
     """
-    s2 = second_variation(phi, spec)
+    s2 = second_variation(phi, outer_radius)
 
     def row(t: float) -> TaylorRow:
         scaled = phi.copy()
         scaled.values *= t
         dom = nearly_spherical_from_phi(scaled)
-        d = deficit(dom, mode=spec.mode, outer_radius=spec.outer_radius,
-                    solver="harmonic", l_max=l_max)
+        d = deficit(dom, outer_radius, solver="harmonic", l_max=l_max)
         half = 0.5 * t * t * s2
         return TaylorRow(t=float(t), deficit=d.value, deficit_error=d.error_estimate,
                          form_half=half, remainder_ratio=(d.value - half) / t**2)

@@ -20,20 +20,19 @@ from isocap.domains import (FamilySpec, ball, generate_family,
                             nearly_spherical_from_phi)
 from isocap.harness import ExperimentConfig, run_profile, run_sweep, run_truncation
 from isocap.sphere import HarmonicCoeffs
-from isocap.stability import (QuadraticFormSpec, dtn_exterior, dtn_relative,
-                              project_barycenter, second_variation,
-                              taylor_check)
+from isocap.stability import (dtn_exterior, dtn_relative, project_barycenter,
+                              second_variation, taylor_check)
 
-ABS = QuadraticFormSpec()
-REL2 = QuadraticFormSpec(mode="rel", outer_radius=2.0)
+ABS = None
+REL2 = 2.0
 
 
 def test_criterion_01_ball_capacities_closed_form(tmp_path):
     # harmonic solver on the unit ball: 4 pi absolute, 8 pi relative at
     # R = 2, both within relative error 1e-8 at l_max = 8; budget 1 s
     t0 = time.monotonic()
-    got_abs = capacity(ball(1.0), mode="abs", solver="harmonic", l_max=8)
-    got_rel = capacity(ball(1.0), mode="rel", outer_radius=2.0,
+    got_abs = capacity(ball(1.0), solver="harmonic", l_max=8)
+    got_rel = capacity(ball(1.0), outer_radius=2.0,
                        solver="harmonic", l_max=8)
     assert got_abs.value == pytest.approx(4.0 * math.pi, rel=1e-8)
     assert got_rel.value == pytest.approx(8.0 * math.pi, rel=1e-8)
@@ -78,7 +77,7 @@ def test_criterion_04_translation_neutrality():
     phi = HarmonicCoeffs.single(1, 1, t)
     corrected = project_barycenter(phi)
     dom = nearly_spherical_from_phi(corrected)
-    d = deficit(dom, mode="abs", solver="harmonic")
+    d = deficit(dom, solver="harmonic")
     assert d.value / t**2 <= 1e-4
 
     rows = taylor_check(HarmonicCoeffs.single(1, 1, 1.0), (t,), REL2)
@@ -104,7 +103,7 @@ def test_criterion_05_quantitative_inequality_sweep(tmp_path):
     assert all(r.deficit >= -r.deficit_err for r in recs)
     assert float(summary["min_ratio"]) > 0.0
 
-    cfg_rel = ExperimentConfig(mode="rel", outer_radius=2.0, family=fam,
+    cfg_rel = ExperimentConfig(outer_radius=2.0, family=fam,
                                timestamp=False,
                                out_dir=str(tmp_path / "rel"))
     recs_r, summary_r, _ = run_sweep(cfg_rel)
@@ -165,7 +164,7 @@ def test_criterion_09_penalized_ball_profile(tmp_path):
     # grid (R = 2, eta = 0.01) is minimized exactly at radius 1 and grows
     # at least linearly away from it; budget instant
     t0 = time.monotonic()
-    cfg = ExperimentConfig(mode="rel", outer_radius=2.0, timestamp=False,
+    cfg = ExperimentConfig(outer_radius=2.0, timestamp=False,
                            out_dir=str(tmp_path))
     rep, summary, _ = run_profile(cfg, eta=0.01, points=400)
     assert rep.radii.size == 400

@@ -141,7 +141,9 @@ def test_symdiff_fast_ray_path_matches_general_formula_bit_for_bit(member, monke
     # which take the fast path, and 200 with 4|c|^2 > r^2, which take the
     # general one, each side reaching to within 1e-12 of the boundary, and
     # one exactly on it; then the origin at r = 1, the relative-mode
-    # denominator
+    # denominator.  Of the general ones, a ball beyond the certified
+    # enclosing sphere, |c| >= rho_hi + r, takes the exact disjoint route
+    # instead and makes no ray call
     dom = _ray_path_stars()[member]
     assert not dom.is_ball() and dom.quad.degree < 128
     rng = np.random.default_rng([29, member])
@@ -161,15 +163,19 @@ def test_symdiff_fast_ray_path_matches_general_formula_bit_for_bit(member, monke
 
     monkeypatch.setattr(isocap.asymmetry, "_ball_interval", counted)
     p = dom.radial(build_quadrature(128).nodes)
-    fast = 0
+    rho_hi = radial_bounds(dom)[1]
+    fast = disjoint = 0
     for center, r in zip(centers, radii):
         c = center - dom.center_offset
         inside = 4.0 * float(c @ c) <= r * r
+        far = float(c @ c) >= (rho_hi + r) ** 2
         fast += inside
+        disjoint += far
         before = calls[0]
-        assert symdiff_volume(dom, center, r) == _symdiff_general(dom, p, center, r)
-        assert calls[0] == before + (not inside)
-    assert fast == 200
+        want = volume(dom) + ball_volume(r) if far else _symdiff_general(dom, p, center, r)
+        assert symdiff_volume(dom, center, r) == want
+        assert calls[0] == before + (not inside and not far)
+    assert fast == 200 and 0 < disjoint < 100
     assert symdiff_volume(dom, np.zeros(3), 1.0) == _symdiff_general(dom, p, np.zeros(3), 1.0)
 
 
@@ -376,11 +382,11 @@ def test_crossing_radii_refuse_uncertified_origin():
                                      max_degree=4))[0][2]
     with pytest.raises(GeometryError, match="certify"):
         alpha(far)
-    # an exact radial callable alone gives no coefficients to certify from
+    # an exact radial callable alone gives nothing to certify from, so
+    # such a domain is refused when it is built
     ell = ellipsoid(0.2)
-    bare = StarDomain(quad=ell.quad, rho=ell.rho, rho_fn=ell.rho_fn)
     with pytest.raises(GeometryError, match="coefficients"):
-        _crossing_radii(bare, np.array([1e-3, 0.0, 0.0]), POLES)
+        StarDomain(quad=ell.quad, rho=ell.rho, rho_fn=ell.rho_fn)
 
 
 @pytest.mark.parametrize("amplitude, max_degree, member, projected", [
@@ -615,6 +621,18 @@ def test_symdiff_star_plus_far_ball_sums_its_components():
     for c, r in [((0.4, 0.2, -0.1), 1.0), ((6.1, 0.1, 0.0), 0.5), ((3.0, 0.0, 0.0), 3.0)]:
         want = symdiff_volume(star, c, r) + symdiff_volume(far, c, r) - ball_volume(r)
         assert composite_symdiff_volume(comp, c, r) == pytest.approx(want, rel=1e-14)
+
+
+def test_symdiff_ball_beyond_the_enclosing_sphere_is_exact():
+    # a ball that misses the star's certified enclosing sphere is disjoint
+    # from it; the degree-128 ray rule alone was off here by +1.5e-3,
+    # +4.4e-3 and -3.4e-3 (3.0% of |B|)
+    star = generate_family(FamilySpec("random_star", 1, amplitude=0.3, seed=2))[0][2]
+    rho_hi = radial_bounds(star)[1]
+    for c, r in [((6.1, 0.1, 0.0), 0.5), ((3.0, 0.0, 0.0), 0.5), ((2.0, 0.0, 0.0), 0.3)]:
+        assert np.linalg.norm(c) >= rho_hi + r
+        want = volume(star) + ball_volume(r)
+        assert symdiff_volume(star, c, r) == pytest.approx(want, rel=1e-13)
 
 
 def test_fraenkel_composite_requires_unit_volume():

@@ -366,7 +366,7 @@ def test_wos_scaling_law():
 
 def test_capacity_dispatch_closed():
     assert capacity(ball(1.0), solver="closed").value == pytest.approx(FOUR_PI)
-    assert capacity(ball(1.0), mode="rel", outer_radius=2.0,
+    assert capacity(ball(1.0), outer_radius=2.0,
                     solver="closed").value == pytest.approx(8.0 * math.pi)
     with pytest.raises(SolverError):
         capacity(ellipsoid(0.1), solver="closed")
@@ -376,13 +376,9 @@ def test_capacity_dispatch_closed():
 
 def test_capacity_dispatch_errors():
     with pytest.raises(ValueError):
-        capacity(ball(1.0), mode="weird")
-    with pytest.raises(ValueError):
-        capacity(ball(1.0), mode="rel")  # missing outer radius
-    with pytest.raises(ValueError):
         capacity(ball(1.0), solver="sorcery")
     with pytest.raises(SolverError):
-        capacity(ball(1.0), mode="rel", outer_radius=2.0, solver="wos")
+        capacity(ball(1.0), outer_radius=2.0, solver="wos")
     with pytest.raises(SolverError):
         capacity(CompositeDomain([ball(1.0)]), solver="harmonic")
 
@@ -407,8 +403,8 @@ def test_deficit_positive_for_ellipsoid():
 
 def test_deficit_relative_exceeds_absolute():
     dom = ellipsoid(0.15)
-    d_abs = deficit(dom, mode="abs")
-    d_rel = deficit(dom, mode="rel", outer_radius=2.0)
+    d_abs = deficit(dom)
+    d_rel = deficit(dom, outer_radius=2.0)
     assert d_rel.value > d_abs.value > 0
 
 

@@ -249,20 +249,19 @@ def test_radial_bounds_enclose_radius_and_gradient(amplitude, max_degree, member
         # of the radius, a factor sqrt(4/3) on the slope
         assert hi - lo <= 1.25 * (r.max() - r.min())
         assert grad <= 1.25 * slope
-    else:
-        # a node-only copy is bounded through the projection radial() uses
-        nodes_only = StarDomain(quad=dom.quad, rho=dom.rho)
-        npt.assert_allclose(radial_bounds(nodes_only), (lo, hi, grad), rtol=1e-12)
 
 
 def test_radial_bounds_need_coefficients():
     assert radial_bounds(ball(1.3)) == pytest.approx((1.3, 1.3, 0.0), abs=1e-15)
     assert radial_bounds(ball(1.3), sampled=True) == pytest.approx((1.3, 1.3, 0.0), abs=1e-15)
-    # an exact radial callable without closed-form bounds has nothing to bound
+    # a domain with nothing to bound its radius by cannot be built: node
+    # samples alone, or an exact radial callable without closed-form bounds
     dom = ellipsoid(0.2)
-    bare = StarDomain(quad=dom.quad, rho=dom.rho, rho_fn=dom.rho_fn)
     with pytest.raises(GeometryError, match="coefficients"):
-        radial_bounds(bare)
+        StarDomain(quad=dom.quad, rho=dom.rho)
+    with pytest.raises(GeometryError, match="coefficients"):
+        StarDomain(quad=dom.quad, rho=dom.rho, rho_fn=dom.rho_fn)
+    assert radial_bounds(dom) == dom.rho_bounds
 
 
 def test_diameter_of_ellipsoid():

@@ -1,6 +1,7 @@
 """Every name a module exports resolves."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 
@@ -27,3 +28,13 @@ def test_every_export_resolves(name):
     names = _exports(module)
     assert names
     assert [n for n in names if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_export_takes_a_mode(name):
+    # outer_radius alone names the problem: None is the absolute one
+    module = importlib.import_module(name)
+    exported = [getattr(module, n) for n in _exports(module)]
+    checked = [f for f in exported if inspect.isfunction(f) or dataclasses.is_dataclass(f)]
+    assert checked
+    assert [f.__name__ for f in checked if "mode" in inspect.signature(f).parameters] == []

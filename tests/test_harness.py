@@ -108,7 +108,7 @@ def test_run_sweep_threads_do_not_change_bytes(tmp_path, capsys):
 def test_sweep_and_taylor_ladder_start_no_threads(tmp_path, monkeypatch):
     from isocap.domains import FamilySpec
     from isocap.sphere import HarmonicCoeffs
-    from isocap.stability import QuadraticFormSpec, taylor_check
+    from isocap.stability import taylor_check
 
     def refuse(self):
         raise AssertionError("a thread was started")
@@ -119,8 +119,7 @@ def test_sweep_and_taylor_ladder_start_no_threads(tmp_path, monkeypatch):
                                              seed=9))
     records, _, _ = run_sweep(cfg)
     assert len(records) == 3
-    rows = taylor_check(HarmonicCoeffs.single(2, 2, 1.0), (0.02, 0.01),
-                        QuadraticFormSpec())
+    rows = taylor_check(HarmonicCoeffs.single(2, 2, 1.0), (0.02, 0.01))
     assert [r.t for r in rows] == [0.02, 0.01]
 
 
@@ -538,6 +537,40 @@ def test_cli_missing_config_file(capsys):
 def test_cli_empty_family(tmp_path, capsys):
     code = cli_main(["sweep", "--family", "random_star", "--count", "0",
                      "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 2
+
+
+def test_cli_sweep_records_members_that_fail_to_build(tmp_path, capsys):
+    # near the amplitude cap, the volume correction pushes members 0 and 2
+    # past the sup-norm bound; the others still build and solve
+    code = cli_main(["sweep", "--family", "random_star", "--amplitude", "0.49",
+                     "--max-degree", "4", "--count", "6", "--seed", "1",
+                     "--out-dir", str(tmp_path)])
+    assert code == 0
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "sweep.json").read_text())
+    assert [r["domain_id"] for r in payload["rows"]] == [
+        "random-001", "random-003", "random-004", "random-005"]
+    assert {r["verdict"] for r in payload["rows"]} == {"holds-within-error"}
+    failures = payload["summary"]["failures"]
+    assert [f["domain_id"] for f in failures] == ["random-000", "random-002"]
+    assert all("sup-norm bound" in f["error"] for f in failures)
+
+
+def test_cli_refuses_an_unknown_mode_in_a_config_file(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[common]\nmode = weird\n")
+    assert cli_main(["cap", "--ball", "1.0", "--config", str(ini)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 2
+    assert "weird" in err["message"]
+
+
+@pytest.mark.parametrize("command", [["cap", "--ball", "1.0"], ["profile"], ["fuglede"]])
+def test_cli_refuses_an_outer_radius_of_one(tmp_path, capsys, command):
+    code = cli_main(command + ["--mode", "rel", "--R", "1", "--out-dir", str(tmp_path)])
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["exit_code"] == 2

@@ -11,12 +11,12 @@ from isocap.domains import (FamilySpec, barycenter, generate_family,
                             nearly_spherical_from_phi)
 from isocap.errors import ConfigError
 from isocap.sphere import HarmonicCoeffs, ball_volume
-from isocap.stability import (QuadraticFormSpec, ball_profile, dtn_exterior,
-                              dtn_relative, f_eta, h_half_norm, project_barycenter,
-                              second_variation, spectrum_table, taylor_check)
+from isocap.stability import (ball_profile, dtn_exterior, dtn_relative, f_eta,
+                              h_half_norm, project_barycenter, second_variation,
+                              spectrum_table, taylor_check)
 
-ABS = QuadraticFormSpec()
-REL2 = QuadraticFormSpec(mode="rel", outer_radius=2.0)
+ABS = None
+REL2 = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -55,19 +55,20 @@ def test_dtn_relative_approaches_exterior():
 
 
 # ---------------------------------------------------------------------------
-# form spec validation
+# outer radius validation
 # ---------------------------------------------------------------------------
 
 
 def test_form_spec_validation():
-    with pytest.raises(ConfigError):
-        QuadraticFormSpec(mode="rel")
-    with pytest.raises(ConfigError):
-        QuadraticFormSpec(mode="rel", outer_radius=1.0)
-    with pytest.raises(ConfigError):
-        QuadraticFormSpec(mode="abs", outer_radius=2.0)
-    with pytest.raises(ConfigError):
-        QuadraticFormSpec(mode="weird")
+    # an outer radius must enclose the unit ball: R = 1 is refused before
+    # the shell prefactor divides by 1 - 1/R, by every form
+    phi = HarmonicCoeffs.single(2, 2, 1.0)
+    for form in (second_variation, h_half_norm,
+                 lambda p, R: taylor_check(p, (0.01,), R)):
+        with pytest.raises(ConfigError, match="exceed 1"):
+            form(phi, 1.0)
+    with pytest.raises(ConfigError, match="exceed 1"):
+        spectrum_table(4, 1.0)
 
 
 # ---------------------------------------------------------------------------
