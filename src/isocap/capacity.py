@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import CompositeDomain, StarDomain, radial_bounds, scale_domain, volume
-from .errors import GeometryError, SolverError
+from .errors import ConfigError, GeometryError, SolverError
 from .sphere import ball_volume, build_quadrature, harmonic_basis, sphere_area
 
 __all__ = [
@@ -191,8 +191,6 @@ def cap_relative_harmonic(domain: StarDomain, outer_radius: float,
     comes from the radial flux of the l = 0 mode, which is conserved
     across the shell.
     """
-    if outer_radius <= 0:
-        raise GeometryError("outer radius must be positive")
     if domain.enclosing_radius >= outer_radius * (1.0 - _OUTER_MARGIN):
         raise GeometryError(
             f"domain (enclosing radius {domain.enclosing_radius:.4f}) too close to "
@@ -429,11 +427,19 @@ def cap_wos(domain, cfg: WosConfig | None = None) -> CapacityResult:
                           max_residual=None, condition=None)
 
 
+def _check_outer_radius(outer_radius: float) -> None:
+    """Refuse an outer radius that does not enclose the unit ball."""
+    if not outer_radius > 1.0:
+        raise ConfigError(f"the outer radius must exceed 1, got {outer_radius!r}")
+
+
 def capacity(domain, outer_radius: float | None = None,
              solver: str = "harmonic", l_max: int = 8,
              wos_cfg: WosConfig | None = None) -> CapacityResult:
     """Dispatch to a solver by method name.  outer_radius None is the
-    absolute problem; a radius R is the problem relative to B_R."""
+    absolute problem; a radius R > 1 is the problem relative to B_R."""
+    if outer_radius is not None:
+        _check_outer_radius(outer_radius)
     if solver == "closed":
         if isinstance(domain, CompositeDomain) or not domain.is_ball() \
                 or np.linalg.norm(domain.center_offset) > 0:

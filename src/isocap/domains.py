@@ -451,6 +451,12 @@ def truncate_rescale(domain, radius_cut: float):
     return out, report
 
 
+# family variant -> domain_id prefix of its members
+_MEMBER_PREFIX = {"ellipsoid": "ellipsoid",
+                  "harmonic_perturbation": "harm-{degree}-{order}",
+                  "random_star": "random"}
+
+
 @dataclass
 class FamilySpec:
     """Description of a one-parameter family of test domains.
@@ -472,16 +478,15 @@ class FamilySpec:
     max_degree: int = 4
 
     def __post_init__(self):
-        if self.variant not in ("ellipsoid", "harmonic_perturbation", "random_star"):
+        if self.variant not in _MEMBER_PREFIX:
             raise GeometryError(f"unknown family variant {self.variant!r}")
         if self.count < 1:
             raise GeometryError("family count must be >= 1")
 
     def member_id(self, k: int) -> str:
         """The domain_id of member k, known before the member is built."""
-        prefix = {"ellipsoid": "ellipsoid", "random_star": "random",
-                  "harmonic_perturbation": f"harm-{self.degree}-{self.order}"}
-        return f"{prefix[self.variant]}-{k:03d}"
+        prefix = _MEMBER_PREFIX[self.variant].format(degree=self.degree, order=self.order)
+        return f"{prefix}-{k:03d}"
 
 
 def _random_phi(seed: int, member: int, max_degree: int, amplitude: float) -> HarmonicCoeffs:
@@ -496,7 +501,7 @@ def _random_phi(seed: int, member: int, max_degree: int, amplitude: float) -> Ha
     return phi
 
 
-def family_member(spec: FamilySpec, k: int, quad: SphereQuadrature | None = None):
+def family_member(spec: FamilySpec, k: int):
     """Member k of a family, as (domain_id, parameter, domain, phi).
 
     phi is the generating perturbation (volume-corrected) when the
@@ -507,22 +512,22 @@ def family_member(spec: FamilySpec, k: int, quad: SphereQuadrature | None = None
     """
     if spec.variant == "ellipsoid":
         eps = float(np.linspace(spec.eps_min, spec.eps_max, spec.count)[k])
-        return spec.member_id(k), eps, normalize_volume(ellipsoid(eps, quad)), None
+        return spec.member_id(k), eps, normalize_volume(ellipsoid(eps)), None
     if spec.variant == "harmonic_perturbation":
         t = float((spec.amplitude * (1.0 + np.arange(spec.count)) / spec.count)[k])
         phi = HarmonicCoeffs.single(spec.degree, spec.order, t,
                                     max_degree=max(spec.degree, 1))
-        dom = nearly_spherical_from_phi(phi, quad)
+        dom = nearly_spherical_from_phi(phi)
         return spec.member_id(k), t, dom, phi
     phi = _random_phi(spec.seed, k, spec.max_degree, spec.amplitude)
-    dom = nearly_spherical_from_phi(phi, quad)
+    dom = nearly_spherical_from_phi(phi)
     amp = float(np.abs(synthesize(phi, dom.quad.nodes)).max())
     return spec.member_id(k), amp, dom, phi
 
 
-def generate_family(spec: FamilySpec, quad: SphereQuadrature | None = None):
+def generate_family(spec: FamilySpec):
     """Every member of a family, in order (`family_member`)."""
-    return [family_member(spec, k, quad) for k in range(spec.count)]
+    return [family_member(spec, k) for k in range(spec.count)]
 
 
 _FORMAT_LINE = "stardomain 1"

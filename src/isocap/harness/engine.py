@@ -20,15 +20,14 @@ import numpy as np
 
 from ..asymmetry import (alpha, alpha_R, annulus_lower_bound, composite_symdiff_volume,
                          fraenkel, symdiff_volume)
-from ..capacity import (CapacityResult, DeficitResult, WosConfig, cap_ball,
-                        cap_spheroid, capacity, deficit)
+from ..capacity import (CapacityResult, DeficitResult, WosConfig, _check_outer_radius,
+                        cap_ball, cap_spheroid, capacity, deficit)
 from ..domains import (CompositeDomain, FamilySpec, ball, family_member,
                        nearly_spherical_from_phi, truncate_rescale, volume)
 from ..errors import ConfigError, GeometryError, SolverError
 from ..sphere import HarmonicCoeffs, ball_volume
-from ..stability import (_check_outer_radius, ball_profile, h_half_norm,
-                         project_barycenter, second_variation, spectrum_table,
-                         taylor_check)
+from ..stability import (ball_profile, h_half_norm, project_barycenter,
+                         second_variation, spectrum_table, taylor_check)
 from .svg import scatter_svg
 
 SWEEP_COLUMNS = ["domain_id", "eps_or_t", "volume", "deficit", "deficit_err",

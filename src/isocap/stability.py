@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import cap_ball_rel, deficit
+from .capacity import _check_outer_radius, cap_ball_rel, deficit
 from .domains import barycenter, nearly_spherical_from_phi
 from .errors import ConfigError, SolverError
 from .sphere import HarmonicCoeffs, ball_volume
@@ -68,12 +68,6 @@ def dtn_relative(l: int, outer_radius: float = 2.0) -> float:
     _check_outer_radius(outer_radius)
     k = outer_radius ** (2 * l + 1) - 1.0
     return float((l + 1) + (2 * l + 1) / k)
-
-
-def _check_outer_radius(outer_radius: float) -> None:
-    """Refuse an outer radius that does not enclose the unit ball."""
-    if not outer_radius > 1.0:
-        raise ConfigError(f"the outer radius must exceed 1, got {outer_radius!r}")
 
 
 def _eigenvalue(l: int, outer_radius: float | None) -> float:

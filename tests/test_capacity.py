@@ -16,7 +16,7 @@ from isocap.capacity import (WosConfig, _any_orthonormal,
                              deficit)
 from isocap.domains import (CompositeDomain, FamilySpec, StarDomain, ball,
                             ellipsoid, generate_family)
-from isocap.errors import GeometryError, SolverError
+from isocap.errors import ConfigError, GeometryError, SolverError
 from isocap.sphere import (HarmonicCoeffs, ball_volume, build_quadrature, flat_index,
                            synthesize)
 
@@ -381,6 +381,12 @@ def test_capacity_dispatch_errors():
         capacity(ball(1.0), outer_radius=2.0, solver="wos")
     with pytest.raises(SolverError):
         capacity(CompositeDomain([ball(1.0)]), solver="harmonic")
+    for radius in (1.0, 0.5):
+        for solver in ("closed", "harmonic"):
+            with pytest.raises(ConfigError):
+                capacity(ball(0.4), outer_radius=radius, solver=solver)
+        with pytest.raises(ConfigError):
+            deficit(ball(1.0), outer_radius=radius)
 
 
 def test_deficit_ball_is_zero():
