@@ -323,14 +323,18 @@ def _reentry_points(p: np.ndarray, a: float, u_pol: np.ndarray, u_azi: np.ndarra
     return a * out
 
 
+def _uniform_directions(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Unit vectors, uniform on the sphere for uniform u and v in [0, 1)."""
+    z = 1.0 - 2.0 * u
+    s = np.sqrt(np.maximum(0.0, 1.0 - z**2))
+    phi = 2.0 * math.pi * v
+    return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+
+
 def _run_wos_block(components, walk_ids: np.ndarray, seed: int, a: float, eps: float):
     n = len(walk_ids)
-    u1 = counter_uniform(seed, walk_ids, 0, 0)
-    u2 = counter_uniform(seed, walk_ids, 0, 1)
-    z = 1.0 - 2.0 * u1
-    s = np.sqrt(np.maximum(0.0, 1.0 - z**2))
-    phi = 2.0 * math.pi * u2
-    pos = a * np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+    pos = a * _uniform_directions(counter_uniform(seed, walk_ids, 0, 0),
+                                  counter_uniform(seed, walk_ids, 0, 1))
     alive = np.ones(n, dtype=bool)
     hit = np.zeros(n, dtype=bool)
     ids = walk_ids.copy()
@@ -353,12 +357,8 @@ def _run_wos_block(components, walk_ids: np.ndarray, seed: int, a: float, eps: f
             continue
         im = idx[move]
         wid = ids[im]
-        ua = counter_uniform(seed, wid, step, 0)
-        ub = counter_uniform(seed, wid, step, 1)
-        zz = 1.0 - 2.0 * ua
-        ss = np.sqrt(np.maximum(0.0, 1.0 - zz**2))
-        ph = 2.0 * math.pi * ub
-        stepdir = np.column_stack([ss * np.cos(ph), ss * np.sin(ph), zz])
+        stepdir = _uniform_directions(counter_uniform(seed, wid, step, 0),
+                                      counter_uniform(seed, wid, step, 1))
         pos[im] = pos[im] + d[move][:, None] * stepdir
         r = np.linalg.norm(pos[im], axis=1)
         out = r > a

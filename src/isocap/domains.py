@@ -49,6 +49,7 @@ __all__ = [
 _SUP_NORM_BOUND = 0.5  # radial perturbations must stay below this in sup norm
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 50
+_BALL_TOL = 1e-13  # radius spread below which a domain counts as a ball
 
 
 @dataclass
@@ -100,8 +101,8 @@ class StarDomain:
             return np.asarray(self.rho_fn(dirs), dtype=float)
         return synthesize(self.coeffs, dirs)
 
-    def is_ball(self, tol: float = 1e-13) -> bool:
-        return self.rho_max - self.rho_min <= tol
+    def is_ball(self) -> bool:
+        return self.rho_max - self.rho_min <= _BALL_TOL
 
 
 @dataclass
@@ -133,12 +134,10 @@ class CompositeDomain:
         return max(c.enclosing_radius for c in self.components)
 
 
-def ball(radius: float = 1.0, center=(0.0, 0.0, 0.0),
-         quad: SphereQuadrature | None = None) -> StarDomain:
+def ball(radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> StarDomain:
     if radius <= 0:
         raise GeometryError(f"radius must be positive, got {radius}")
-    if quad is None:
-        quad = build_quadrature(16)
+    quad = build_quadrature(16)
     r = float(radius)
     coeffs = HarmonicCoeffs.zeros(0)
     coeffs.values[0] = r * math.sqrt(4.0 * math.pi)
@@ -151,7 +150,7 @@ def ball(radius: float = 1.0, center=(0.0, 0.0, 0.0),
     )
 
 
-def ellipsoid(eps: float, quad: SphereQuadrature | None = None) -> StarDomain:
+def ellipsoid(eps: float) -> StarDomain:
     """Volume-preserving ellipsoid with semi-axes (1+eps, 1+eps, (1+eps)^-2).
 
     eps = 0 gives the unit ball; the product of the axes is 1, so the
@@ -165,11 +164,9 @@ def ellipsoid(eps: float, quad: SphereQuadrature | None = None) -> StarDomain:
     """
     if not 0.0 <= eps < 0.5:
         raise GeometryError(f"eps must lie in [0, 0.5), got {eps}")
-    if quad is None:
-        # the radial integrands are smooth but not band-limited; the degree
-        # needed for ~1e-12 volume accuracy grows with the eccentricity
-        deg = max(16, 8 * math.ceil((32 + 150 * eps) / 8))
-        quad = build_quadrature(deg)
+    # the radial integrands are smooth but not band-limited; the degree
+    # needed for ~1e-12 volume accuracy grows with the eccentricity
+    quad = build_quadrature(max(16, 8 * math.ceil((32 + 150 * eps) / 8)))
     a, c = 1.0 + eps, (1.0 + eps) ** -2
     axes = np.array([a, a, c])
 
@@ -192,8 +189,7 @@ def _sup_norm_dense(coeffs: HarmonicCoeffs) -> float:
     return float(np.abs(synthesize(coeffs, fine.nodes)).max())
 
 
-def nearly_spherical_from_phi(phi: HarmonicCoeffs,
-                              quad: SphereQuadrature | None = None) -> StarDomain:
+def nearly_spherical_from_phi(phi: HarmonicCoeffs) -> StarDomain:
     """Domain with radial graph 1 + phi + shift for a band-limited
     perturbation phi.
 
@@ -201,11 +197,8 @@ def nearly_spherical_from_phi(phi: HarmonicCoeffs,
     shift is found by Newton iteration so that the volume equals that of
     the unit ball to within 1e-13.
     """
-    if quad is None:
-        quad = build_quadrature(max(2 * phi.max_degree, 16))
-    if quad.degree < 3 * phi.max_degree:
-        # the volume integrand rho^3 must stay inside the exactness range
-        quad = build_quadrature(3 * phi.max_degree)
+    # the volume integrand rho^3 must stay inside the exactness range
+    quad = build_quadrature(max(3 * phi.max_degree, 16))
     if _sup_norm_dense(phi) >= _SUP_NORM_BOUND:
         raise GeometryError("perturbation exceeds the sup-norm bound 1/2")
     phi_nodes = synthesize(phi, quad.nodes)
@@ -535,15 +528,11 @@ _DIMENSION_LINE = "dimension 3"  # the only space a domain file may describe
 
 
 def save_domain(domain: StarDomain, path) -> None:
-    """Write the harmonic generator to a plain-text file.
-
-    Domains without a band-limited generator are stored through their
-    harmonic projection at half the quadrature degree, which is a
-    (documented) approximation for such domains.
-    """
+    """Write the harmonic generator to a plain-text file.  A domain
+    without one, such as an ellipsoid, is refused with GeometryError."""
     coeffs = domain.coeffs
     if coeffs is None:
-        coeffs = expand(domain.rho, domain.quad.degree // 2, domain.quad)
+        raise GeometryError("only a domain with harmonic coefficients can be saved")
     lines = [
         f"format {_FORMAT_LINE}",
         _DIMENSION_LINE,
@@ -556,7 +545,7 @@ def save_domain(domain: StarDomain, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_domain(path, quad: SphereQuadrature | None = None) -> StarDomain:
+def load_domain(path) -> StarDomain:
     """Read a file written by `save_domain`.  A file that describes
     another space than R^3 is refused with GeometryError."""
     with open(path) as fh:
@@ -576,8 +565,7 @@ def load_domain(path, quad: SphereQuadrature | None = None) -> StarDomain:
                             "and a center with 3 entries")
     values = np.array([float(x) for x in lines[i + 1 :]])
     coeffs = HarmonicCoeffs(max_degree, values)
-    if quad is None:
-        quad = build_quadrature(max(3 * max_degree, 16))
+    quad = build_quadrature(max(3 * max_degree, 16))
     return StarDomain(
         quad=quad,
         rho=synthesize(coeffs, quad.nodes),

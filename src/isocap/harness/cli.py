@@ -10,11 +10,15 @@ Subcommands::
     isocap spectrum    eigenvalue tables
     isocap profile     penalized ball profile
 
-Every option can also be set in a config file (INI style, ``--config``):
-keys in ``[common]`` apply to all subcommands, keys in a section named
-after the subcommand apply to it alone, and the key names equal the
-long option names without the leading dashes.  Explicit command-line
-options override the file.
+Each option's dest is the name of the engine parameter or config field
+it feeds; an option not given is not passed, so the engine's default
+applies.  Every option can also be set in a config file (INI style,
+``--config``): keys in ``[common]`` apply to all subcommands, keys in a
+section named after the subcommand to it alone.  A key is the long
+option name without the dashes, case kept (``R``, ``Lmax``), and is
+parsed as an option token placed before the command line's own, so it
+passes the same checks and the command line overrides it.  A key of
+another subcommand's option only is skipped; an unknown key is refused.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 a checked property was violated.
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import inspect
 import json
 import sys
 
@@ -59,60 +64,39 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"not a boolean: {text!r}")
 
 
-def _load_config(path: str, command: str) -> dict:
-    """Merge [common] and [<command>] sections of an INI file."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-    merged: dict[str, str] = {}
-    for section in ("common", command):
-        if parser.has_section(section):
-            merged.update(parser.items(section))
-    return merged
+def _ladder(text: str) -> tuple:
+    """A comma-separated list of t values."""
+    return tuple(float(x) for x in text.split(","))
 
 
-class _Resolver:
-    """Layer command line over config file over hard defaults."""
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad option with ConfigError, which main reports as JSON."""
 
-    def __init__(self, args: argparse.Namespace, filemap: dict):
-        self.args = args
-        self.filemap = filemap
-
-    def get(self, name: str, typ, default):
-        cli = getattr(self.args, name.replace("-", "_"), None)
-        if cli is not None:
-            return cli
-        if name in self.filemap:
-            raw = self.filemap[name]
-            if typ is bool:
-                return _parse_bool(raw)
-            try:
-                return typ(raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {name!r}: {raw!r}") from exc
-        return default
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="INI config file; CLI flags override it")
-    sub.add_argument("--mode", choices=("abs", "rel"),
+    sub.add_argument("--mode", choices=("abs", "rel"), default="abs",
                      help="absolute (exterior) or relative (shell) capacity")
-    sub.add_argument("--R", type=float, dest="R",
+    sub.add_argument("--R", type=float, default=2.0,
                      help="outer shell radius for relative mode")
-    sub.add_argument("--Lmax", type=int, dest="Lmax",
+    sub.add_argument("--Lmax", type=int, dest="l_max",
                      help="harmonic solver truncation degree")
     sub.add_argument("--seed", type=int, help="seed for all randomness")
     sub.add_argument("--walks", type=int, help="walk-on-spheres sample count")
     sub.add_argument("--threads", type=int,
                      help="accepted and ignored: every command runs in one thread")
     sub.add_argument("--out-dir", help="directory for output files")
-    sub.add_argument("--no-timestamp", action="store_const", const=True,
-                     default=None, help="omit the generation-time comment in SVG")
+    sub.add_argument("--no-timestamp", action="store_false", dest="timestamp",
+                     help="omit the generation-time comment in SVG")
 
 
 def _add_domain_flags(sub: argparse.ArgumentParser) -> None:
-    grp = sub.add_mutually_exclusive_group(required=True)
+    # not required here, so that a config file may name the domain;
+    # _build_domain refuses a command with none
+    grp = sub.add_mutually_exclusive_group()
     grp.add_argument("--ball", type=float, metavar="RADIUS",
                      help="centered ball of the given radius")
     grp.add_argument("--ellipsoid", type=float, metavar="EPS",
@@ -122,54 +106,54 @@ def _add_domain_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="isocap",
         description="capacity, asymmetry, and isocapacitary deficit experiments")
     subs = top.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("cap", help="capacity / deficit of one domain")
-    _add_common(p)
-    _add_domain_flags(p)
-    p.add_argument("--solver", choices=("harmonic", "wos", "closed"))
+    def command(name, text):
+        p = subs.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        _add_common(p)
+        return p
 
-    p = subs.add_parser("asym", help="asymmetry panel of one domain")
-    _add_common(p)
+    p = command("cap", "capacity / deficit of one domain")
+    _add_domain_flags(p)
+    p.add_argument("--solver", choices=("harmonic", "wos", "closed"),
+                   default="harmonic")
+
+    p = command("asym", "asymmetry panel of one domain")
     _add_domain_flags(p)
 
-    p = subs.add_parser("sweep", help="family sweep with tables and plot")
-    _add_common(p)
-    p.add_argument("--family",
+    p = command("sweep", "family sweep with tables and plot")
+    p.add_argument("--family", dest="variant", default="random_star",
                    choices=("ellipsoid", "harmonic_perturbation", "random_star"))
-    p.add_argument("--count", type=int)
+    p.add_argument("--count", type=int, default=8)
     p.add_argument("--eps-min", type=float)
     p.add_argument("--eps-max", type=float)
     p.add_argument("--degree", type=int)
-    p.add_argument("--order", type=int, help="signed order -l..l")
+    p.add_argument("--order", type=int, default=0, help="signed order -l..l")
     p.add_argument("--amplitude", type=float)
     p.add_argument("--max-degree", type=int)
     p.add_argument("--basename")
 
-    p = subs.add_parser("fuglede", help="Taylor ladder for one harmonic")
-    _add_common(p)
+    p = command("fuglede", "Taylor ladder for one harmonic")
     p.add_argument("--degree", type=int)
     p.add_argument("--order", type=int, help="signed order -l..l")
-    p.add_argument("--ladder", help="comma-separated t values, largest first")
+    p.add_argument("--ladder", type=_ladder,
+                   help="comma-separated t values, largest first")
     p.add_argument("--basename")
 
-    p = subs.add_parser("truncation", help="two-ball truncation experiment")
-    _add_common(p)
-    p.add_argument("--far-fraction", type=float,
+    p = command("truncation", "two-ball truncation experiment")
+    p.add_argument("--far-fraction", type=float, dest="far_volume_fraction",
                    help="volume fraction in the far component")
     p.add_argument("--far-distance", type=float)
     p.add_argument("--cut-radius", type=float)
     p.add_argument("--basename")
 
-    p = subs.add_parser("spectrum", help="eigenvalue tables")
-    _add_common(p)
+    p = command("spectrum", "eigenvalue tables")
     p.add_argument("--basename")
 
-    p = subs.add_parser("profile", help="penalized ball profile")
-    _add_common(p)
+    p = command("profile", "penalized ball profile")
     p.add_argument("--eta", type=float, help="volume penalty strength")
     p.add_argument("--points", type=int)
     p.add_argument("--r-lo", type=float)
@@ -179,44 +163,84 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _experiment_config(res: _Resolver) -> ExperimentConfig:
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """Subcommand name -> its parser."""
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def _config_tokens(parser: argparse.ArgumentParser, path: str, command: str) -> list:
+    """The [common] and [<command>] keys of an INI file as option tokens."""
+    ini = configparser.ConfigParser()
+    ini.optionxform = str
+    if not ini.read(path):
+        raise ConfigError(f"cannot read config file {path!r}")
+    subs = _subcommands(parser)
+    tokens = []
+    for section in ("common", command):
+        if not ini.has_section(section):
+            continue
+        for key, value in ini.items(section):
+            flag = "--" + key
+            action = subs[command]._option_string_actions.get(flag)
+            if action is None:
+                if any(flag in p._option_string_actions for p in subs.values()):
+                    continue
+                raise ConfigError(f"unknown config key {key!r} in [{section}]")
+            if action.nargs != 0:
+                tokens.append(f"{flag}={value}")
+            elif _parse_bool(value):
+                tokens.append(flag)
+    return tokens
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """The options of one command line, with its config file's keys."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "config" not in args:
+        return args
+    at = argv.index(args.command) + 1
+    return parser.parse_args(
+        argv[:at] + _config_tokens(parser, args.config, args.command) + argv[at:])
+
+
+def _options(args: argparse.Namespace, target) -> dict:
+    """The given options that name a parameter of `target`."""
+    names = inspect.signature(target).parameters
+    return {k: v for k, v in vars(args).items() if k in names}
+
+
+def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     """The shared knobs.  This is where --mode and --R become the one
-    outer_radius the library takes: None for abs, R (default 2) for rel."""
-    mode = res.get("mode", str, "abs")
-    if mode not in ("abs", "rel"):
-        raise ConfigError(f"mode must be 'abs' or 'rel', got {mode!r}")
-    outer = res.get("R", float, 2.0 if mode == "rel" else None)
-    return ExperimentConfig(
-        outer_radius=outer if mode == "rel" else None,
-        l_max=res.get("Lmax", int, 8),
-        seed=res.get("seed", int, 0),
-        walks=res.get("walks", int, 20000),
-        out_dir=res.get("out-dir", str, "."),
-        timestamp=not res.get("no-timestamp", bool, False),
-    )
+    outer_radius the library takes: None for abs, R for rel."""
+    return ExperimentConfig(outer_radius=args.R if args.mode == "rel" else None,
+                            **_options(args, ExperimentConfig))
 
 
 def _build_domain(args: argparse.Namespace):
-    if args.ball is not None:
+    if "ball" in args:
         return ball(args.ball)
-    if args.ellipsoid is not None:
+    if "ellipsoid" in args:
         return ellipsoid(args.ellipsoid)
+    if "domain" not in args:
+        raise ConfigError("one of the arguments --ball --ellipsoid --domain is required")
     try:
         return load_domain(args.domain)
     except (OSError, ValueError, KeyError, IndexError) as exc:
         raise ConfigError(f"cannot load domain file {args.domain!r}: {exc}") from exc
 
 
-def _cmd_cap(res: _Resolver, args: argparse.Namespace) -> int:
-    cfg = _experiment_config(res)
+def _cmd_cap(args: argparse.Namespace) -> int:
+    cfg = _experiment_config(args)
     dom = _build_domain(args)
-    solver = res.get("solver", str, "harmonic")
     wos = WosConfig(num_walks=cfg.walks, seed=cfg.seed)
     R = cfg.outer_radius
-    d = deficit(dom, R, solver=solver, l_max=cfg.l_max, wos_cfg=wos)
+    d = deficit(dom, R, solver=args.solver, l_max=cfg.l_max, wos_cfg=wos)
     out = {
         "mode": "abs" if R is None else "rel",
-        "solver": solver,
+        "solver": args.solver,
         "volume": volume(dom),
         "capacity_normalized": d.capacity.value,
         "error_estimate": d.error_estimate,
@@ -232,34 +256,22 @@ def _cmd_cap(res: _Resolver, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_asym(res: _Resolver, args: argparse.Namespace) -> int:
-    cfg = _experiment_config(res)
-    dom = _build_domain(args)
-    out = run_asym(dom, cfg.outer_radius)
+def _cmd_asym(args: argparse.Namespace) -> int:
+    cfg = _experiment_config(args)
+    out = run_asym(_build_domain(args), cfg.outer_radius)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return EXIT_OK
 
 
-def _cmd_sweep(res: _Resolver, args: argparse.Namespace) -> int:
-    cfg = _experiment_config(res)
-    variant = res.get("family", str, "random_star")
-    degree = res.get("degree", int, 2)
-    order = res.get("order", int, 0)
-    if abs(order) > degree:
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    cfg = _experiment_config(args)
+    # FamilySpec counts orders from 0 to 2*degree; --order is signed
+    spec = FamilySpec(**_options(args, FamilySpec))
+    if abs(args.order) > spec.degree:
         raise ConfigError("need |order| <= degree")
-    cfg.family = FamilySpec(
-        variant=variant,
-        count=res.get("count", int, 8),
-        eps_min=res.get("eps-min", float, 0.05),
-        eps_max=res.get("eps-max", float, 0.4),
-        degree=degree,
-        order=degree + order,
-        amplitude=res.get("amplitude", float, 0.1),
-        seed=cfg.seed,
-        max_degree=res.get("max-degree", int, 4),
-    )
-    records, summary, paths = run_sweep(cfg, res.get("basename", str, "sweep"))
+    cfg.family = dataclasses.replace(spec, order=spec.degree + args.order)
+    records, summary, paths = run_sweep(cfg, **_options(args, run_sweep))
     print(f"wrote {paths['csv']} and {paths['json']}"
           + (f" and {paths['svg']}" if paths["svg"] else ""))
     print(f"{summary['count']} members, min deficit {summary['min_deficit']}, "
@@ -273,20 +285,9 @@ def _cmd_sweep(res: _Resolver, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_fuglede(res: _Resolver, args: argparse.Namespace) -> int:
-    cfg = _experiment_config(res)
-    ladder_text = res.get("ladder", str, "0.02,0.01,0.005")
-    try:
-        ladder = tuple(float(x) for x in ladder_text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad ladder {ladder_text!r}") from exc
-    rows, summary, paths = run_fuglede(
-        cfg,
-        degree=res.get("degree", int, 2),
-        order=res.get("order", int, 0),
-        ladder=ladder,
-        basename=res.get("basename", str, "fuglede"),
-    )
+def _cmd_fuglede(args: argparse.Namespace) -> int:
+    rows, summary, paths = run_fuglede(_experiment_config(args),
+                                       **_options(args, run_fuglede))
     print(f"wrote {paths['csv']} and {paths['json']}")
     print(f"half second variation {summary['limit_deficit_over_t2']}")
     for r in rows:
@@ -295,15 +296,9 @@ def _cmd_fuglede(res: _Resolver, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_truncation(res: _Resolver, args: argparse.Namespace) -> int:
-    cfg = _experiment_config(res)
-    report, paths = run_truncation(
-        cfg,
-        far_volume_fraction=res.get("far-fraction", float, 0.01),
-        far_distance=res.get("far-distance", float, 10.0),
-        cut_radius=res.get("cut-radius", float, 2.0),
-        basename=res.get("basename", str, "truncation"),
-    )
+def _cmd_truncation(args: argparse.Namespace) -> int:
+    report, paths = run_truncation(_experiment_config(args),
+                                   **_options(args, run_truncation))
     print(f"wrote {paths['json']}")
     print(f"deficit full {report['deficit_full']}, truncated "
           f"{report['deficit_truncated']}, sandwich {report['sandwich_verdict']}")
@@ -313,29 +308,18 @@ def _cmd_truncation(res: _Resolver, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_spectrum(res: _Resolver, args: argparse.Namespace) -> int:
-    cfg = _experiment_config(res)
-    R = res.get("R", float, 2.0)
-    rows, paths = run_spectrum(cfg, radii=(R,),
-                               l_max=res.get("Lmax", int, 6),
-                               basename=res.get("basename", str, "spectrum"))
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    # the table is of the exterior problem and of B_R, whatever --mode says
+    rows, paths = run_spectrum(_experiment_config(args), args.R,
+                               **_options(args, run_spectrum))
     print(f"wrote {paths['csv']} and {paths['json']} ({len(rows)} rows)")
     return EXIT_OK
 
 
-def _cmd_profile(res: _Resolver, args: argparse.Namespace) -> int:
-    # the profile is relative whatever --mode says: to --R when given,
-    # else to B_2 (run_profile's default for an absolute cfg)
-    cfg = _experiment_config(res)
-    cfg = dataclasses.replace(cfg, outer_radius=res.get("R", float, cfg.outer_radius))
-    rep, summary, paths = run_profile(
-        cfg,
-        eta=res.get("eta", float, 0.01),
-        r_lo=res.get("r-lo", float, 0.2),
-        r_hi=res.get("r-hi", float, 1.8),
-        points=res.get("points", int, 400),
-        basename=res.get("basename", str, "profile"),
-    )
+def _cmd_profile(args: argparse.Namespace) -> int:
+    # the profile is relative to B_R whatever --mode says
+    cfg = ExperimentConfig(outer_radius=args.R, **_options(args, ExperimentConfig))
+    rep, summary, paths = run_profile(cfg, **_options(args, run_profile))
     print(f"wrote {paths['csv']} and {paths['json']}")
     print(f"argmin radius {summary['argmin_radius']}, "
           f"linear constant {summary['linear_constant']}")
@@ -354,18 +338,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    filemap = {}
-    if getattr(args, "config", None):
-        try:
-            filemap = _load_config(args.config, args.command)
-        except (ConfigError, configparser.Error, OSError) as exc:
-            _emit_error("config", str(exc), EXIT_CONFIG)
-            return EXIT_CONFIG
-    res = _Resolver(args, filemap)
     try:
-        return _COMMANDS[args.command](res, args)
-    except (ConfigError, GeometryError) as exc:
+        args = parse_args(argv)
+        return _COMMANDS[args.command](args)
+    except (ConfigError, GeometryError, configparser.Error) as exc:
         _emit_error("config", str(exc), EXIT_CONFIG)
         return EXIT_CONFIG
     except SolverError as exc:

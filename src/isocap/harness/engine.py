@@ -276,11 +276,12 @@ def run_fuglede(cfg: ExperimentConfig, degree: int = 2, order: int = 0,
     return rows_t, summary, write_outputs(cfg, basename, TAYLOR_COLUMNS, rows, summary)
 
 
-def run_spectrum(cfg: ExperimentConfig, radii=(2.0,), l_max: int = 6,
+def run_spectrum(cfg: ExperimentConfig, outer_radius: float = 2.0, l_max: int = 6,
                  basename: str = "spectrum"):
-    """Eigenvalue tables for the exterior problem and each shell radius."""
+    """Eigenvalue tables for the exterior problem and the shell of radius
+    outer_radius."""
     rows = []
-    for R in (None, *map(float, radii)):
+    for R in (None, float(outer_radius)):
         head = ["abs", ""] if R is None else ["rel", repr(R)]
         for e in spectrum_table(l_max, R):
             rows.append(head + [repr(e.degree), repr(e.energy_eigenvalue),

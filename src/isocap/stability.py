@@ -37,6 +37,9 @@ __all__ = [
     "TaylorRow",
 ]
 
+_PROJECTION_TOL = 1e-10  # barycenter norm at which project_barycenter stops
+_PROJECTION_MAX_ROUNDS = 30
+
 
 @dataclass(frozen=True)
 class SpectrumEntry:
@@ -193,8 +196,7 @@ def ball_profile(radii, outer_radius: float, eta: float) -> ProfileReport:
 # ---------------------------------------------------------------------------
 
 
-def project_barycenter(phi: HarmonicCoeffs, tol: float = 1e-10,
-                       max_iterations: int = 30) -> HarmonicCoeffs:
+def project_barycenter(phi: HarmonicCoeffs) -> HarmonicCoeffs:
     """Adjust degree-1 coefficients so the generated domain is centered.
 
     Products of higher harmonics leak into degree 1, so zeroing the
@@ -204,10 +206,10 @@ def project_barycenter(phi: HarmonicCoeffs, tol: float = 1e-10,
     very small phi, so this iterates to the tolerance instead).
     """
     out = phi.copy()
-    for _ in range(max_iterations):
+    for _ in range(_PROJECTION_MAX_ROUNDS):
         dom = nearly_spherical_from_phi(out)
         x = barycenter(dom)
-        if float(np.linalg.norm(x)) < tol:
+        if float(np.linalg.norm(x)) < _PROJECTION_TOL:
             return out
         sl = out.degree_slice(1)
         # a translation by v shifts the radial graph by v . omega at
@@ -216,7 +218,7 @@ def project_barycenter(phi: HarmonicCoeffs, tol: float = 1e-10,
         c = math.sqrt(4.0 * math.pi / 3.0)
         sl[:] -= c * np.array([-x[1], x[2], -x[0]])
     raise SolverError("barycenter projection did not reach tolerance "
-                      f"{tol} in {max_iterations} rounds")
+                      f"{_PROJECTION_TOL} in {_PROJECTION_MAX_ROUNDS} rounds")
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ def test_ellipsoid_volume_is_unit_ball():
     for eps in (0.0, 0.1, 0.25, 0.4):
         dom = ellipsoid(eps)
         assert volume(dom) == pytest.approx(OMEGA, rel=1e-12)
-    assert ellipsoid(0.0).is_ball(tol=1e-12)
+    assert ellipsoid(0.0).is_ball()
     assert not ellipsoid(0.1).is_ball()
     with pytest.raises(GeometryError):
         ellipsoid(0.6)
@@ -197,6 +197,13 @@ def test_save_load_roundtrip(tmp_path):
     npt.assert_allclose(back.coeffs.values, dom.coeffs.values, atol=1e-15)
     npt.assert_allclose(back.center_offset, dom.center_offset, atol=1e-15)
     assert volume(back) == pytest.approx(volume(dom), rel=1e-12)
+
+
+def test_save_refuses_a_domain_without_coefficients(tmp_path):
+    path = tmp_path / "ellipsoid.txt"
+    with pytest.raises(GeometryError, match="harmonic coefficients"):
+        save_domain(ellipsoid(0.1), path)
+    assert not path.exists()
 
 
 def test_load_rejects_unknown_header(tmp_path):

@@ -13,6 +13,7 @@ from isocap.domains import (CompositeDomain, FamilySpec, ball, ellipsoid, genera
                             save_domain)
 from isocap.harness import (ExperimentConfig, fit_loglog, run_asym, run_sweep,
                             scatter_svg, verdict_for)
+from isocap.harness import cli
 from isocap.harness.cli import main as cli_main
 from isocap.sphere import ball_volume
 
@@ -634,3 +635,76 @@ def test_cli_config_layering_and_override(tmp_path, capsys):
     overridden = (over_dir / "sweep.csv").read_bytes()
     assert flags == from_cfg
     assert overridden != flags
+
+
+def _cap_json(capsys, argv):
+    assert cli_main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_cli_config_keys_keep_their_case(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[common]\nmode = rel\nR = 3\n")
+    payload = _cap_json(capsys, ["cap", "--ball", "1", "--config", str(ini)])
+    assert payload["outer_radius"] == 3.0
+    ini.write_text("[cap]\nLmax = 4\n")
+    from_file = _cap_json(capsys, ["cap", "--ellipsoid", "0.1", "--config", str(ini)])
+    from_flag = _cap_json(capsys, ["cap", "--ellipsoid", "0.1", "--Lmax", "4"])
+    default = _cap_json(capsys, ["cap", "--ellipsoid", "0.1"])
+    assert from_file == from_flag
+    assert from_file["capacity_normalized"] != default["capacity_normalized"]
+
+
+@pytest.mark.parametrize("text,argv", [
+    ("[cap]\nsolver = foo\n", []),
+    ("[common]\nno-such-option = 1\n", []),
+    ("[common]\nlmax = 4\n", []),
+    ("[common]\nno-timestamp = maybe\n", []),
+    ("", ["--solver", "nope"]),
+    ("", ["--ball", "1", "--ellipsoid", "0.1"]),
+], ids=["file-choice", "file-unknown-key", "file-key-case", "file-boolean",
+        "flag-choice", "flag-exclusive"])
+def test_cli_refusals_are_json(tmp_path, capsys, text, argv):
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    assert cli_main(["cap", "--ball", "1", "--config", str(ini)] + argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 2
+    assert err["error"] == "config"
+
+
+def test_cli_config_skips_another_commands_key(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[common]\nfamily = ellipsoid\nLmax = 4\n")
+    from_file = _cap_json(capsys, ["cap", "--ellipsoid", "0.1", "--config", str(ini)])
+    assert from_file == _cap_json(capsys, ["cap", "--ellipsoid", "0.1", "--Lmax", "4"])
+
+
+def _file_options():
+    """(command, option) for every option a config file may set."""
+    for name, sub in cli._subcommands(cli.build_parser()).items():
+        for action in sub._actions:
+            flag = action.option_strings[-1] if action.option_strings else None
+            if flag not in (None, "--help", "--config"):
+                yield pytest.param(name, action, id=f"{name}{flag}")
+
+
+@pytest.mark.parametrize("command,action", list(_file_options()))
+def test_cli_config_key_parses_like_its_flag(tmp_path, command, action):
+    flag = action.option_strings[-1]
+    domain = ["--ball", "1"] if command in ("cap", "asym") and flag not in (
+        "--ball", "--ellipsoid", "--domain") else []
+    if action.nargs == 0:
+        key_value, tokens = "yes", [flag]
+    else:
+        # a value other than the default, so a skipped key shows
+        value = next(c for c in action.choices if c != action.default) \
+            if action.choices else "3"
+        key_value, tokens = value, [flag, value]
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{command}]\n{flag[2:]} = {key_value}\n")
+    from_file = vars(cli.parse_args([command, "--config", str(ini)] + domain))
+    from_flag = vars(cli.parse_args([command] + tokens + domain))
+    assert from_file.pop("config") == str(ini)
+    assert from_file == from_flag
+    assert action.dest in from_flag

@@ -174,10 +174,10 @@ def test_ball_profile_grid_validation():
 def test_project_barycenter_reaches_tolerance():
     fam = generate_family(FamilySpec("random_star", 1, amplitude=0.12, seed=11))
     phi = fam[0][3]
-    projected = project_barycenter(phi, tol=1e-10)
+    projected = project_barycenter(phi)
     dom = nearly_spherical_from_phi(projected)
     assert float(np.linalg.norm(barycenter(dom))) < 1e-10
-    again = project_barycenter(projected, tol=1e-10)
+    again = project_barycenter(projected)
     npt.assert_allclose(again.values, projected.values, atol=1e-9)
 
 
