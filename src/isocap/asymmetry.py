@@ -62,13 +62,12 @@ _RAY_DEGREE = 128  # internal angular rule; ray integrands have kinks at
 @dataclass(frozen=True)
 class _RaySamples:
     """What `symdiff_volume` reads of a domain on every call.  A ball
-    needs only its flag; any other domain has its radii rho at the nodes
-    of a rule of degree >= _RAY_DEGREE, their cubes, and the certified
-    upper bound rho_hi on its radius (`radial_bounds`)."""
+    needs only its flag; any other domain has the cubes of its radii at
+    the nodes of a rule of degree >= _RAY_DEGREE, and the certified upper
+    bound rho_hi on its radius (`radial_bounds`)."""
 
     ball: bool
     quad: SphereQuadrature | None = None
-    rho: np.ndarray | None = None
     rho_cubed: np.ndarray | None = None
     rho_hi: float = math.inf
 
@@ -84,7 +83,7 @@ def _ray_samples(domain: StarDomain) -> _RaySamples:
             else:
                 quad = build_quadrature(_RAY_DEGREE)
                 rho = domain.radial(quad.nodes)
-            domain._rays = _RaySamples(False, quad, rho, _cube(rho),
+            domain._rays = _RaySamples(False, quad, _cube(rho),
                                        radial_bounds(domain)[1])
     return domain._rays
 
@@ -121,10 +120,15 @@ def symdiff_volume(domain: StarDomain, center, radius: float) -> float:
     When 4|c|^2 <= r^2, with c the ball center relative to the domain's,
     the ray origin lies inside the ball, and the discriminant is at least
     (w.c)^2 + 3r^2/4, so its root exceeds |w.c| even after rounding.
-    Then every ray enters the ball at t = 0: b0 and min(b0, rho) are
-    exactly 0, no ray misses, b1 = w.c + root is positive, and only b1
-    is computed.  The result is the general formula's, bit for bit, with
+    Then every ray enters the ball at t = 0: b0 and its cube are exactly
+    0, no ray misses, b1 = w.c + root is positive, and only b1 is
+    computed.  The result is the general formula's, bit for bit, with
     the same operations in the same order.
+
+    A ray's share of |Omega cap B| is min(b1, rho)^3 - min(b0, rho)^3.
+    The rounded cube x*x*x is nondecreasing for x >= 0, so
+    min(b, rho)^3 is min(b^3, rho^3) exactly, and the cached rho^3 is
+    used.
     """
     c = np.asarray(center, dtype=float) - domain.center_offset
     c2 = float(c @ c)
@@ -135,7 +139,7 @@ def symdiff_volume(domain: StarDomain, center, radius: float) -> float:
         return max(ball_volume(r1) + ball_volume(radius) - 2.0 * cap, 0.0)
     if c2 >= (rays.rho_hi + radius) ** 2:
         return volume(domain) + ball_volume(radius)
-    p = rays.rho
+    rho3 = rays.rho_cubed
     dots = rays.quad.nodes @ c
     # |1_A - 1_B| integrates to vol(A) + vol(B) - 2 vol(A cap B) per ray
     if 4.0 * c2 <= radius * radius:
@@ -144,16 +148,15 @@ def symdiff_volume(domain: StarDomain, center, radius: float) -> float:
         b1 += radius * radius
         np.sqrt(b1, out=b1)
         b1 += dots
-        hi = np.minimum(b1, p)
         ib = _cube(b1)
-        iab = _cube(hi)
+        iab = np.minimum(ib, rho3)
     else:
         b0, b1 = _ball_interval(dots, c2, radius)
-        ib = _cube(b1) - _cube(b0)
-        lo = np.minimum(b0, p)
-        hi = np.minimum(b1, p)
-        iab = _cube(hi) - _cube(lo)
-    ib += rays.rho_cubed
+        b0, b1 = _cube(b0), _cube(b1)
+        ib = b1 - b0
+        iab = np.minimum(b1, rho3)
+        iab -= np.minimum(b0, rho3)
+    ib += rho3
     iab *= 2.0
     ib -= iab
     return float(rays.quad.weights @ ib) / 3.0

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import CompositeDomain, StarDomain, radial_bounds, scale_domain, volume
+from .domains import (CompositeDomain, StarDomain, _check_seed, radial_bounds, scale_domain,
+                      volume)
 from .errors import ConfigError, GeometryError, SolverError
 from .sphere import ball_volume, build_quadrature, harmonic_basis, sphere_area
 
@@ -213,13 +214,47 @@ def cap_relative_harmonic(domain: StarDomain, outer_radius: float,
 _M1 = np.uint64(0xFF51AFD7ED558CCD)
 _M2 = np.uint64(0xC4CEB9FE1A85EC53)
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
+_SHIFT = np.uint64(33)
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
+def _mix64(x):
+    """The 64-bit finaliser, in place on an array (a scalar is rebound)."""
     # multiplies wrap mod 2^64 on purpose
-    x = (x ^ (x >> np.uint64(33))) * _M1
-    x = (x ^ (x >> np.uint64(33))) * _M2
-    return x ^ (x >> np.uint64(33))
+    x ^= x >> _SHIFT
+    x *= _M1
+    x ^= x >> _SHIFT
+    x *= _M2
+    x ^= x >> _SHIFT
+    return x
+
+
+# counter_uniform's chain mixes in seed, walk, step and slot in turn,
+# adding _GOLD to each hash before the next key is xor-ed in.  The WoS
+# loop runs it in stages: the walk keys once per block, the step keys
+# once per step, and then one mix per slot.
+
+def _walk_keys(seed: int, walk) -> np.ndarray:
+    """The chain through (seed, walk), plus _GOLD."""
+    with np.errstate(over="ignore"):
+        h = _mix64(np.asarray(walk, dtype=np.uint64) ^ (_mix64(np.uint64(seed) + _GOLD) + _GOLD))
+        h += _GOLD
+    return h
+
+
+def _step_keys(walk_keys: np.ndarray, step: int) -> np.ndarray:
+    """The chain continued through step, plus _GOLD."""
+    h = _mix64(walk_keys ^ np.uint64(step))
+    h += _GOLD
+    return h
+
+
+def _slot_uniform(step_keys: np.ndarray, slot: int) -> np.ndarray:
+    """The chain finished with slot, as uniforms in [0, 1)."""
+    h = _mix64(step_keys ^ np.uint64(slot))
+    h >>= np.uint64(11)
+    u = h.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 def counter_uniform(seed: int, walk: np.ndarray, step: int, slot: int) -> np.ndarray:
@@ -228,13 +263,8 @@ def counter_uniform(seed: int, walk: np.ndarray, step: int, slot: int) -> np.nda
     Stateless, so any partition of the walk index range across workers
     reproduces the serial stream bit for bit.
     """
-    w = np.asarray(walk, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        h = _mix64(np.asarray(np.uint64(seed) + _GOLD))
-        h = _mix64(w ^ (h + _GOLD))
-        h = _mix64(np.uint64(step) ^ (h + _GOLD))
-        h = _mix64(np.uint64(slot) ^ (h + _GOLD))
-    return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return _slot_uniform(_step_keys(_walk_keys(seed, walk), step), slot)
 
 
 @dataclass(frozen=True)
@@ -242,6 +272,13 @@ class WosConfig:
     num_walks: int = 20000
     seed: int = 0
     block_size: int = 8192
+
+    def __post_init__(self):
+        _check_seed(self.seed)
+        if self.num_walks < 1:
+            raise ConfigError(f"walk on spheres needs at least one walk, got {self.num_walks!r}")
+        if self.block_size < 1:
+            raise ConfigError(f"the block size must be at least 1, got {self.block_size!r}")
 
 
 _WOS_MAX_STEPS = 10000  # a walk still alive after this many steps counts as killed
@@ -290,14 +327,27 @@ class _WosComponent:
         return np.maximum(gap / self.lipschitz, r - self.rho_hi), gap
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise u x v, written out with np.cross's operations in its
+    order, so it matches np.cross bit for bit, signed zeros too."""
+    u0, u1, u2 = u.T
+    v0, v1, v2 = v.T
+    out = np.empty_like(u)
+    out[:, 0] = u1 * v2 - u2 * v1
+    out[:, 1] = u2 * v0 - u0 * v2
+    out[:, 2] = u0 * v1 - u1 * v0
+    return out
+
+
 def _any_orthonormal(w: np.ndarray) -> np.ndarray:
     """A unit vector orthogonal to each row of w."""
     ref = np.zeros_like(w)
     small = np.abs(w[:, 0]) < 0.9
     ref[small, 0] = 1.0
     ref[~small, 1] = 1.0
-    a = np.cross(w, ref)
-    return a / np.linalg.norm(a, axis=1, keepdims=True)
+    a = _cross(w, ref)
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    return a
 
 
 def _reentry_points(p: np.ndarray, a: float, u_pol: np.ndarray, u_azi: np.ndarray) -> np.ndarray:
@@ -318,7 +368,7 @@ def _reentry_points(p: np.ndarray, a: float, u_pol: np.ndarray, u_azi: np.ndarra
     s = np.sqrt(1.0 - c**2)
     chi = 2.0 * math.pi * u_azi
     e1 = _any_orthonormal(axis)
-    e2 = np.cross(axis, e1)
+    e2 = _cross(axis, e1)
     out = axis * c[:, None] + (np.cos(chi)[:, None] * e1 + np.sin(chi)[:, None] * e2) * s[:, None]
     return a * out
 
@@ -332,47 +382,47 @@ def _uniform_directions(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _run_wos_block(components, walk_ids: np.ndarray, seed: int, a: float, eps: float):
-    n = len(walk_ids)
-    pos = a * _uniform_directions(counter_uniform(seed, walk_ids, 0, 0),
-                                  counter_uniform(seed, walk_ids, 0, 1))
-    alive = np.ones(n, dtype=bool)
-    hit = np.zeros(n, dtype=bool)
-    ids = walk_ids.copy()
+    """Run the walks walk_ids to the end; return (hits, unresolved).
+
+    Only live walkers are carried: their positions and walk keys sit in
+    compacted arrays, in walk order, and a walker leaves them when it is
+    absorbed or killed.  Each walker's arithmetic does not depend on the
+    others, so this is the walk of each id alone.
+    """
+    keys = _walk_keys(seed, walk_ids)
+    start = _step_keys(keys, 0)
+    pos = a * _uniform_directions(_slot_uniform(start, 0), _slot_uniform(start, 1))
+    hits = 0
     for step in range(1, _WOS_MAX_STEPS + 1):
-        if not alive.any():
+        if not len(pos):
             break
-        idx = np.nonzero(alive)[0]
-        p = pos[idx]
-        d = np.full(len(idx), np.inf)
-        gap = np.full(len(idx), np.inf)
-        for comp in components:
-            dc, gc = comp.step_gap(p)
+        d, gap = components[0].step_gap(pos)
+        for comp in components[1:]:
+            dc, gc = comp.step_gap(pos)
             d = np.minimum(d, dc)
             gap = np.minimum(gap, gc)
         absorbed = gap <= eps
-        hit[idx[absorbed]] = True
-        alive[idx[absorbed]] = False
-        move = ~absorbed
-        if not move.any():
-            continue
-        im = idx[move]
-        wid = ids[im]
-        stepdir = _uniform_directions(counter_uniform(seed, wid, step, 0),
-                                      counter_uniform(seed, wid, step, 1))
-        pos[im] = pos[im] + d[move][:, None] * stepdir
-        r = np.linalg.norm(pos[im], axis=1)
-        out = r > a
-        if out.any():
-            io = im[out]
-            surv = counter_uniform(seed, ids[io], step, 2) < a / r[out]
-            alive[io[~surv]] = False
-            if surv.any():
-                iw = io[surv]
-                up = counter_uniform(seed, ids[iw], step, 3)
-                uq = counter_uniform(seed, ids[iw], step, 4)
-                pos[iw] = _reentry_points(pos[iw], a, up, uq)
-    unresolved = int(alive.sum())
-    return int(hit.sum()), unresolved
+        n_absorbed = int(np.count_nonzero(absorbed))
+        if n_absorbed:
+            hits += n_absorbed
+            move = ~absorbed
+            pos, keys, d = pos[move], keys[move], d[move]
+        step_keys = _step_keys(keys, step)
+        pos += d[:, None] * _uniform_directions(_slot_uniform(step_keys, 0),
+                                                _slot_uniform(step_keys, 1))
+        r = np.linalg.norm(pos, axis=1)
+        out = np.nonzero(r > a)[0]
+        if len(out):
+            survive = _slot_uniform(step_keys[out], 2) < a / r[out]
+            back = out[survive]
+            if len(back):
+                pos[back] = _reentry_points(pos[back], a, _slot_uniform(step_keys[back], 3),
+                                            _slot_uniform(step_keys[back], 4))
+            if len(back) < len(out):
+                keep = np.ones(len(pos), dtype=bool)
+                keep[out[~survive]] = False
+                pos, keys = pos[keep], keys[keep]
+    return hits, len(pos)
 
 
 def cap_wos(domain, cfg: WosConfig | None = None) -> CapacityResult:

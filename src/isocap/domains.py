@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import ConfigError, GeometryError
 from .sphere import (
     HarmonicCoeffs,
     SphereQuadrature,
@@ -475,11 +475,19 @@ class FamilySpec:
             raise GeometryError(f"unknown family variant {self.variant!r}")
         if self.count < 1:
             raise GeometryError("family count must be >= 1")
+        _check_seed(self.seed)
 
     def member_id(self, k: int) -> str:
         """The domain_id of member k, known before the member is built."""
         prefix = _MEMBER_PREFIX[self.variant].format(degree=self.degree, order=self.order)
         return f"{prefix}-{k:03d}"
+
+
+def _check_seed(seed: int) -> None:
+    """Refuse a seed outside [0, 2**64), the range every seeded stream
+    of isocap takes (NumPy's generator, the uint64 walk hash)."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"the seed must lie in [0, 2**64), got {seed!r}")
 
 
 def _random_phi(seed: int, member: int, max_degree: int, amplitude: float) -> HarmonicCoeffs:

@@ -1,6 +1,7 @@
 """Capacity solvers against closed forms and image-charge oracles."""
 
 import math
+import sys
 import threading
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocap.capacity import (WosConfig, _any_orthonormal,
+from isocap.capacity import (WosConfig, _any_orthonormal, _cross, _run_wos_block,
                              _WosComponent, cap_ball, cap_ball_rel,
                              cap_exterior_harmonic, cap_relative_harmonic,
                              cap_spheroid, cap_wos, capacity, counter_uniform,
@@ -209,6 +210,115 @@ def test_counter_rng_stateless_and_uniform():
     assert abs(u.var() - 1.0 / 12.0) < 0.001
 
 
+def test_counter_uniform_known_answer():
+    # the stream as the unstaged hash chain wrote it; the WoS loop and
+    # every golden that rests on it depend on these exact values
+    u = counter_uniform(3, np.arange(8, dtype=np.uint64), 7, 1)
+    npt.assert_array_equal(u, [0.7634895079882582, 0.2581576865811618,
+                               0.7034915747513748, 0.6267591062479839,
+                               0.1970857090413577, 0.43666734805064744,
+                               0.9957085630971915, 0.21085445798509828])
+
+
+def _unstaged_uniform(seed, walk, step, slot):
+    """The hash chain in one piece, as counter_uniform first wrote it."""
+    def mix(x):
+        x = (x ^ (x >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
+        x = (x ^ (x >> np.uint64(33))) * np.uint64(0xC4CEB9FE1A85EC53)
+        return x ^ (x >> np.uint64(33))
+
+    gold = np.uint64(0x9E3779B97F4A7C15)
+    with np.errstate(over="ignore"):
+        h = mix(np.asarray(np.uint64(seed) + gold))
+        h = mix(np.asarray(walk, dtype=np.uint64) ^ (h + gold))
+        h = mix(np.uint64(step) ^ (h + gold))
+        h = mix(np.uint64(slot) ^ (h + gold))
+    return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**63 + 5, 2**64 - 1])
+def test_staged_hash_matches_the_unstaged_chain(seed):
+    ids = np.concatenate([np.arange(4096, dtype=np.uint64),
+                          np.array([2**32, 2**63, 2**64 - 1], dtype=np.uint64)])
+    for step in (0, 1, 7, 9999):
+        for slot in range(5):
+            npt.assert_array_equal(counter_uniform(seed, ids, step, slot),
+                                   _unstaged_uniform(seed, ids, step, slot))
+    assert counter_uniform(seed, 5, 7, 1) == _unstaged_uniform(seed, 5, 7, 1)
+
+
+def _star_member():
+    return generate_family(FamilySpec("random_star", 1, amplitude=0.3, seed=1))[0][2]
+
+
+@pytest.mark.parametrize("block_size", [250, 8192])
+def test_wos_random_star_known_answer(block_size):
+    res = cap_wos(_star_member(), WosConfig(num_walks=1000, seed=3, block_size=block_size))
+    assert res.value == 12.780738586975538
+    assert res.error_estimate == 0.81074641274984
+
+
+def test_wos_killed_walkers_known_answer(monkeypatch):
+    # with the step cap lowered, walkers are killed: the count of
+    # unresolved walks, and the error term they add, are pinned
+    dom = _star_member()
+    comps = [_WosComponent(dom)]
+    a, eps = 4.0 * dom.enclosing_radius, 1e-4 * dom.enclosing_radius
+    ids = np.arange(1000, dtype=np.uint64)
+    module = sys.modules["isocap.capacity"]
+    monkeypatch.setattr(module, "_WOS_MAX_STEPS", 5)
+    assert _run_wos_block(comps, ids, 3, a, eps) == (0, 540)
+    monkeypatch.setattr(module, "_WOS_MAX_STEPS", 40)
+    assert _run_wos_block(comps, ids, 3, a, eps) == (32, 199)
+    res = cap_wos(dom, WosConfig(num_walks=1000, seed=3, block_size=250))
+    assert res.value == 2.044918173916086
+    assert res.error_estimate == 13.072885287119284
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(seed=-1), dict(seed=2**64), dict(num_walks=0), dict(num_walks=-5),
+    dict(block_size=0),
+], ids=["seed-negative", "seed-too-large", "no-walks", "negative-walks", "no-block"])
+def test_wos_config_refuses_bad_values(kwargs):
+    with pytest.raises(ConfigError):
+        WosConfig(**kwargs)
+
+
+def test_wos_config_takes_the_largest_seed():
+    res = cap_wos(ball(1.0), WosConfig(num_walks=200, seed=2**64 - 1))
+    assert res.value > 0.0
+
+
+def _np_cross_orthonormal(w):
+    """The np.cross form of `_any_orthonormal`, as a reference."""
+    ref = np.zeros_like(w)
+    small = np.abs(w[:, 0]) < 0.9
+    ref[small, 0] = 1.0
+    ref[~small, 1] = 1.0
+    a = np.cross(w, ref)
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+def test_written_out_cross_products_match_np_cross_bit_for_bit():
+    # edge rows: |w_x| exactly 0.9 and just below, signed zeros, the
+    # poles and +-e_x, then random unit rows; bits are compared, so a
+    # signed zero that differs shows
+    edge = np.array([
+        [0.9, 0.3, 0.4], [-0.9, 0.3, -0.4], [0.8999999999999999, 0.1, 0.2],
+        [0.9, 0.0, -0.0], [-0.9, -0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+        [1.0, -0.0, -0.0], [-1.0, -0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+        [-0.0, -0.0, 1.0], [0.0, -0.0, -1.0], [-0.0, 1.0, -0.0], [0.0, -1.0, 0.0],
+    ])
+    rng = np.random.default_rng(11)
+    rows = rng.normal(size=(2000, 3))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    w = np.vstack([edge, -edge, rows])
+    bits = lambda x: x.view(np.uint64)  # noqa: E731
+    npt.assert_array_equal(bits(_any_orthonormal(w)), bits(_np_cross_orthonormal(w)))
+    v = np.vstack([edge[::-1], edge, rows[::-1]])
+    npt.assert_array_equal(bits(_cross(w, v)), bits(np.cross(w, v)))
+
+
 def test_wos_ball_within_three_sigma():
     res = cap_wos(ball(1.0), WosConfig(num_walks=40000, seed=2))
     assert abs(res.value - FOUR_PI) <= 3.0 * res.error_estimate
@@ -234,13 +344,19 @@ def _in_threads(calls):
 
 def test_wos_deterministic_across_threads():
     # the estimate is the same from the calling thread and from two
-    # threads running at once, and for any block size
-    a = cap_wos(ball(1.0), WosConfig(num_walks=20000, seed=9))
-    for b in _in_threads([(cap_wos, (ball(1.0), WosConfig(num_walks=20000, seed=9,
-                                                          block_size=bs)))
-                          for bs in (8192, 3000)]):
-        assert a.value == b.value
-        assert a.error_estimate == b.error_estimate
+    # threads running at once, and for any block size; for a ball and
+    # for the truncation experiment's two-ball composite, whose known
+    # answer is pinned too
+    two_balls = CompositeDomain([ball(0.99 ** (1.0 / 3.0)),
+                                 ball(0.01 ** (1.0 / 3.0), center=(10.0, 0.0, 0.0))])
+    for dom in (ball(1.0), two_balls):
+        a = cap_wos(dom, WosConfig(num_walks=20000, seed=9))
+        for b in _in_threads([(cap_wos, (dom, WosConfig(num_walks=20000, seed=9,
+                                                        block_size=bs)))
+                              for bs in (8192, 3000)]):
+            assert a.value == b.value
+            assert a.error_estimate == b.error_estimate
+    assert (a.value, a.error_estimate) == (14.53160270395708, 0.6710067313035951)
 
 
 def test_wos_random_star_deterministic_across_threads():

@@ -15,7 +15,7 @@ from isocap.domains import (CompositeDomain, FamilySpec, StarDomain, ball,
                             nearly_spherical_from_phi, normalize_volume,
                             radial_bounds, save_domain, scale_domain,
                             truncate_rescale, volume)
-from isocap.errors import GeometryError
+from isocap.errors import ConfigError, GeometryError
 from isocap.sphere import HarmonicCoeffs, ball_volume, build_quadrature, synthesize
 
 OMEGA = ball_volume()
@@ -186,6 +186,13 @@ def test_generate_family_rejects_bad_variant_and_count():
         generate_family(FamilySpec("mystery", 3))
     with pytest.raises(GeometryError):
         generate_family(FamilySpec("ellipsoid", 0))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_family_spec_refuses_a_seed_outside_uint64(seed):
+    with pytest.raises(ConfigError):
+        FamilySpec("random_star", 2, seed=seed)
+    assert FamilySpec("random_star", 1, seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_save_load_roundtrip(tmp_path):

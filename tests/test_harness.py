@@ -673,6 +673,24 @@ def test_cli_refusals_are_json(tmp_path, capsys, text, argv):
     assert err["error"] == "config"
 
 
+@pytest.mark.parametrize("argv", [
+    ["cap", "--ball", "1", "--solver", "wos", "--seed", "-1"],
+    ["cap", "--ball", "1", "--solver", "wos", "--seed", str(2**64)],
+    ["truncation", "--seed", "-1"],
+    ["sweep", "--seed", "-1", "--count", "2"],
+    ["cap", "--ball", "1", "--solver", "wos", "--walks", "0"],
+    ["cap", "--ball", "1", "--solver", "wos", "--walks", "-5"],
+    ["truncation", "--walks", "0"],
+], ids=["cap-seed-negative", "cap-seed-too-large", "truncation-seed-negative",
+        "sweep-seed-negative", "cap-no-walks", "cap-negative-walks", "truncation-no-walks"])
+def test_cli_refuses_bad_seed_and_walks(tmp_path, capsys, argv):
+    assert cli_main(argv + ["--out-dir", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 2
+    assert err["error"] == "config"
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_config_skips_another_commands_key(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text("[common]\nfamily = ellipsoid\nLmax = 4\n")
