@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .domains import CompositeDomain, StarDomain, barycenter, radial_bounds, volume
 from .errors import GeometryError, SolverError
@@ -176,20 +175,142 @@ def composite_symdiff_volume(comp: CompositeDomain, center, radius: float) -> fl
     return math.fsum(parts) - (len(parts) - 1) * ball_volume(radius)
 
 
+_SIMPLEX_TOL = 1e-10  # xatol and fatol of the simplex stop
+
+
+class _BudgetSpent(Exception):
+    """`_nelder_mead` has spent its evaluation budget."""
+
+
+def _simplex_order(fsim: list) -> list:
+    """The permutation that np.argsort gives for fsim.
+
+    Distinct values have only one sorted order, so Python's sort finds
+    it.  On an exact tie or a NaN the order is taken from np.argsort
+    itself, which is not stable on every machine (on AVX-512 it runs a
+    sorting network), so that ties break as they do in SciPy.
+    """
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    if all(fsim[i] < fsim[j] for i, j in zip(order, order[1:])):
+        return order
+    return np.argsort(fsim).tolist()
+
+
+def _nelder_mead(f, x0, maxfev: int):
+    """Minimise f from x0 by SciPy's Nelder-Mead, bit for bit.
+
+    This is scipy.optimize.minimize(f, x0, method="Nelder-Mead",
+    options={"maxfev": maxfev, "xatol": 1e-10, "fatol": 1e-10}) as
+    SciPy 1.17 computes it, on lists of Python floats: the same initial
+    simplex (each nonzero coordinate times 1.05, a zero one set to
+    0.00025), the same points in the same floating-point operations
+    (reflection 2 xbar - w, expansion 3 xbar - 2 w, contractions
+    1.5 xbar - 0.5 w and 0.5 xbar + 0.5 w, shrink toward the best
+    vertex), the same tie-breaking (`_simplex_order`) and the same stop.
+    The budget is checked before each evaluation, so it can run out
+    inside a shrink, which leaves the vertex being shrunk moved with its
+    old value, as SciPy does.  f receives a list.
+
+    Returns SciPy's x, fun and nfev: the first vertex after the final
+    sort, the least value in the simplex (NaN if any value is NaN), and
+    the number of evaluations.  After a stop inside a shrink, that value
+    may belong to the vertex's position before the shrink.
+    """
+    n = len(x0)
+    x0 = [float(v) for v in x0]
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [math.inf] * (n + 1)
+    nfev = 0
+
+    def call(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return f(x)
+
+    def sort():
+        order = _simplex_order(fsim)
+        sim[:] = [sim[i] for i in order]
+        fsim[:] = [fsim[i] for i in order]
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+    except _BudgetSpent:
+        pass
+    sort()
+    sort()  # as SciPy does: an unstable argsort may reorder ties again
+    while nfev < maxfev:
+        try:
+            best = sim[0]
+            if (all(abs(v - b) <= _SIMPLEX_TOL for x in sim[1:] for v, b in zip(x, best))
+                    and all(abs(fsim[0] - fv) <= _SIMPLEX_TOL for fv in fsim[1:])):
+                break
+            xbar = list(sim[0])
+            for x in sim[1:-1]:
+                xbar = [s + v for s, v in zip(xbar, x)]
+            xbar = [s / n for s in xbar]
+            w = sim[-1]
+            xr = [2 * b - v for b, v in zip(xbar, w)]
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = [3 * b - 2 * v for b, v in zip(xbar, w)]
+                fxe = call(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = [1.5 * b - 0.5 * v for b, v in zip(xbar, w)]
+                    fxc = call(xc)
+                    shrink = not fxc <= fxr
+                else:
+                    xc = [0.5 * b + 0.5 * v for b, v in zip(xbar, w)]
+                    fxc = call(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
+                        fsim[j] = call(sim[j])
+        except _BudgetSpent:
+            pass
+        sort()
+    return sim[0], float(np.min(fsim)), nfev
+
+
 def fraenkel(domain: StarDomain | CompositeDomain) -> AsymmetryResult:
     """Fraenkel asymmetry min_c |Omega symdiff B_1(c)| / |B_1|.
 
     The domain must be volume-normalised.  The minimisation runs
-    Nelder-Mead under a budget of 500 objective evaluations, shared
-    among its starts.  A star domain has five starts (barycenter, origin,
-    and 0.1-shifted barycenters) and the objective `symdiff_volume`; a
-    composite has one, its largest component's center, and the objective
-    `composite_symdiff_volume`.
+    Nelder-Mead (`_nelder_mead`) under a budget of 500 objective
+    evaluations, shared among its starts.  A star domain has five starts
+    (barycenter, origin, and 0.1-shifted barycenters) and the objective
+    `symdiff_volume`; a composite has one, its largest component's
+    center, and the objective `composite_symdiff_volume`.
+
+    A start within about 2e-9 of the origin, with no coordinate exactly
+    zero, is degenerate: its initial simplex steps are 5% of each
+    coordinate, so its four vertices lie within 1e-10 of each other, and
+    where their values also agree to 1e-10 it stops after its 4 initial
+    evaluations.  On a projected abs-mode sweep member the barycenter is
+    that close (1e-12 to 1e-10 from the origin on family seeds 1-3 at
+    amplitude 0.3), so the first start is spent this way and the member
+    takes 404 evaluations, not 500.  Changing the start would move every
+    abs-mode `fraenkel` value, so it is kept (ROADMAP item 1).
     """
     if abs(volume(domain) - ball_volume()) > 1e-8:
         raise GeometryError("fraenkel needs a volume-normalised domain")
     omega = ball_volume()
-    count = [0]
     if isinstance(domain, CompositeDomain):
         measure = composite_symdiff_volume
         starts = [max(domain.components, key=volume).center_offset]
@@ -205,18 +326,16 @@ def fraenkel(domain: StarDomain | CompositeDomain) -> AsymmetryResult:
         ]
 
     def objective(c):
-        count[0] += 1
         return measure(domain, c, 1.0) / omega
 
-    best_val, best_c = np.inf, starts[0]
+    best_val, best_c, count = np.inf, starts[0], 0
     for s in starts:
-        res = minimize(objective, s, method="Nelder-Mead",
-                       options={"maxfev": 500 // len(starts), "xatol": 1e-10,
-                                "fatol": 1e-10})
-        if res.fun < best_val:
-            best_val, best_c = float(res.fun), np.asarray(res.x)
+        x, val, nfev = _nelder_mead(objective, s, 500 // len(starts))
+        count += nfev
+        if val < best_val:
+            best_val, best_c = val, np.array(x)
     return AsymmetryResult(value=best_val, minimizing_center=best_c,
-                           evaluations=count[0])
+                           evaluations=count)
 
 
 def _weighted_shell(s: np.ndarray) -> np.ndarray:
@@ -340,22 +459,20 @@ def alpha(domain: StarDomain) -> float:
 def annulus_lower_bound(v: float) -> float:
     """Smallest possible integral of |1 - |x|| over a set of volume v.
 
-    The minimiser is the sublevel annulus {|1 - |x|| <= delta} with
-    measure v (bathtub principle); delta comes from a scalar root-find
-    and the integral is closed-form.  Behaves like v^2 / (16 pi) as
-    v -> 0.
+    The minimiser is the sublevel annulus {|1 - |x|| <= delta} of
+    measure v (bathtub principle).  With k = v / |B_1|, delta solves
+    2 delta^3 + 6 delta = k while the inner radius 1 - delta is
+    positive, so delta = 2 sinh(asinh(k/4) / 3), and the integral is
+    4 pi (delta^2 + delta^4 / 2), both to full relative accuracy as
+    v -> 0, where it behaves like v^2 / (16 pi).  From k = 8 on the
+    annulus is the ball of radius cbrt(k), so delta = cbrt(k) - 1.
     """
     if v < 0:
         raise ValueError("volume must be nonnegative")
-    if v == 0.0:
-        return 0.0
-    omega = ball_volume()
-
-    def measure(delta):
-        inner = max(1.0 - delta, 0.0)
-        return omega * ((1.0 + delta) ** 3 - inner**3) - v
-
-    hi = (v / omega + 1.0) ** (1.0 / 3.0) - 1.0 + 1e-12
-    delta = brentq(measure, 0.0, hi, xtol=1e-15)
-    lo = max(1.0 - delta, 0.0)
-    return float(sphere_area() * (_weighted_shell(1.0 + delta) + _weighted_shell(lo)))
+    k = v / ball_volume()
+    if k < 8.0:
+        delta = 2.0 * math.sinh(math.asinh(0.25 * k) / 3.0)
+        d2 = delta * delta
+        return sphere_area() * (d2 + 0.5 * d2 * d2)
+    outer = float(np.cbrt(k))
+    return float(sphere_area() * (_weighted_shell(outer) + _weighted_shell(0.0)))

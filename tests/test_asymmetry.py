@@ -2,8 +2,10 @@
 
 import csv
 import dataclasses
+import inspect
 import math
 import pathlib
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,15 +13,17 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+import mpmath
+from scipy.optimize import brentq, minimize
 
 import isocap.asymmetry
-from isocap.asymmetry import (_crossing_radii, alpha, alpha_R, annulus_lower_bound,
-                              composite_symdiff_volume, fraenkel, symdiff_volume)
+from isocap.asymmetry import (_crossing_radii, _nelder_mead, _simplex_order, alpha, alpha_R,
+                              annulus_lower_bound, composite_symdiff_volume, fraenkel,
+                              symdiff_volume)
 from isocap.capacity import counter_uniform
 from isocap.domains import (CompositeDomain, FamilySpec, StarDomain, ball, barycenter,
-                            ellipsoid, generate_family, nearly_spherical_from_phi,
-                            radial_bounds, volume)
+                            ellipsoid, family_member, generate_family,
+                            nearly_spherical_from_phi, radial_bounds, volume)
 from isocap.errors import GeometryError, SolverError
 from isocap.sphere import ball_volume, build_quadrature
 from isocap.stability import project_barycenter
@@ -216,6 +220,151 @@ def test_ray_cache_belongs_to_its_domain():
 
 
 # ---------------------------------------------------------------------------
+# the simplex minimiser against SciPy's Nelder-Mead
+# ---------------------------------------------------------------------------
+
+
+def _same_as_scipy(f, x0, maxfev):
+    """Run `_nelder_mead` and SciPy's Nelder-Mead on f from x0, assert
+    that they evaluate the same points in the same order and return the
+    same bits and count, and return SciPy's result."""
+    ours, theirs = [], []
+
+    def logged(log):
+        def g(x):
+            log.append([float(v) for v in x])
+            return f(x)
+        return g
+
+    x, val, nfev = _nelder_mead(logged(ours), x0, maxfev)
+    res = minimize(logged(theirs), np.asarray(x0, dtype=float), method="Nelder-Mead",
+                   options={"maxfev": maxfev, "xatol": 1e-10, "fatol": 1e-10})
+    assert np.array(ours).tobytes() == np.array(theirs).tobytes()
+    assert np.array(x).tobytes() == res.x.tobytes()
+    assert val.hex() == float(res.fun).hex()
+    assert nfev == res.nfev
+    return res
+
+
+def _checked_fraenkel(domain, monkeypatch):
+    """fraenkel(domain) with every start checked against SciPy; returns
+    the result and the evaluation count of each start."""
+    counts = []
+
+    def checked(f, x0, maxfev):
+        counts.append(_same_as_scipy(f, x0, maxfev).nfev)
+        return _nelder_mead(f, x0, maxfev)
+
+    monkeypatch.setattr(isocap.asymmetry, "_nelder_mead", checked)
+    return fraenkel(domain), counts
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("member", [0, 1, 2])
+def test_fraenkel_starts_match_scipy(seed, member, monkeypatch):
+    # a projected (abs-mode) member and the unprojected member that
+    # rel mode measures, as `run_sweep` builds them
+    _, _, dom, phi = family_member(FamilySpec("random_star", 3, amplitude=0.3, seed=seed),
+                                   member)
+    projected = nearly_spherical_from_phi(project_barycenter(phi))
+    res, counts = _checked_fraenkel(projected, monkeypatch)
+    # the barycenter start is degenerate (see `fraenkel`): 4 evaluations
+    assert counts == [4, 100, 100, 100, 100]
+    assert res.evaluations == 404
+    _, counts = _checked_fraenkel(dom, monkeypatch)
+    assert counts == [100] * 5
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3])
+def test_fraenkel_ellipsoid_starts_match_scipy(eps, monkeypatch):
+    _, counts = _checked_fraenkel(ellipsoid(eps), monkeypatch)
+    assert len(counts) == 5
+
+
+def test_fraenkel_truncation_composite_matches_scipy(monkeypatch):
+    # the default truncation experiment: one start, the whole budget
+    f = 0.01
+    comp = CompositeDomain([ball((1 - f) ** (1 / 3)),
+                            ball(f ** (1 / 3), center=(10.0, 0.0, 0.0))])
+    _, counts = _checked_fraenkel(comp, monkeypatch)
+    assert len(counts) == 1 and counts[0] <= 500
+
+
+def _executed_lines(functions, run):
+    """Line numbers of functions (and the functions nested in them) that
+    run() executes, with those that carry code at all."""
+    codes, lines = set(), set()
+
+    def collect(code):
+        codes.add(code)
+        lines.update(line for _, _, line in code.co_lines() if line is not None)
+        for const in code.co_consts:
+            if inspect.iscode(const):
+                collect(const)
+
+    for fn in functions:
+        collect(fn.__code__)
+        lines.discard(fn.__code__.co_firstlineno)
+    hit = set()
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            hit.add(frame.f_lineno)
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        return trace_lines if frame.f_code in codes else None
+
+    sys.settrace(trace_calls)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return hit, lines
+
+
+def test_nelder_mead_matches_scipy_on_every_branch():
+    # smooth: expansion, both contractions, and the xatol/fatol stop long
+    # before the budget; x0 has a zero coordinate
+    def quadratic(x):
+        return (x[0] - 0.3) ** 2 + 2.0 * (x[1] + 0.1) ** 2 + 3.0 * (x[2] - 0.7) ** 2
+
+    # piecewise constant: exact ties among the four values and shrinks
+    def steps(x):
+        return float(math.floor(8.0 * math.hypot(x[0] - 0.3, x[1] + 0.2, x[2])))
+
+    # the four initial values tie in pairs, (1, 1, 0, 0), where np.argsort
+    # need not be stable, so the tie order decides the whole path
+    def paired(x):
+        return 0.0 if x[1] + 1000.0 * x[2] > 1.0 else 1.0
+
+    stale = []
+
+    def run():
+        res = _same_as_scipy(quadratic, (1.0, 0.0, -2.0), 2000)
+        assert res.nfev < 2000
+        # every budget from 1, so that one runs out in the initial
+        # simplex, and some inside a shrink, where SciPy returns a
+        # vertex it moved but never evaluated
+        for maxfev in range(1, 40):
+            seen = []
+            res = _same_as_scipy(lambda x: seen.append(list(x)) or steps(x),
+                                 (1.0, 0.0, -1.0), maxfev)
+            stale.append(any(list(v) not in seen for v in res.final_simplex[0]))
+            _same_as_scipy(paired, (1.0, 1.0, 0.0), maxfev)
+
+    hit, lines = _executed_lines([_nelder_mead, _simplex_order], run)
+    assert lines - hit == set()
+    assert any(stale)
+
+
+def test_simplex_order_follows_argsort():
+    for values in ([0.3, 0.1, 0.2, 0.4], [1.0, 1.0, 0.0, 0.0], [2.0, 2.0, 1.0, 1.0],
+                   [0.0, -0.0, 0.0, -0.0], [1.0, math.nan, 0.0, math.nan], [5.0] * 4):
+        assert _simplex_order(values) == np.argsort(values).tolist()
+
+
+# ---------------------------------------------------------------------------
 # weighted asymmetry and the annulus bound
 # ---------------------------------------------------------------------------
 
@@ -262,6 +411,29 @@ def test_annulus_bound_small_volume_constant():
     assert annulus_lower_bound(0.0) == 0.0
     with pytest.raises(ValueError):
         annulus_lower_bound(-1.0)
+
+
+def _annulus_reference(v):
+    """The annulus bound to 50 digits: delta by mpmath's root finder on
+    the measure equation, the integral by its exact antiderivatives."""
+    with mpmath.workdps(50):
+        k = mpmath.mpf(v) / (4 * mpmath.pi / 3)
+        delta = mpmath.findroot(lambda d: (1 + d) ** 3 - max(1 - d, 0) ** 3 - k,
+                                (0, mpmath.cbrt(k + 1)), solver="anderson")
+        lo = max(1 - delta, 0)
+        shell = ((1 - lo) ** 2 / 2 - 2 * (1 - lo) ** 3 / 3 + (1 - lo) ** 4 / 4
+                 + delta ** 2 / 2 + 2 * delta ** 3 / 3 + delta ** 4 / 4)
+        return 4 * mpmath.pi * shell
+
+
+def test_annulus_bound_matches_mpmath():
+    branch = 8.0 * OMEGA  # the inner radius reaches 0
+    volumes = list(np.logspace(-9, 2, 34)) + [
+        1e-6, 1e-3, branch, math.nextafter(branch, 0.0), math.nextafter(branch, 99.0)]
+    for v in volumes:
+        want = _annulus_reference(v)
+        got = annulus_lower_bound(float(v))
+        assert abs(got - want) <= 1e-14 * want, v
 
 
 def test_alpha_R_dominates_annulus_bound():

@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -18,6 +21,7 @@ from isocap.harness.cli import main as cli_main
 from isocap.sphere import ball_volume
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens" / "v3"
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -726,3 +730,51 @@ def test_cli_config_key_parses_like_its_flag(tmp_path, command, action):
     assert from_file.pop("config") == str(ini)
     assert from_file == from_flag
     assert action.dest in from_flag
+
+
+# ---------------------------------------------------------------------------
+# SciPy is a test dependency only
+# ---------------------------------------------------------------------------
+
+
+def test_src_never_imports_scipy():
+    files = sorted(SRC_DIR.rglob("*.py"))
+    assert files
+    for path in files:
+        assert not re.search(r"^\s*(import|from)\s+scipy\b", path.read_text(), re.M), path
+
+
+# Runs main(argv) and reports, as the last line of stderr, every SciPy
+# module loaded by then.
+_REPORT_SCIPY = """
+import json, sys
+from isocap.harness.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")),
+      file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["cap", "--ellipsoid", "0.1"],
+    ["cap", "--ball", "1.0", "--solver", "wos", "--walks", "500", "--seed", "1"],
+    ["asym", "--ellipsoid", "0.2"],
+    ["sweep", "--count", "2", "--amplitude", "0.12", "--seed", "5"],
+    ["sweep", "--count", "2", "--amplitude", "0.12", "--seed", "5", "--mode", "rel"],
+    ["fuglede", "--degree", "2", "--ladder", "0.02,0.01"],
+    ["spectrum"],
+    ["profile"],
+    ["truncation", "--walks", "2000", "--seed", "3"],
+], ids=["cap", "cap-wos", "asym", "sweep-abs", "sweep-rel", "fuglede", "spectrum",
+        "profile", "truncation"])
+def test_cli_never_loads_scipy(argv, tmp_path):
+    # this process has imported SciPy for other tests, so each command
+    # runs in a fresh interpreter
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _REPORT_SCIPY, *argv,
+                           "--out-dir", str(tmp_path), "--no-timestamp"],
+                          env={**os.environ, "PYTHONPATH": path}, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == []
