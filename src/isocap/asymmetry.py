@@ -182,20 +182,6 @@ class _BudgetSpent(Exception):
     """`_nelder_mead` has spent its evaluation budget."""
 
 
-def _simplex_order(fsim: list) -> list:
-    """The permutation that np.argsort gives for fsim.
-
-    Distinct values have only one sorted order, so Python's sort finds
-    it.  On an exact tie or a NaN the order is taken from np.argsort
-    itself, which is not stable on every machine (on AVX-512 it runs a
-    sorting network), so that ties break as they do in SciPy.
-    """
-    order = sorted(range(len(fsim)), key=fsim.__getitem__)
-    if all(fsim[i] < fsim[j] for i, j in zip(order, order[1:])):
-        return order
-    return np.argsort(fsim).tolist()
-
-
 def _nelder_mead(f, x0, maxfev: int):
     """Minimise f from x0 by SciPy's Nelder-Mead, bit for bit.
 
@@ -206,7 +192,8 @@ def _nelder_mead(f, x0, maxfev: int):
     0.00025), the same points in the same floating-point operations
     (reflection 2 xbar - w, expansion 3 xbar - 2 w, contractions
     1.5 xbar - 0.5 w and 0.5 xbar + 0.5 w, shrink toward the best
-    vertex), the same tie-breaking (`_simplex_order`) and the same stop.
+    vertex), the same tie-breaking (np.argsort, which is not stable on
+    every machine: on AVX-512 it runs a sorting network) and the same stop.
     The budget is checked before each evaluation, so it can run out
     inside a shrink, which leaves the vertex being shrunk moved with its
     old value, as SciPy does.  f receives a list.
@@ -234,7 +221,7 @@ def _nelder_mead(f, x0, maxfev: int):
         return f(x)
 
     def sort():
-        order = _simplex_order(fsim)
+        order = np.argsort(fsim).tolist()
         sim[:] = [sim[i] for i in order]
         fsim[:] = [fsim[i] for i in order]
 

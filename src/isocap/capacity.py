@@ -301,7 +301,6 @@ class _WosComponent:
 
     def __init__(self, dom: StarDomain):
         self.center = dom.center_offset
-        self.at_origin = not self.center.any()
         self.exact_ball = dom.is_ball() and dom.rho_fn is not None
         self.dom = dom
         if self.exact_ball:
@@ -313,17 +312,14 @@ class _WosComponent:
                                     f"the certified lower bound is {self.rho_lo:.4g}")
             self.lipschitz = math.sqrt(1.0 + (g / self.rho_lo) ** 2)
 
-    def step_gap(self, p: np.ndarray, r: np.ndarray | None = None):
+    def step_gap(self, p: np.ndarray):
         """(certified step, signed radial gap) for points p, vectorised.
 
-        r, if given, holds |p|, which a component centered at the origin
-        takes as |p - c|: subtracting a zero center changes no square.
         The gap is negative inside the component; the step is only
         meaningful where the gap is positive.
         """
         q = p - self.center
-        if r is None or not self.at_origin:
-            r = np.linalg.norm(q, axis=1)
+        r = np.linalg.norm(q, axis=1)
         if self.exact_ball:
             gap = r - self.radius
             return gap, gap
@@ -390,22 +386,19 @@ def _run_wos_block(components, walk_ids: np.ndarray, seed: int, a: float, eps: f
 
     Only live walkers are carried: their positions and walk keys sit in
     compacted arrays, in walk order, and a walker leaves them when it is
-    absorbed or killed.  |x| is taken once per move and serves both the
-    escape test and the next step's gap of every component centered at
-    the origin.  Each walker's arithmetic does not depend on the others,
-    so this is the walk of each id alone.
+    absorbed or killed.  Each walker's arithmetic does not depend on the
+    others, so this is the walk of each id alone.
     """
     keys = _walk_keys(seed, walk_ids)
     start = _step_keys(keys, 0)
     pos = a * _uniform_directions(_slot_uniform(start, 0), _slot_uniform(start, 1))
-    r = np.linalg.norm(pos, axis=1)
     hits = 0
     for step in range(1, _WOS_MAX_STEPS + 1):
         if not len(pos):
             break
-        d, gap = components[0].step_gap(pos, r)
+        d, gap = components[0].step_gap(pos)
         for comp in components[1:]:
-            dc, gc = comp.step_gap(pos, r)
+            dc, gc = comp.step_gap(pos)
             d = np.minimum(d, dc)
             gap = np.minimum(gap, gc)
         absorbed = gap <= eps
@@ -425,11 +418,10 @@ def _run_wos_block(components, walk_ids: np.ndarray, seed: int, a: float, eps: f
             if len(back):
                 pos[back] = _reentry_points(pos[back], a, _slot_uniform(step_keys[back], 3),
                                             _slot_uniform(step_keys[back], 4))
-                r[back] = np.linalg.norm(pos[back], axis=1)
             if len(back) < len(out):
                 keep = np.ones(len(pos), dtype=bool)
                 keep[out[~survive]] = False
-                pos, keys, r = pos[keep], keys[keep], r[keep]
+                pos, keys = pos[keep], keys[keep]
     return hits, len(pos)
 
 

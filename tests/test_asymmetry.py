@@ -17,9 +17,8 @@ import mpmath
 from scipy.optimize import brentq, minimize
 
 import isocap.asymmetry
-from isocap.asymmetry import (_crossing_radii, _nelder_mead, _simplex_order, alpha, alpha_R,
-                              annulus_lower_bound, composite_symdiff_volume, fraenkel,
-                              symdiff_volume)
+from isocap.asymmetry import (_crossing_radii, _nelder_mead, alpha, alpha_R, annulus_lower_bound,
+                              composite_symdiff_volume, fraenkel, symdiff_volume)
 from isocap.capacity import counter_uniform
 from isocap.domains import (CompositeDomain, FamilySpec, StarDomain, ball, barycenter,
                             ellipsoid, family_member, generate_family,
@@ -353,15 +352,9 @@ def test_nelder_mead_matches_scipy_on_every_branch():
             stale.append(any(list(v) not in seen for v in res.final_simplex[0]))
             _same_as_scipy(paired, (1.0, 1.0, 0.0), maxfev)
 
-    hit, lines = _executed_lines([_nelder_mead, _simplex_order], run)
+    hit, lines = _executed_lines([_nelder_mead], run)
     assert lines - hit == set()
     assert any(stale)
-
-
-def test_simplex_order_follows_argsort():
-    for values in ([0.3, 0.1, 0.2, 0.4], [1.0, 1.0, 0.0, 0.0], [2.0, 2.0, 1.0, 1.0],
-                   [0.0, -0.0, 0.0, -0.0], [1.0, math.nan, 0.0, math.nan], [5.0] * 4):
-        assert _simplex_order(values) == np.argsort(values).tolist()
 
 
 # ---------------------------------------------------------------------------
