@@ -29,7 +29,6 @@ __all__ = [
     "CapacityResult",
     "WosConfig",
     "cap_ball",
-    "cap_ball_rel",
     "cap_spheroid",
     "cap_exterior_harmonic",
     "cap_relative_harmonic",
@@ -52,19 +51,15 @@ class CapacityResult:
             raise ValueError("error_estimate must be nonnegative")
 
 
-def cap_ball(radius: float) -> float:
-    """Absolute capacity of a ball, 4 * pi * r."""
-    if radius <= 0:
-        raise GeometryError("radius must be positive")
-    return sphere_area() * radius
-
-
-def cap_ball_rel(radius: float, outer_radius: float) -> float:
-    """Capacity of B_r relative to the centered ball B_R, r < R:
-    4 * pi / (1/r - 1/R).
-
-    Tends to the absolute value as R grows.
+def cap_ball(radius: float, outer_radius: float | None = None) -> float:
+    """Capacity of the centered ball B_r: absolute, 4 * pi * r, for
+    outer_radius None; relative to B_R, 4 * pi / (1/r - 1/R), for
+    outer_radius R > r, which tends to the absolute value as R grows.
     """
+    if outer_radius is None:
+        if radius <= 0:
+            raise GeometryError("radius must be positive")
+        return sphere_area() * radius
     if not 0 < radius < outer_radius:
         raise GeometryError(f"need 0 < r < R, got r={radius}, R={outer_radius}")
     return sphere_area() / (radius ** -1 - outer_radius ** -1)
@@ -201,8 +196,7 @@ def cap_relative_harmonic(domain: StarDomain, outer_radius: float,
         domain, l_max, lambda l, r: _shell_radial(l, r, outer_radius))
     k0 = outer_radius - 1.0  # R^(2l+1) - 1 at l = 0
     value = math.sqrt(sphere_area()) * c00 * (1.0 + 1.0 / k0)
-    err = max_res * cap_ball_rel(min(r_max, outer_radius * (1 - _OUTER_MARGIN)),
-                                 outer_radius)
+    err = max_res * cap_ball(min(r_max, outer_radius * (1 - _OUTER_MARGIN)), outer_radius)
     return CapacityResult(value=float(value), method="harmonic", error_estimate=float(err),
                           max_residual=max_res, condition=cond)
 
@@ -260,8 +254,8 @@ def _slot_uniform(step_keys: np.ndarray, slot: int) -> np.ndarray:
 def counter_uniform(seed: int, walk: np.ndarray, step: int, slot: int) -> np.ndarray:
     """Deterministic uniforms in [0, 1) keyed by (seed, walk, step, slot).
 
-    Stateless, so any partition of the walk index range across workers
-    reproduces the serial stream bit for bit.
+    Stateless, so a walk's stream does not depend on which other walks
+    are drawn with it, or in which block.
     """
     with np.errstate(over="ignore"):
         return _slot_uniform(_step_keys(_walk_keys(seed, walk), step), slot)
@@ -271,17 +265,17 @@ def counter_uniform(seed: int, walk: np.ndarray, step: int, slot: int) -> np.nda
 class WosConfig:
     num_walks: int = 20000
     seed: int = 0
-    block_size: int = 8192
 
     def __post_init__(self):
         _check_seed(self.seed)
         if self.num_walks < 1:
             raise ConfigError(f"walk on spheres needs at least one walk, got {self.num_walks!r}")
-        if self.block_size < 1:
-            raise ConfigError(f"the block size must be at least 1, got {self.block_size!r}")
 
 
 _WOS_MAX_STEPS = 10000  # a walk still alive after this many steps counts as killed
+# Walks run this many at a time, which bounds the memory of one pass;
+# walks are independent, so the estimate does not depend on it.
+_WOS_BLOCK = 8192
 
 
 class _WosComponent:
@@ -461,8 +455,8 @@ def cap_wos(domain, cfg: WosConfig | None = None) -> CapacityResult:
     eps = 1e-4 * encl
     geoms = [_WosComponent(c) for c in comps]
     m = cfg.num_walks
-    blocks = [np.arange(i, min(i + cfg.block_size, m), dtype=np.uint64)
-              for i in range(0, m, cfg.block_size)]
+    blocks = [np.arange(i, min(i + _WOS_BLOCK, m), dtype=np.uint64)
+              for i in range(0, m, _WOS_BLOCK)]
     parts = [_run_wos_block(geoms, b, cfg.seed, a, eps) for b in blocks]
     hits = sum(p[0] for p in parts)
     unresolved = sum(p[1] for p in parts)
@@ -494,9 +488,8 @@ def capacity(domain, outer_radius: float | None = None,
         if isinstance(domain, CompositeDomain) or not domain.is_ball() \
                 or np.linalg.norm(domain.center_offset) > 0:
             raise SolverError("closed form only covers centered balls")
-        r = domain.rho_max
-        v = cap_ball(r) if outer_radius is None else cap_ball_rel(r, outer_radius)
-        return CapacityResult(value=v, method="closed-form", error_estimate=0.0)
+        return CapacityResult(value=cap_ball(domain.rho_max, outer_radius),
+                              method="closed-form", error_estimate=0.0)
     if solver == "wos":
         if outer_radius is not None:
             raise SolverError("walk on spheres is implemented for the absolute problem")
@@ -533,6 +526,5 @@ def deficit(domain, outer_radius: float | None = None, solver: str = "harmonic",
         dom = scale_domain(domain, lam)
     res = capacity(dom, outer_radius=outer_radius, solver=solver,
                    l_max=l_max, wos_cfg=wos_cfg)
-    ref = cap_ball(1.0) if outer_radius is None else cap_ball_rel(1.0, outer_radius)
-    return DeficitResult(value=res.value - ref, error_estimate=res.error_estimate,
-                         capacity=res, scale=lam)
+    return DeficitResult(value=res.value - cap_ball(1.0, outer_radius),
+                         error_estimate=res.error_estimate, capacity=res, scale=lam)

@@ -33,7 +33,7 @@ import inspect
 import json
 import sys
 
-from ..capacity import WosConfig, cap_ball, cap_ball_rel, deficit
+from ..capacity import WosConfig, cap_ball, deficit
 from ..domains import FamilySpec, ball, ellipsoid, load_domain, volume
 from ..errors import ConfigError, GeometryError, SolverError
 from .engine import (ExperimentConfig, run_asym, run_fuglede, run_profile,
@@ -244,7 +244,7 @@ def _cmd_cap(args: argparse.Namespace) -> int:
         "volume": volume(dom),
         "capacity_normalized": d.capacity.value,
         "error_estimate": d.error_estimate,
-        "reference_ball": cap_ball(1.0) if R is None else cap_ball_rel(1.0, R),
+        "reference_ball": cap_ball(1.0, R),
         "deficit": d.value,
         "scale_to_unit_volume": d.scale,
         "method": d.capacity.method,

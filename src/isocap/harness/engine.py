@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,16 +22,12 @@ from ..asymmetry import (alpha, alpha_R, annulus_lower_bound, composite_symdiff_
                          fraenkel, symdiff_volume)
 from ..capacity import (CapacityResult, DeficitResult, WosConfig, _check_outer_radius,
                         cap_ball, cap_spheroid, capacity, deficit)
-from ..domains import (CompositeDomain, FamilySpec, ball, family_member,
-                       nearly_spherical_from_phi, truncate_rescale, volume)
+from ..domains import CompositeDomain, FamilySpec, ball, family_member, truncate_rescale, volume
 from ..errors import ConfigError, GeometryError, SolverError
 from ..sphere import HarmonicCoeffs, ball_volume
 from ..stability import (ball_profile, h_half_norm, project_barycenter,
                          second_variation, spectrum_table, taylor_check)
 from .svg import scatter_svg
-
-SWEEP_COLUMNS = ["domain_id", "eps_or_t", "volume", "deficit", "deficit_err",
-                 "fraenkel", "alpha", "hhalf", "ratio", "verdict"]
 
 TAYLOR_COLUMNS = ["t", "deficit", "deficit_err", "form_half", "remainder_ratio"]
 
@@ -77,18 +73,13 @@ class RunRecord:
     seconds: float = 0.0
 
     def row(self) -> list[str]:
-        return [
-            self.domain_id,
-            repr(float(self.eps_or_t)),
-            repr(float(self.volume)),
-            repr(float(self.deficit)),
-            repr(float(self.deficit_err)),
-            repr(float(self.fraenkel)),
-            repr(float(self.alpha)),
-            "" if self.hhalf is None else repr(float(self.hhalf)),
-            repr(float(self.ratio)),
-            self.verdict,
-        ]
+        """The record's cells, one per SWEEP_COLUMNS entry."""
+        cells = (getattr(self, c) for c in SWEEP_COLUMNS)
+        return ["" if v is None else v if isinstance(v, str) else repr(float(v)) for v in cells]
+
+
+# every RunRecord field but `seconds`, which would differ from run to run
+SWEEP_COLUMNS = [f.name for f in fields(RunRecord) if f.name != "seconds"]
 
 
 def verdict_for(margin: float, error: float) -> str:
@@ -162,8 +153,7 @@ def _member_record(cfg: ExperimentConfig, domain_id, param, dom, phi) -> RunReco
     hh = None
     if phi is not None:
         if R is None:
-            phi = project_barycenter(phi)
-            dom = nearly_spherical_from_phi(phi)
+            phi, dom = project_barycenter(phi)
         hh = h_half_norm(phi, R)
     spheroid = (phi is None and cfg.family is not None
                 and cfg.family.variant == "ellipsoid")

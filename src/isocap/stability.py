@@ -17,15 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import _check_outer_radius, cap_ball_rel, deficit
-from .domains import barycenter, nearly_spherical_from_phi
+from .capacity import _check_outer_radius, cap_ball, deficit
+from .domains import StarDomain, barycenter, nearly_spherical_from_phi
 from .errors import ConfigError, SolverError
 from .sphere import HarmonicCoeffs, ball_volume
 
 __all__ = [
     "SpectrumEntry",
-    "dtn_exterior",
-    "dtn_relative",
+    "dtn",
     "second_variation",
     "h_half_norm",
     "spectrum_table",
@@ -48,35 +47,24 @@ class SpectrumEntry:
     form_eigenvalue: float  # second-variation weight, zero at degree 1 (abs)
 
 
-def dtn_exterior(l: int) -> float:
-    """Dirichlet-to-Neumann eigenvalue of the exterior harmonic extension.
+def dtn(l: int, outer_radius: float | None = None) -> float:
+    """Dirichlet-to-Neumann eigenvalue at degree l.
 
-    The degree-l exterior mode is r^-(l+1), so the eigenvalue is l + 1.
-    At l = 1 it equals 2, the translation mode.
-    """
-    if l < 0:
-        raise ValueError("degree must be nonnegative")
-    return float(l + 1)
-
-
-def dtn_relative(l: int, outer_radius: float = 2.0) -> float:
-    """Dirichlet-to-Neumann eigenvalue of the shell problem in B_R.
-
-    The degree-l mode vanishing on the outer sphere is
+    outer_radius None is the exterior problem: the degree-l mode is
+    r^-(l+1), so the eigenvalue is l + 1, which equals 2 at l = 1, the
+    translation mode.  For R > 1 it is the shell problem in B_R: the
+    degree-l mode vanishing on the outer sphere is
     -r^l / k + (1 + 1/k) r^-(l+1) with k = R^(2l+1) - 1, giving
-    (l + 1) + (2l + 1)/k.  Decreases to the exterior value as R grows.
+    (l + 1) + (2l + 1)/k, which decreases to the exterior value as R
+    grows.
     """
     if l < 0:
         raise ValueError("degree must be nonnegative")
+    if outer_radius is None:
+        return float(l + 1)
     _check_outer_radius(outer_radius)
     k = outer_radius ** (2 * l + 1) - 1.0
     return float((l + 1) + (2 * l + 1) / k)
-
-
-def _eigenvalue(l: int, outer_radius: float | None) -> float:
-    if outer_radius is None:
-        return dtn_exterior(l)
-    return dtn_relative(l, outer_radius)
 
 
 def _prefactor(outer_radius: float | None) -> float:
@@ -106,7 +94,7 @@ def second_variation(phi: HarmonicCoeffs, outer_radius: float | None = None) -> 
     for l in range(phi.max_degree + 1):
         a2 = float(np.sum(phi.degree_slice(l) ** 2))
         if a2 != 0.0:
-            out += a2 * (_eigenvalue(l, outer_radius) - 2)
+            out += a2 * (dtn(l, outer_radius) - 2)
     return pre * out
 
 
@@ -120,7 +108,7 @@ def h_half_norm(phi: HarmonicCoeffs, outer_radius: float | None = None) -> float
     for l in range(phi.max_degree + 1):
         a2 = float(np.sum(phi.degree_slice(l) ** 2))
         if a2 != 0.0:
-            out += a2 * (1.0 + _eigenvalue(l, outer_radius))
+            out += a2 * (1.0 + dtn(l, outer_radius))
     return out
 
 
@@ -130,7 +118,7 @@ def spectrum_table(max_degree: int,
     pre = _prefactor(outer_radius)
     out = []
     for l in range(max_degree + 1):
-        lam = _eigenvalue(l, outer_radius)
+        lam = dtn(l, outer_radius)
         out.append(SpectrumEntry(degree=l, energy_eigenvalue=lam,
                                  form_eigenvalue=pre * (lam - 2)))
     return out
@@ -169,7 +157,7 @@ class ProfileReport:
 def ball_profile(radii, outer_radius: float, eta: float) -> ProfileReport:
     """Penalized relative capacity of centered balls along a radius grid.
 
-    g(r) = cap_ball_rel(r, R) + f_eta(ball volume at r).  For small eta
+    g(r) = cap_ball(r, R) + f_eta(ball volume at r).  For small eta
     the grid minimum sits at r = 1 and g grows at least linearly away
     from it; the report carries the empirical linear-growth constant.
     """
@@ -179,10 +167,10 @@ def ball_profile(radii, outer_radius: float, eta: float) -> ProfileReport:
     if np.any(radii <= 0) or np.any(radii >= outer_radius):
         raise ConfigError("grid radii must lie strictly between 0 and R")
     vals = np.array([
-        cap_ball_rel(r, outer_radius) + f_eta(ball_volume(r), eta)
+        cap_ball(r, outer_radius) + f_eta(ball_volume(r), eta)
         for r in radii
     ])
-    g1 = cap_ball_rel(1.0, outer_radius)
+    g1 = cap_ball(1.0, outer_radius)
     off = np.abs(radii - 1.0) > 1e-12
     ratios = (vals[off] - g1) / np.abs(radii[off] - 1.0)
     return ProfileReport(radii=radii, values=vals,
@@ -196,7 +184,7 @@ def ball_profile(radii, outer_radius: float, eta: float) -> ProfileReport:
 # ---------------------------------------------------------------------------
 
 
-def project_barycenter(phi: HarmonicCoeffs) -> HarmonicCoeffs:
+def project_barycenter(phi: HarmonicCoeffs) -> tuple[HarmonicCoeffs, StarDomain]:
     """Adjust degree-1 coefficients so the generated domain is centered.
 
     Products of higher harmonics leak into degree 1, so zeroing the
@@ -204,13 +192,15 @@ def project_barycenter(phi: HarmonicCoeffs) -> HarmonicCoeffs:
     first-order translation response converges linearly at a rate
     proportional to the perturbation size (two rounds suffice only for
     very small phi, so this iterates to the tolerance instead).
+
+    Returns the adjusted phi and its domain, nearly_spherical_from_phi(phi).
     """
     out = phi.copy()
     for _ in range(_PROJECTION_MAX_ROUNDS):
         dom = nearly_spherical_from_phi(out)
         x = barycenter(dom)
         if float(np.linalg.norm(x)) < _PROJECTION_TOL:
-            return out
+            return out, dom
         sl = out.degree_slice(1)
         # a translation by v shifts the radial graph by v . omega at
         # first order; in this basis the degree-1 slots carry

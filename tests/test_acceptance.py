@@ -8,6 +8,7 @@ the sweeps, and the sweeps check the quantitative inequalities.
 """
 
 import math
+import sys
 import threading
 import time
 
@@ -16,12 +17,10 @@ import pytest
 
 from isocap.asymmetry import alpha_R, annulus_lower_bound, symdiff_volume
 from isocap.capacity import WosConfig, capacity, deficit
-from isocap.domains import (FamilySpec, ball, generate_family,
-                            nearly_spherical_from_phi)
+from isocap.domains import FamilySpec, ball, generate_family
 from isocap.harness import ExperimentConfig, run_profile, run_sweep, run_truncation
 from isocap.sphere import HarmonicCoeffs
-from isocap.stability import (dtn_exterior, dtn_relative, project_barycenter,
-                              second_variation, taylor_check)
+from isocap.stability import dtn, project_barycenter, second_variation, taylor_check
 
 ABS = None
 REL2 = 2.0
@@ -45,11 +44,11 @@ def test_criterion_02_spectral_identities():
     # degree-0 gap is exactly 1/(R-1), far above 1e-10 at any feasible R,
     # so the convergence tolerance applies to degrees 1..6
     t0 = time.monotonic()
-    assert dtn_relative(1, 2.0) == 17.0 / 7.0
+    assert dtn(1, 2.0) == 17.0 / 7.0
     R = 1e6
     for l in range(1, 7):
-        assert abs(dtn_relative(l, R) - dtn_exterior(l)) <= 1e-10
-    gap0 = dtn_relative(0, R) - dtn_exterior(0)
+        assert abs(dtn(l, R) - dtn(l)) <= 1e-10
+    gap0 = dtn(0, R) - dtn(0)
     assert gap0 == pytest.approx(1.0 / (R - 1.0), rel=1e-9)
     assert time.monotonic() - t0 < 1.0
 
@@ -75,8 +74,7 @@ def test_criterion_04_translation_neutrality():
     t0 = time.monotonic()
     t = 0.005
     phi = HarmonicCoeffs.single(1, 1, t)
-    corrected = project_barycenter(phi)
-    dom = nearly_spherical_from_phi(corrected)
+    _, dom = project_barycenter(phi)
     d = deficit(dom, solver="harmonic")
     assert d.value / t**2 <= 1e-4
 
@@ -139,7 +137,7 @@ def test_criterion_07_weighted_asymmetry_lower_bound():
     assert time.monotonic() - t0 < 60.0
 
 
-def test_criterion_08_walk_on_spheres_cross_validation():
+def test_criterion_08_walk_on_spheres_cross_validation(monkeypatch):
     # 1e5 walks on the unit ball land within 3 standard errors of 4 pi
     # with stderr below 1 percent, and fixed seed gives bit-identical
     # results from any thread and for any block size; budget 1 min
@@ -147,9 +145,9 @@ def test_criterion_08_walk_on_spheres_cross_validation():
     res1 = capacity(ball(1.0), solver="wos",
                     wos_cfg=WosConfig(num_walks=100000, seed=42))
     other = []
+    monkeypatch.setattr(sys.modules["isocap.capacity"], "_WOS_BLOCK", 3000)
     thread = threading.Thread(target=lambda: other.append(capacity(
-        ball(1.0), solver="wos",
-        wos_cfg=WosConfig(num_walks=100000, seed=42, block_size=3000))))
+        ball(1.0), solver="wos", wos_cfg=WosConfig(num_walks=100000, seed=42))))
     thread.start()
     thread.join()
     truth = 4.0 * math.pi

@@ -265,7 +265,7 @@ def test_fraenkel_starts_match_scipy(seed, member, monkeypatch):
     # rel mode measures, as `run_sweep` builds them
     _, _, dom, phi = family_member(FamilySpec("random_star", 3, amplitude=0.3, seed=seed),
                                    member)
-    projected = nearly_spherical_from_phi(project_barycenter(phi))
+    projected = project_barycenter(phi)[1]
     res, counts = _checked_fraenkel(projected, monkeypatch)
     # the barycenter start is degenerate (see `fraenkel`): 4 evaluations
     assert counts == [4, 100, 100, 100, 100]
@@ -563,7 +563,7 @@ def test_alpha_near_the_amplitude_cap_and_off_center(amplitude, max_degree, memb
                                                      projected):
     phi = generate_family(FamilySpec("random_star", member + 1, amplitude=amplitude,
                                      seed=1, max_degree=max_degree))[member][3]
-    dom = nearly_spherical_from_phi(project_barycenter(phi) if projected else phi)
+    dom = project_barycenter(phi)[1] if projected else nearly_spherical_from_phi(phi)
     x0 = barycenter(dom)
     if not projected:
         # the coefficient bounds alone refuse this origin
@@ -579,7 +579,7 @@ def test_alpha_near_the_amplitude_cap_and_off_center(amplitude, max_degree, memb
 def test_alpha_solves_all_rays_in_few_radial_calls():
     phi = generate_family(FamilySpec("random_star", 1, amplitude=0.3, seed=1,
                                      max_degree=8))[0][3]
-    dom = nearly_spherical_from_phi(project_barycenter(phi))
+    dom = project_barycenter(phi)[1]
     exact = dom.radial
     calls = [0]
 
@@ -613,7 +613,7 @@ def test_golden_alpha_moved_toward_the_oracle():
     # oracle's crossings in exact rational arithmetic, so neither the
     # batched roots nor the float integrand enter it.
     phi = generate_family(FamilySpec("random_star", 4, amplitude=0.12, seed=5))[2][3]
-    dom = nearly_spherical_from_phi(project_barycenter(phi))
+    dom = project_barycenter(phi)[1]
     s = _crossing_radii_reference(dom, barycenter(dom), dom.quad.nodes)
     want = float(sum(Fraction(w) * _exact_weighted_shell(r)
                      for w, r in zip(dom.quad.weights, s)))

@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isocap.capacity import (WosConfig, _any_orthonormal, _cross, _run_wos_block,
-                             _WosComponent, cap_ball, cap_ball_rel,
-                             cap_exterior_harmonic, cap_relative_harmonic,
-                             cap_spheroid, cap_wos, capacity, counter_uniform,
-                             deficit)
+                             _WosComponent, cap_ball, cap_exterior_harmonic,
+                             cap_relative_harmonic, cap_spheroid, cap_wos, capacity,
+                             counter_uniform, deficit)
 from isocap.domains import (CompositeDomain, FamilySpec, StarDomain, ball,
                             ellipsoid, generate_family)
 from isocap.errors import ConfigError, GeometryError, SolverError
@@ -77,7 +76,7 @@ def test_oracles_self_consistent():
                                                      abs=1e-12)
     # the eccentric shell reduces to the concentric closed form
     assert eccentric_shell_cap(0.6, 2.0, 1e-9) == pytest.approx(
-        cap_ball_rel(0.6, 2.0), rel=1e-12)
+        cap_ball(0.6, 2.0), rel=1e-12)
     # far-apart spheres decouple: capacity approaches twice a single sphere
     assert two_sphere_cap(1.0, 1e7) == pytest.approx(2.0 * FOUR_PI, rel=1e-6)
 
@@ -92,14 +91,14 @@ def test_cap_ball_closed_forms():
     assert cap_ball(2.0) == pytest.approx(2.0 * FOUR_PI, rel=1e-15)
 
 
-def test_cap_ball_rel_closed_forms():
-    assert cap_ball_rel(1.0, 2.0) == pytest.approx(8.0 * math.pi, rel=1e-15)
+def test_cap_ball_relative_closed_forms():
+    assert cap_ball(1.0, 2.0) == pytest.approx(8.0 * math.pi, rel=1e-15)
     # R -> infinity recovers the absolute capacity
-    assert cap_ball_rel(1.0, 1e12) == pytest.approx(FOUR_PI, rel=1e-11)
+    assert cap_ball(1.0, 1e12) == pytest.approx(FOUR_PI, rel=1e-11)
     # shrinking gap blows up
-    assert cap_ball_rel(1.0, 1.001) > 1000.0
+    assert cap_ball(1.0, 1.001) > 1000.0
     with pytest.raises(ValueError):
-        cap_ball_rel(1.0, 0.9)
+        cap_ball(1.0, 0.9)
 
 
 def test_cap_spheroid_limits():
@@ -120,7 +119,7 @@ def test_cap_spheroid_limits():
 
 def test_capacity_monotone_in_radius():
     assert cap_ball(1.2) > cap_ball(1.0)
-    assert cap_ball_rel(1.2, 2.0) > cap_ball_rel(1.0, 2.0)
+    assert cap_ball(1.2, 2.0) > cap_ball(1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +251,9 @@ def _star_member():
 
 
 @pytest.mark.parametrize("block_size", [250, 8192])
-def test_wos_random_star_known_answer(block_size):
-    res = cap_wos(_star_member(), WosConfig(num_walks=1000, seed=3, block_size=block_size))
+def test_wos_random_star_known_answer(block_size, monkeypatch):
+    monkeypatch.setattr(sys.modules["isocap.capacity"], "_WOS_BLOCK", block_size)
+    res = cap_wos(_star_member(), WosConfig(num_walks=1000, seed=3))
     assert res.value == 12.780738586975538
     assert res.error_estimate == 0.81074641274984
 
@@ -270,15 +270,15 @@ def test_wos_killed_walkers_known_answer(monkeypatch):
     assert _run_wos_block(comps, ids, 3, a, eps) == (0, 540)
     monkeypatch.setattr(module, "_WOS_MAX_STEPS", 40)
     assert _run_wos_block(comps, ids, 3, a, eps) == (32, 199)
-    res = cap_wos(dom, WosConfig(num_walks=1000, seed=3, block_size=250))
+    monkeypatch.setattr(module, "_WOS_BLOCK", 250)
+    res = cap_wos(dom, WosConfig(num_walks=1000, seed=3))
     assert res.value == 2.044918173916086
     assert res.error_estimate == 13.072885287119284
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(seed=-1), dict(seed=2**64), dict(num_walks=0), dict(num_walks=-5),
-    dict(block_size=0),
-], ids=["seed-negative", "seed-too-large", "no-walks", "negative-walks", "no-block"])
+], ids=["seed-negative", "seed-too-large", "no-walks", "negative-walks"])
 def test_wos_config_refuses_bad_values(kwargs):
     with pytest.raises(ConfigError):
         WosConfig(**kwargs)
@@ -342,31 +342,37 @@ def _in_threads(calls):
     return out
 
 
-def test_wos_deterministic_across_threads():
+def test_wos_deterministic_across_threads(monkeypatch):
     # the estimate is the same from the calling thread and from two
     # threads running at once, and for any block size; for a ball and
     # for the truncation experiment's two-ball composite, whose known
     # answer is pinned too
     two_balls = CompositeDomain([ball(0.99 ** (1.0 / 3.0)),
                                  ball(0.01 ** (1.0 / 3.0), center=(10.0, 0.0, 0.0))])
+    cfg = WosConfig(num_walks=20000, seed=9)
     for dom in (ball(1.0), two_balls):
-        a = cap_wos(dom, WosConfig(num_walks=20000, seed=9))
-        for b in _in_threads([(cap_wos, (dom, WosConfig(num_walks=20000, seed=9,
-                                                        block_size=bs)))
-                              for bs in (8192, 3000)]):
+        a = cap_wos(dom, cfg)
+        others = _in_threads([(cap_wos, (dom, cfg))] * 2)
+        with monkeypatch.context() as m:
+            m.setattr(sys.modules["isocap.capacity"], "_WOS_BLOCK", 3000)
+            others.append(cap_wos(dom, cfg))
+        for b in others:
             assert a.value == b.value
             assert a.error_estimate == b.error_estimate
     assert (a.value, a.error_estimate) == (14.53160270395708, 0.6710067313035951)
 
 
-def test_wos_random_star_deterministic_across_threads():
+def test_wos_random_star_deterministic_across_threads(monkeypatch):
     # a non-ball member takes the synthesis path; two threads running at
     # once evaluate the same domain's harmonic series concurrently
     dom = generate_family(FamilySpec("random_star", 1, amplitude=0.3, seed=1))[0][2]
-    cfg = dict(num_walks=1000, seed=3)
-    a = cap_wos(dom, WosConfig(block_size=250, **cfg))
-    for b in _in_threads([(cap_wos, (dom, WosConfig(block_size=bs, **cfg)))
-                          for bs in (250, 400)]):
+    cfg = WosConfig(num_walks=1000, seed=3)
+    a = cap_wos(dom, cfg)
+    others = _in_threads([(cap_wos, (dom, cfg))] * 2)
+    for bs in (250, 400):
+        monkeypatch.setattr(sys.modules["isocap.capacity"], "_WOS_BLOCK", bs)
+        others.append(cap_wos(dom, cfg))
+    for b in others:
         assert a == b
 
 

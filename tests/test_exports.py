@@ -1,9 +1,11 @@
-"""Every name a module exports resolves."""
+"""Every name a module exports resolves, and README's examples run."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import pathlib
+import re
 
 import pytest
 
@@ -38,3 +40,13 @@ def test_no_export_takes_a_mode(name):
     checked = [f for f in exported if inspect.isfunction(f) or dataclasses.is_dataclass(f)]
     assert checked
     assert [f.__name__ for f in checked if "mode" in inspect.signature(f).parameters] == []
+
+
+def test_readme_python_examples_run():
+    # the blocks build on each other, so they run in order in one namespace
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
+    assert len(blocks) == 3
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)

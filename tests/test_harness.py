@@ -12,12 +12,13 @@ import threading
 import numpy as np
 import pytest
 
-from isocap.domains import (CompositeDomain, FamilySpec, ball, ellipsoid, generate_family,
-                            save_domain)
+from isocap.domains import (CompositeDomain, FamilySpec, ball, ellipsoid, family_member,
+                            generate_family, save_domain)
 from isocap.harness import (ExperimentConfig, fit_loglog, run_asym, run_sweep,
                             scatter_svg, verdict_for)
 from isocap.harness import cli
 from isocap.harness.cli import main as cli_main
+from isocap.harness.engine import _member_record
 from isocap.sphere import ball_volume
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens" / "v3"
@@ -141,6 +142,34 @@ def test_run_sweep_header_and_verdicts(tmp_path):
     assert len(lines) == 3
     assert summary["failures"] == []
     assert all(line.endswith(("holds", "holds-within-error")) for line in lines[1:])
+
+
+def test_abs_member_builds_its_projected_domain_once(monkeypatch):
+    # the projection's last round builds the member's domain, so an abs
+    # member is built once by the family and once per projection round
+    build = sys.modules["isocap.domains"].nearly_spherical_from_phi
+    stability = sys.modules["isocap.stability"]
+    centering = stability.barycenter
+    counts = {"builds": 0, "rounds": 0}
+
+    def counted_build(phi):
+        counts["builds"] += 1
+        return build(phi)
+
+    def counted_round(dom):
+        counts["rounds"] += 1
+        return centering(dom)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("isocap") and getattr(module, "nearly_spherical_from_phi",
+                                                 None) is build:
+            monkeypatch.setattr(module, "nearly_spherical_from_phi", counted_build)
+    monkeypatch.setattr(stability, "barycenter", counted_round)
+    spec = FamilySpec("random_star", 1, amplitude=0.3, seed=1)
+    record = _member_record(ExperimentConfig(family=spec), *family_member(spec, 0))
+    assert record.hhalf is not None
+    assert counts["rounds"] > 1
+    assert counts["builds"] == counts["rounds"] + 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocap.capacity import cap_ball_rel
+from isocap.capacity import cap_ball
 from isocap.domains import (FamilySpec, barycenter, generate_family,
                             nearly_spherical_from_phi)
 from isocap.errors import ConfigError
 from isocap.sphere import HarmonicCoeffs, ball_volume
-from isocap.stability import (ball_profile, dtn_exterior, dtn_relative, f_eta,
-                              h_half_norm, project_barycenter, second_variation,
-                              spectrum_table, taylor_check)
+from isocap.stability import (ball_profile, dtn, f_eta, h_half_norm, project_barycenter,
+                              second_variation, spectrum_table, taylor_check)
 
 ABS = None
 REL2 = 2.0
@@ -25,33 +24,33 @@ REL2 = 2.0
 
 
 def test_dtn_exterior_values():
-    assert dtn_exterior(0) == 1.0
-    assert dtn_exterior(1) == 2.0
-    assert dtn_exterior(5) == 6.0
+    assert dtn(0) == 1.0
+    assert dtn(1) == 2.0
+    assert dtn(5) == 6.0
     with pytest.raises(ValueError):
-        dtn_exterior(-1)
+        dtn(-1)
 
 
 def test_dtn_relative_exact_fractions():
-    assert dtn_relative(0, outer_radius=2.0) == 2.0  # 1 + 1/(2-1)
-    assert dtn_relative(1, outer_radius=2.0) == pytest.approx(17.0 / 7.0, rel=1e-15)
-    assert dtn_relative(2, outer_radius=2.0) == pytest.approx(98.0 / 31.0, rel=1e-15)
+    assert dtn(0, outer_radius=2.0) == 2.0  # 1 + 1/(2-1)
+    assert dtn(1, outer_radius=2.0) == pytest.approx(17.0 / 7.0, rel=1e-15)
+    assert dtn(2, outer_radius=2.0) == pytest.approx(98.0 / 31.0, rel=1e-15)
     with pytest.raises(ValueError):
-        dtn_relative(1, outer_radius=1.0)
+        dtn(1, outer_radius=1.0)
     with pytest.raises(ValueError):
-        dtn_relative(-2)
+        dtn(-2, 2.0)
 
 
 def test_dtn_relative_approaches_exterior():
     # gap is (2l+1)/(R^(2l+1)-1): about 3e-18 for l=1 at R=1e6 (which
     # rounds to exactly zero in doubles), but a full 1/(R-1) for l=0
     for l in range(1, 7):
-        gap = dtn_relative(l, outer_radius=1e6) - dtn_exterior(l)
+        gap = dtn(l, outer_radius=1e6) - dtn(l)
         assert 0.0 <= gap < 1e-10
-    gap0 = dtn_relative(0, outer_radius=1e6) - dtn_exterior(0)
+    gap0 = dtn(0, outer_radius=1e6) - dtn(0)
     assert gap0 == pytest.approx(1.0 / (1e6 - 1.0), rel=1e-9)
     # at moderate radii the ordering is visibly strict
-    assert dtn_relative(1, outer_radius=2.0) > dtn_exterior(1)
+    assert dtn(1, outer_radius=2.0) > dtn(1)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +151,7 @@ def test_ball_profile_minimum_at_unit_radius():
     grid = np.linspace(0.5, 1.5, 101)
     rep = ball_profile(grid, outer_radius=2.0, eta=0.01)
     assert rep.argmin_radius == 1.0
-    assert rep.center_value == pytest.approx(cap_ball_rel(1.0, 2.0), rel=1e-14)
+    assert rep.center_value == pytest.approx(cap_ball(1.0, 2.0), rel=1e-14)
     assert rep.linear_constant > 0.0
     assert rep.values.shape == grid.shape
 
@@ -174,10 +173,10 @@ def test_ball_profile_grid_validation():
 def test_project_barycenter_reaches_tolerance():
     fam = generate_family(FamilySpec("random_star", 1, amplitude=0.12, seed=11))
     phi = fam[0][3]
-    projected = project_barycenter(phi)
-    dom = nearly_spherical_from_phi(projected)
+    projected, dom = project_barycenter(phi)
+    npt.assert_array_equal(dom.rho, nearly_spherical_from_phi(projected).rho)
     assert float(np.linalg.norm(barycenter(dom))) < 1e-10
-    again = project_barycenter(projected)
+    again, _ = project_barycenter(projected)
     npt.assert_allclose(again.values, projected.values, atol=1e-9)
 
 
@@ -210,7 +209,7 @@ def test_taylor_check_rejects_nonpositive_ladder():
        st.floats(min_value=1.01, max_value=1e5))
 def test_dtn_relative_dominates_exterior(l, R):
     # ">=" because the gap underflows to zero for large degree and radius
-    assert dtn_relative(l, outer_radius=R) >= dtn_exterior(l)
+    assert dtn(l, outer_radius=R) >= dtn(l)
 
 
 @settings(deadline=None, max_examples=50)
