@@ -9,8 +9,9 @@ sphere-area factor 4*pi is carried explicitly everywhere; some
 classical references quote the same formulas with that factor dropped.
 
 Three routes are provided and kept deliberately independent of each
-other: closed forms for balls, a spectral collocation solver for star
-domains, and a walk-on-spheres Monte Carlo estimator.
+other: closed forms for balls and pairs of balls, a spectral
+collocation solver for star domains, and a walk-on-spheres Monte Carlo
+estimator.
 """
 
 from __future__ import annotations
@@ -86,6 +87,70 @@ def cap_spheroid(equatorial: float, polar: float) -> float:
         return 4.0 * math.pi * t / math.atan2(t, c)
     t = math.sqrt(c * c - a * a)
     return 4.0 * math.pi * t / math.atanh(t / c)
+
+
+_UNIT_ROUNDOFF = 2.0**-53
+# A chain of images stops after this many generations even if its charges
+# are still above the stopping tolerance; its first omitted charge still
+# bounds the tail, so the error estimate stays a bound.  Two equal balls
+# 1e-6 radii apart need about 31,000.
+_SERIES_MAX_GENERATIONS = 1 << 16
+
+
+def _two_ball_series(domain: CompositeDomain) -> CapacityResult:
+    """Absolute capacity of two disjoint balls held at potential 1, by
+    Kelvin images (Maxwell, Treatise, vol. 1, ch. XI; Smythe, Static and
+    Dynamic Electricity, 5.08).
+
+    A charge q inside one ball has the image -q b / |x - c| at
+    c + b^2 (x - c) / |x - c|^2 in the other ball (center c, radius b),
+    which keeps that ball's potential fixed.  Two chains of images run,
+    one started at each center with a charge equal to that ball's
+    radius; every image lies on the segment between the centers, so a
+    charge is carried as its distance from its own ball's center.  The
+    capacity is 4 pi times the sum of all the charges.
+
+    The balls are disjoint, so each factor b / |x - c| is below 1: a
+    chain is an alternating series of falling terms, and its first
+    omitted charge bounds its tail.  A chain stops once that charge is
+    below the unit roundoff of its partial sum, or after
+    _SERIES_MAX_GENERATIONS generations.  error_estimate is 4 pi times
+    the two omitted charges plus a rounding allowance: each charge's
+    relative error and each position's absolute error are carried to
+    first order through the recurrence, and the final sum adds three
+    roundings.
+    """
+    comps = domain.components
+    if len(comps) != 2 or not all(c.is_ball() for c in comps):
+        raise SolverError("closed form covers a composite of exactly two balls")
+    radii = (comps[0].rho_max, comps[1].rho_max)
+    d = math.dist(comps[0].center_offset, comps[1].center_offset)
+    u = _UNIT_ROUNDOFF
+    charges, tails, allowance = [], 0.0, 0.0
+    for first in (0, 1):
+        own, q, x = first, radii[first], 0.0
+        rel_q = pos_err = 0.0  # relative error of q, absolute error of x
+        partial = q
+        charges.append(q)
+        for gen in range(1, _SERIES_MAX_GENERATIONS + 2):
+            r = radii[1 - own]
+            s = d - x
+            f = r / s
+            q, x, own = -q * f, r * f, 1 - own
+            # the relative error this step adds to q, and gives x
+            rel = (pos_err + 2.0 * u * d) / s + 3.0 * u
+            rel_q += rel
+            pos_err = x * rel
+            if abs(q) <= u * partial or gen > _SERIES_MAX_GENERATIONS:
+                break
+            charges.append(q)
+            partial += q
+            allowance += abs(q) * rel_q
+        tails += abs(q) * (1.0 + rel_q)
+    sigma = sphere_area()
+    value = sigma * math.fsum(charges)
+    err = sigma * (tails + allowance) + 3.0 * u * value
+    return CapacityResult(value=value, method="closed-form", error_estimate=err)
 
 
 _RIDGE = 1e-12  # Tikhonov weight on the column-equilibrated normal equations
@@ -481,12 +546,20 @@ def capacity(domain, outer_radius: float | None = None,
              solver: str = "harmonic", l_max: int = 8,
              wos_cfg: WosConfig | None = None) -> CapacityResult:
     """Dispatch to a solver by method name.  outer_radius None is the
-    absolute problem; a radius R > 1 is the problem relative to B_R."""
+    absolute problem; a radius R > 1 is the problem relative to B_R.
+
+    The closed forms cover a centered ball in either problem and, in the
+    absolute problem, a composite of two disjoint balls (its Kelvin image
+    series, with error_estimate a bound on the series' tail and rounding).
+    """
     if outer_radius is not None:
         _check_outer_radius(outer_radius)
     if solver == "closed":
-        if isinstance(domain, CompositeDomain) or not domain.is_ball() \
-                or np.linalg.norm(domain.center_offset) > 0:
+        if isinstance(domain, CompositeDomain):
+            if outer_radius is not None:
+                raise SolverError("the two-ball closed form is for the absolute problem")
+            return _two_ball_series(domain)
+        if not domain.is_ball() or np.linalg.norm(domain.center_offset) > 0:
             raise SolverError("closed form only covers centered balls")
         return CapacityResult(value=cap_ball(domain.rho_max, outer_radius),
                               method="closed-form", error_estimate=0.0)

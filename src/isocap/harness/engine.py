@@ -315,6 +315,11 @@ def run_truncation(cfg: ExperimentConfig, far_volume_fraction: float = 0.01,
     and volume identities of the truncated set, the deficit ratio and
     asymmetry drop with their empirical constants, and the closed-form
     capacity sandwich on the kept part checked against walk-on-spheres.
+
+    The full set's capacity is exact: the two balls' Kelvin image series
+    (`capacity(..., solver="closed")`), with cap_full_err its tail and
+    rounding bound.  The sandwich's walk on spheres is the one Monte
+    Carlo estimate in the report.
     """
     if not 0.0 <= far_volume_fraction < 0.5:
         raise ConfigError("far volume fraction must be small and nonnegative")
@@ -331,8 +336,8 @@ def run_truncation(cfg: ExperimentConfig, far_volume_fraction: float = 0.01,
     else:
         dom = ball(r_near)
 
-    wos = WosConfig(num_walks=cfg.walks, seed=cfg.seed)
-    cap_full = capacity(dom, solver="wos", wos_cfg=wos)
+    # the two balls' Kelvin image series, or the kept ball's closed form
+    cap_full = capacity(dom, solver="closed")
     dfull = cap_full.value - cap_ball(1.0)
 
     trunc, rep = truncate_rescale(dom, cut_radius)
@@ -353,7 +358,8 @@ def run_truncation(cfg: ExperimentConfig, far_volume_fraction: float = 0.01,
     # lower bound from the isocapacitary inequality at reduced volume
     lower = cap_ball(1.0) * (1.0 - far_volume_fraction) ** (1.0 / 3.0)
     kept = ball(r_near)
-    cap_kept_raw = capacity(kept, solver="wos", wos_cfg=wos)
+    cap_kept_raw = capacity(kept, solver="wos",
+                            wos_cfg=WosConfig(num_walks=cfg.walks, seed=cfg.seed))
     sandwich_margin = cap_kept_raw.value - lower
     sandwich = verdict_for(sandwich_margin, 3.0 * cap_kept_raw.error_estimate)
 

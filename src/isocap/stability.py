@@ -160,7 +160,12 @@ def ball_profile(radii, outer_radius: float, eta: float) -> ProfileReport:
     g(r) = cap_ball(r, R) + f_eta(ball volume at r).  For small eta
     the grid minimum sits at r = 1 and g grows at least linearly away
     from it; the report carries the empirical linear-growth constant.
+    The profile exists only in the relative problem, so outer_radius
+    must be given.
     """
+    if outer_radius is None:
+        raise ConfigError("the ball profile is relative to B_R: give an outer radius")
+    _check_outer_radius(outer_radius)
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size < 2:
         raise ConfigError("need a one-dimensional grid of radii")

@@ -171,12 +171,14 @@ def test_criterion_09_penalized_ball_profile(tmp_path):
     assert time.monotonic() - t0 < 5.0
 
 
-def test_criterion_10_truncation_experiment(tmp_path):
+def test_criterion_10_truncation_experiment(tmp_path, bispherical_cap):
     # two-ball configuration (far fraction 0.01 at distance 10, cut at 2):
     # the truncated set keeps the diameter bound and the exact volume, the
-    # deficit ratio and asymmetry-drop constants are finite, and the
-    # closed-form capacity lower bound for the kept part holds within
-    # three Monte Carlo standard errors; budget 2 min
+    # deficit ratio and asymmetry-drop constants are finite, the full
+    # capacity matches the bispherical sum within its error bound plus
+    # the reference's rounding, and the closed-form capacity lower bound
+    # for the kept part holds within three Monte Carlo standard errors;
+    # budget 2 min
     t0 = time.monotonic()
     cfg = ExperimentConfig(seed=3, walks=20000, timestamp=False,
                            out_dir=str(tmp_path))
@@ -188,4 +190,7 @@ def test_criterion_10_truncation_experiment(tmp_path):
     assert float(report["deficit_ratio_c"]) >= 0.0
     assert math.isfinite(float(report["asymmetry_drop_c"]))
     assert report["sandwich_verdict"] in ("holds", "holds-within-error")
+    exact = bispherical_cap(0.99 ** (1.0 / 3.0), 0.01 ** (1.0 / 3.0), 10.0)
+    assert abs(float(report["cap_full"]) - exact) <= \
+        float(report["cap_full_err"]) + 1e-15 * exact
     assert time.monotonic() - t0 < 120.0

@@ -482,6 +482,101 @@ def test_wos_scaling_law():
 
 
 # ---------------------------------------------------------------------------
+# two balls in closed form: the Kelvin image series
+# ---------------------------------------------------------------------------
+
+
+def two_balls(a, b, d):
+    return CompositeDomain([ball(a), ball(b, center=(d, 0.0, 0.0))])
+
+
+# the truncation experiment's default composite: far fraction 0.01 at distance 10
+TRUNCATION_PAIR = (0.99 ** (1.0 / 3.0), 0.01 ** (1.0 / 3.0), 10.0)
+
+
+@pytest.mark.parametrize("a,b,d", [TRUNCATION_PAIR, (1.0, 1.0, 4.0), (1.0, 0.5, 1.6),
+                                   (0.3, 2.0, 2.5), (1.0, 1.0, 2.05)],
+                         ids=["truncation", "equal-d4", "unequal-close", "small-big",
+                              "equal-close"])
+def test_two_ball_series_matches_bispherical_sum(a, b, d, bispherical_cap):
+    res = capacity(two_balls(a, b, d), solver="closed")
+    want = bispherical_cap(a, b, d)
+    assert abs(res.value - want) <= 1e-14 * want
+    assert abs(res.value - want) <= res.error_estimate
+    # resolved to rounding level
+    assert res.error_estimate <= 1e-13 * want
+    # the same set with the balls swapped and moved off the axis
+    shift = np.array([0.3, -1.2, 0.7])
+    axis = np.array([2.0, 1.0, -2.0]) / 3.0
+    swapped = CompositeDomain([ball(b, center=shift), ball(a, center=shift + d * axis)])
+    assert capacity(swapped, solver="closed").value == pytest.approx(want, rel=1e-14)
+
+
+def test_two_ball_series_near_contact(bispherical_cap):
+    # two unit balls 1e-6 apart: about 31,000 generations, still within
+    # the error estimate of the bispherical sum.  The touching pair has
+    # capacity 2 ln 2 * 4 pi a; the pair at gap g lies inside the
+    # touching pair dilated by 1 + g / (2a), so its capacity is at most
+    # that factor above the limit; and it grows with the gap, so it is no
+    # less than the limit
+    gap = 1e-6
+    res = capacity(two_balls(1.0, 1.0, 2.0 + gap), solver="closed")
+    assert abs(res.value - bispherical_cap(1.0, 1.0, 2.0 + gap)) <= res.error_estimate
+    assert res.error_estimate <= 1e-8 * res.value
+    touching = 2.0 * math.log(2.0) * FOUR_PI
+    assert touching - res.error_estimate <= res.value
+    assert res.value <= touching * (1.0 + gap / 2.0) + res.error_estimate
+
+
+@pytest.mark.parametrize("d", [1e2, 1e3, 1e4])
+def test_two_ball_series_far_apart(d, bispherical_cap):
+    # 4 pi (a + b - 2ab/d) + O(1/d^2); the next term of the series is
+    # 4 pi ab (a + b) / d^2
+    a, b = 1.0, 0.5
+    res = capacity(two_balls(a, b, d), solver="closed")
+    assert abs(res.value - FOUR_PI * (a + b - 2.0 * a * b / d)) \
+        <= FOUR_PI * 2.0 * a * b * (a + b) / d**2
+    assert abs(res.value - bispherical_cap(a, b, d)) <= res.error_estimate
+
+
+def test_two_ball_series_against_walk_on_spheres():
+    dom = two_balls(*TRUNCATION_PAIR)
+    res = capacity(dom, solver="closed")
+    wos = cap_wos(dom, WosConfig(num_walks=40000, seed=11))
+    assert abs(wos.value - res.value) <= 3.0 * wos.error_estimate
+
+
+def test_two_ball_series_error_bounds_a_truncated_chain(monkeypatch, bispherical_cap):
+    # at the generation cap the first omitted charge still bounds each
+    # chain's tail: unit balls 1e-8 apart need more than the cap
+    gap = 1e-8
+    res = capacity(two_balls(1.0, 1.0, 2.0 + gap), solver="closed")
+    err = abs(res.value - bispherical_cap(1.0, 1.0, 2.0 + gap))
+    assert err > 1e-7 * res.value  # the chains did stop early
+    assert err <= res.error_estimate
+    # a cap lowered below what a gap of 1e-4 needs (about 3,300)
+    monkeypatch.setattr(sys.modules["isocap.capacity"], "_SERIES_MAX_GENERATIONS", 1000)
+    res = capacity(two_balls(1.0, 0.8, 1.8 + 1e-4), solver="closed")
+    err = abs(res.value - bispherical_cap(1.0, 0.8, 1.8 + 1e-4))
+    assert err > 1e-7 * res.value
+    assert err <= res.error_estimate
+
+
+def test_two_ball_series_refusals():
+    with pytest.raises(SolverError):
+        capacity(CompositeDomain([ball(1.0), ball(0.5, center=(3.0, 0.0, 0.0)),
+                                  ball(0.5, center=(-3.0, 0.0, 0.0))]), solver="closed")
+    star = ellipsoid(0.1)
+    star.center_offset = np.array([4.0, 0.0, 0.0])
+    with pytest.raises(SolverError):
+        capacity(CompositeDomain([ball(1.0), star]), solver="closed")
+    with pytest.raises(SolverError):
+        capacity(CompositeDomain([ball(1.0)]), solver="closed")
+    with pytest.raises(SolverError):
+        capacity(two_balls(*TRUNCATION_PAIR), outer_radius=20.0, solver="closed")
+
+
+# ---------------------------------------------------------------------------
 # dispatch and deficit
 # ---------------------------------------------------------------------------
 

@@ -15,13 +15,13 @@ import pytest
 from isocap.domains import (CompositeDomain, FamilySpec, ball, ellipsoid, family_member,
                             generate_family, save_domain)
 from isocap.harness import (ExperimentConfig, fit_loglog, run_asym, run_sweep,
-                            scatter_svg, verdict_for)
+                            run_truncation, scatter_svg, verdict_for)
 from isocap.harness import cli
 from isocap.harness.cli import main as cli_main
 from isocap.harness.engine import _member_record
 from isocap.sphere import ball_volume
 
-GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens" / "v3"
+GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens" / "v4"
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
@@ -170,6 +170,28 @@ def test_abs_member_builds_its_projected_domain_once(monkeypatch):
     assert record.hhalf is not None
     assert counts["rounds"] > 1
     assert counts["builds"] == counts["rounds"] + 1
+
+
+def test_truncation_walks_on_spheres_once_on_the_kept_ball(monkeypatch, tmp_path):
+    # the full set's capacity is the two balls' image series, so the one
+    # walk-on-spheres run left is the sandwich check on the kept ball
+    capacity = sys.modules["isocap.capacity"]
+    wos = capacity.cap_wos
+    domains = []
+
+    def counted_wos(dom, cfg=None):
+        domains.append(dom)
+        return wos(dom, cfg)
+
+    monkeypatch.setattr(capacity, "cap_wos", counted_wos)
+    cfg = ExperimentConfig(seed=3, walks=2000, timestamp=False, out_dir=str(tmp_path))
+    report, _ = run_truncation(cfg)
+    assert len(domains) == 1
+    kept = domains[0]
+    assert not isinstance(kept, CompositeDomain)
+    assert kept.is_ball() and kept.rho_max == 0.99 ** (1.0 / 3.0)
+    assert not kept.center_offset.any()
+    assert report["sandwich_cap_kept"] == repr(wos(kept, capacity.WosConfig(2000, 3)).value)
 
 
 # ---------------------------------------------------------------------------
@@ -439,17 +461,22 @@ GOLDEN_V3_MOVES = [
 ]
 
 
-def test_goldens_v3_depart_from_v2_only_in_recorded_cells():
-    v2 = GOLDEN_DIR.parent / "v2"
-    assert sorted(p.name for p in v2.iterdir()) == sorted(p.name for p in GOLDEN_DIR.iterdir())
-    for path in sorted(v2.iterdir()):
+def _departs_only_in(before, after, moves):
+    """Assert golden set `after` is `before` with each (file, old line, new
+    line or None) of `moves` applied, and nothing else changed."""
+    assert sorted(p.name for p in before.iterdir()) == sorted(p.name for p in after.iterdir())
+    for path in sorted(before.iterdir()):
         want = path.read_text().split("\n")
-        for name, old, new in GOLDEN_V3_MOVES:
+        for name, old, new in moves:
             if name == path.name:
                 assert want.count(old) == 1, (name, old)
                 k = want.index(old)
                 want[k:k + 1] = [] if new is None else [new]
-        assert (GOLDEN_DIR / path.name).read_text().split("\n") == want, path.name
+        assert (after / path.name).read_text().split("\n") == want, path.name
+
+
+def test_goldens_v3_depart_from_v2_only_in_recorded_cells():
+    _departs_only_in(GOLDEN_DIR.parent / "v2", GOLDEN_DIR.parent / "v3", GOLDEN_V3_MOVES)
 
 
 def test_golden_v3_truncation_asymmetry_moved_toward_the_closed_form():
@@ -467,6 +494,44 @@ def test_golden_v3_truncation_asymmetry_moved_toward_the_closed_form():
     drop = (float(v3["asymmetry_full"]) - float(v3["asymmetry_truncated"])) \
         / float(v3["deficit_full"])
     assert float(v3["asymmetry_drop_c"]) == drop
+
+
+# Every line in which goldens/v4 departs from goldens/v3, in the same form.
+# The truncation experiment's full capacity is now the two balls' Kelvin
+# image series, exact to rounding, not a walk-on-spheres estimate; the
+# full deficit and the asymmetry drop over it move with it.  CHANGES.md
+# gives the size of each move.
+GOLDEN_V4_MOVES = [
+    ("truncation.json", ' "asymmetry_drop_c": "0.00869944658500085",',
+     ' "asymmetry_drop_c": "0.009270714032185011",'),
+    ("truncation.json", ' "cap_full": "14.865367430373057",',
+     ' "cap_full": "14.723701746628606",'),
+    ("truncation.json", ' "cap_full_err": "0.6792609554468297",',
+     ' "cap_full_err": "6.564272957846539e-15",'),
+    ("truncation.json", ' "deficit_full": "2.2989968160138847",',
+     ' "deficit_full": "2.1573311322694337",'),
+]
+
+
+def test_goldens_v4_depart_from_v3_only_in_recorded_cells():
+    _departs_only_in(GOLDEN_DIR.parent / "v3", GOLDEN_DIR.parent / "v4", GOLDEN_V4_MOVES)
+
+
+def test_golden_v4_truncation_capacity_moved_to_the_bispherical_sum(bispherical_cap):
+    # the default truncation composite: a ball of volume fraction 1 - f at
+    # the origin and one of fraction f at distance 10
+    v3, v4 = (json.loads((GOLDEN_DIR.parent / v / "truncation.json").read_text())
+              for v in ("v3", "v4"))
+    f, d = float(v4["far_volume_fraction"]), float(v4["far_distance"])
+    exact = bispherical_cap((1.0 - f) ** (1.0 / 3.0), f ** (1.0 / 3.0), d)
+    assert abs(float(v4["cap_full"]) - exact) <= 1e-14 * exact
+    assert abs(float(v4["cap_full"]) - exact) <= float(v4["cap_full_err"])
+    assert abs(float(v3["cap_full"]) - exact) > 0.1
+    # the deficit and the drop constant moved with it
+    assert float(v4["deficit_full"]) == float(v4["cap_full"]) - 4.0 * math.pi
+    drop = (float(v4["asymmetry_full"]) - float(v4["asymmetry_truncated"])) \
+        / float(v4["deficit_full"])
+    assert float(v4["asymmetry_drop_c"]) == drop
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.iterdir()))

@@ -156,6 +156,16 @@ def test_ball_profile_minimum_at_unit_radius():
     assert rep.values.shape == grid.shape
 
 
+def test_ball_profile_refuses_a_bad_outer_radius():
+    # refused as every other entry point refuses it, before any work:
+    # R <= 1 does not enclose the unit ball, and None is the absolute
+    # problem, which has no profile
+    with pytest.raises(ConfigError):
+        ball_profile([0.5, 0.9], 0.95, 0.01)
+    with pytest.raises(ConfigError):
+        ball_profile([0.5, 1.0, 1.5], None, 0.01)
+
+
 def test_ball_profile_grid_validation():
     with pytest.raises(ConfigError):
         ball_profile([1.0], outer_radius=2.0, eta=0.01)
