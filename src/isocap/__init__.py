@@ -1,8 +1,7 @@
 """Capacity, asymmetry, and isocapacitary deficit computations for
 star-shaped domains in R^3, with spectral stability checks."""
 
-from .asymmetry import (alpha, alpha_R, annulus_lower_bound, composite_symdiff_volume,
-                        fraenkel, symdiff_volume)
+from .asymmetry import alpha, alpha_R, annulus_lower_bound, fraenkel, symdiff_volume
 from .capacity import WosConfig, cap_ball, cap_spheroid, cap_wos, capacity, deficit
 from .domains import (CompositeDomain, FamilySpec, StarDomain, ball,
                       barycenter, diameter, ellipsoid, generate_family,

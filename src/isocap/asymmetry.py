@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .capacity import _check_outer_radius
 from .domains import CompositeDomain, StarDomain, barycenter, radial_bounds, volume
 from .errors import GeometryError, SolverError
 from .sphere import SphereQuadrature, ball_volume, build_quadrature, sphere_area
@@ -23,7 +24,6 @@ from .sphere import SphereQuadrature, ball_volume, build_quadrature, sphere_area
 __all__ = [
     "AsymmetryResult",
     "symdiff_volume",
-    "composite_symdiff_volume",
     "fraenkel",
     "alpha_R",
     "alpha",
@@ -103,10 +103,14 @@ def _ball_interval(dots: np.ndarray, c2: float, radius: float):
     return b0, b1
 
 
-def symdiff_volume(domain: StarDomain, center, radius: float) -> float:
-    """|Omega symdiff B_r(center)| by exact ray integration.
+def symdiff_volume(domain, center, radius: float) -> float:
+    """|Omega symdiff B_r(center)| by exact ray integration, for a star
+    domain or a union.
 
-    The ball may sit anywhere; the domain is integrated along rays from
+    |Omega cap B| sums over the k disjoint components of a union, so
+    |Omega symdiff B| = sum_i |Omega_i symdiff B| - (k - 1) |B|.
+
+    The ball may sit anywhere; a star is integrated along rays from
     its own star center, where its radial extent is exact.  Ball domains
     take a closed-form lens route instead: the per-ray integrand has a
     derivative kink along the curve where the surfaces cross, which
@@ -129,6 +133,9 @@ def symdiff_volume(domain: StarDomain, center, radius: float) -> float:
     min(b, rho)^3 is min(b^3, rho^3) exactly, and the cached rho^3 is
     used.
     """
+    if isinstance(domain, CompositeDomain):
+        parts = [symdiff_volume(c, center, radius) for c in domain.components]
+        return math.fsum(parts) - (len(parts) - 1) * ball_volume(radius)
     c = np.asarray(center, dtype=float) - domain.center_offset
     c2 = float(c @ c)
     rays = _ray_samples(domain)
@@ -159,20 +166,6 @@ def symdiff_volume(domain: StarDomain, center, radius: float) -> float:
     iab *= 2.0
     ib -= iab
     return float(rays.quad.weights @ ib) / 3.0
-
-
-def composite_symdiff_volume(comp: CompositeDomain, center, radius: float) -> float:
-    """|Omega symdiff B_r(center)| for a union of k components with
-    disjoint closures.
-
-    |Omega symdiff B| = |Omega| + |B| - 2 |Omega cap B|, and
-    |Omega cap B| is the sum of the components' |Omega_i cap B|, so
-    |Omega symdiff B| = sum_i |Omega_i symdiff B| - (k - 1) |B|.  Each
-    term is a `symdiff_volume`: a closed-form lens for a ball component,
-    the ray integral for any other.
-    """
-    parts = [symdiff_volume(c, center, radius) for c in comp.components]
-    return math.fsum(parts) - (len(parts) - 1) * ball_volume(radius)
 
 
 _SIMPLEX_TOL = 1e-10  # xatol and fatol of the simplex stop
@@ -280,10 +273,10 @@ def fraenkel(domain: StarDomain | CompositeDomain) -> AsymmetryResult:
 
     The domain must be volume-normalised.  The minimisation runs
     Nelder-Mead (`_nelder_mead`) under a budget of 500 objective
-    evaluations, shared among its starts.  A star domain has five starts
-    (barycenter, origin, and 0.1-shifted barycenters) and the objective
-    `symdiff_volume`; a composite has one, its largest component's
-    center, and the objective `composite_symdiff_volume`.
+    evaluations, shared among its starts, of the objective
+    `symdiff_volume`.  A star domain has five starts (barycenter,
+    origin, and 0.1-shifted barycenters); a composite has one, its
+    largest component's center.
 
     A start within about 2e-9 of the origin, with no coordinate exactly
     zero, is degenerate: its initial simplex steps are 5% of each
@@ -299,10 +292,8 @@ def fraenkel(domain: StarDomain | CompositeDomain) -> AsymmetryResult:
         raise GeometryError("fraenkel needs a volume-normalised domain")
     omega = ball_volume()
     if isinstance(domain, CompositeDomain):
-        measure = composite_symdiff_volume
         starts = [max(domain.components, key=volume).center_offset]
     else:
-        measure = symdiff_volume
         b = barycenter(domain)
         starts = [
             b,
@@ -313,7 +304,7 @@ def fraenkel(domain: StarDomain | CompositeDomain) -> AsymmetryResult:
         ]
 
     def objective(c):
-        return measure(domain, c, 1.0) / omega
+        return symdiff_volume(domain, c, 1.0) / omega
 
     best_val, best_c, count = np.inf, starts[0], 0
     for s in starts:
@@ -426,11 +417,13 @@ def _weighted_asymmetry(domain: StarDomain, origin: np.ndarray | None) -> float:
 def alpha_R(domain: StarDomain, outer_radius: float | None = None) -> float:
     """Integral of |1 - |x|| over Omega symdiff B_1, both about the origin.
 
-    outer_radius only gates the geometry (the domain must fit inside
-    B_R when a relative-problem radius is given).
+    outer_radius only gates the geometry: a relative-problem radius must
+    exceed 1 (ConfigError otherwise), and the domain must fit inside B_R.
     """
-    if outer_radius is not None and domain.enclosing_radius >= outer_radius:
-        raise GeometryError("domain does not fit inside the outer ball")
+    if outer_radius is not None:
+        _check_outer_radius(outer_radius)
+        if domain.enclosing_radius >= outer_radius:
+            raise GeometryError("domain does not fit inside the outer ball")
     centered = np.linalg.norm(domain.center_offset) == 0.0
     return _weighted_asymmetry(domain, None if centered else np.zeros(3))
 

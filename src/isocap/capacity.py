@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (CompositeDomain, StarDomain, _check_seed, radial_bounds, scale_domain,
-                      volume)
+from .domains import CompositeDomain, StarDomain, _certified_bounds, _check_seed, normalize_volume
 from .errors import ConfigError, GeometryError, SolverError
-from .sphere import ball_volume, build_quadrature, harmonic_basis, sphere_area
+from .sphere import build_quadrature, harmonic_basis, sphere_area
 
 __all__ = [
     "CapacityResult",
@@ -354,22 +353,19 @@ class _WosComponent:
     and the function |z - c| - rho((z - c)/|z - c|), which vanishes on
     the boundary, has gradient at most sqrt(1 + (G / rho_lo)^2); so the
     distance is at least the gap over that constant, and at least
-    r - rho_hi.  (rho_lo, rho_hi, G) come from `radial_bounds`; an exact
-    ball's rho_lo is its radius.
+    r - rho_hi.  (rho_lo, rho_hi, G) come from `_certified_bounds`; an
+    exact ball's are its radius twice and 0.
     """
 
     def __init__(self, dom: StarDomain):
         self.center = dom.center_offset
         self.exact_ball = dom.is_ball() and dom.rho_fn is not None
         self.dom = dom
-        if self.exact_ball:
-            self.rho_lo = self.radius = dom.rho_max
-        else:
-            self.rho_lo, self.rho_hi, g = radial_bounds(dom, sampled=True)
-            if self.rho_lo <= 0.0:
-                raise GeometryError("walk on spheres needs a radius bounded away from zero; "
-                                    f"the certified lower bound is {self.rho_lo:.4g}")
-            self.lipschitz = math.sqrt(1.0 + (g / self.rho_lo) ** 2)
+        self.rho_lo, self.rho_hi, g = _certified_bounds(dom)
+        if self.rho_lo <= 0.0:
+            raise GeometryError("walk on spheres needs a radius bounded away from zero; "
+                                f"the certified lower bound is {self.rho_lo:.4g}")
+        self.lipschitz = math.sqrt(1.0 + (g / self.rho_lo) ** 2)
 
     def step_gap(self, p: np.ndarray):
         """(certified step, signed radial gap) for points p, vectorised.
@@ -380,7 +376,7 @@ class _WosComponent:
         q = p - self.center
         r = np.linalg.norm(q, axis=1)
         if self.exact_ball:
-            gap = r - self.radius
+            gap = r - self.rho_hi
             return gap, gap
         gap = r - self.dom.radial(q / np.maximum(r, 1e-300)[:, None])
         return np.maximum(gap / self.lipschitz, r - self.rho_hi), gap
@@ -515,7 +511,7 @@ def cap_wos(domain, cfg: WosConfig | None = None) -> CapacityResult:
     """
     cfg = cfg or WosConfig()
     comps = domain.components if isinstance(domain, CompositeDomain) else [domain]
-    encl = max(c.enclosing_radius for c in comps)
+    encl = domain.enclosing_radius
     a = 4.0 * encl
     eps = 1e-4 * encl
     geoms = [_WosComponent(c) for c in comps]
@@ -588,15 +584,12 @@ def deficit(domain, outer_radius: float | None = None, solver: str = "harmonic",
             l_max: int = 8, wos_cfg: WosConfig | None = None) -> DeficitResult:
     """Capacity excess over the unit ball at fixed volume.
 
-    The domain is dilated to unit-ball volume first, so the deficit of
-    any ball is zero up to solver error, and the value is nonnegative
-    up to solver error for every domain.
+    The domain, a star or a union, is dilated to unit-ball volume first
+    (`normalize_volume`), so the deficit of any ball is zero up to solver
+    error, and the value is nonnegative up to solver error for every
+    domain.
     """
-    lam = (ball_volume() / volume(domain)) ** (1.0 / 3.0)
-    if isinstance(domain, CompositeDomain):
-        dom = CompositeDomain([scale_domain(c, lam) for c in domain.components])
-    else:
-        dom = scale_domain(domain, lam)
+    dom, lam = normalize_volume(domain)
     res = capacity(dom, outer_radius=outer_radius, solver=solver,
                    l_max=l_max, wos_cfg=wos_cfg)
     return DeficitResult(value=res.value - cap_ball(1.0, outer_radius),

@@ -110,7 +110,7 @@ class CompositeDomain:
     """Finite union of star domains with pairwise disjoint closures.
 
     Disjointness is certified by center separation exceeding the sum of
-    enclosing radii about each component's own center.
+    certified radii about each component's own center (`_certified_bounds`).
     """
 
     components: list
@@ -119,14 +119,14 @@ class CompositeDomain:
         comps = self.components
         if not comps:
             raise GeometryError("composite domain needs at least one component")
+        rho_hi = [_certified_bounds(c)[1] for c in comps]
         for i in range(len(comps)):
             for j in range(i + 1, len(comps)):
-                ci, cj = comps[i], comps[j]
-                gap = np.linalg.norm(ci.center_offset - cj.center_offset)
-                if gap <= ci.rho_max + cj.rho_max:
+                gap = np.linalg.norm(comps[i].center_offset - comps[j].center_offset)
+                if gap <= rho_hi[i] + rho_hi[j]:
                     raise GeometryError(
                         f"components {i} and {j} are not certifiably disjoint "
-                        f"(center gap {gap:.6g} <= {ci.rho_max + cj.rho_max:.6g})"
+                        f"(center gap {gap:.6g} <= {rho_hi[i] + rho_hi[j]:.6g})"
                     )
 
     @property
@@ -312,6 +312,15 @@ def radial_bounds(domain: StarDomain, sampled: bool = False) -> tuple[float, flo
     return max(lo, mean - spread), min(hi, mean + spread), min(g, grad)
 
 
+def _certified_bounds(domain: StarDomain) -> tuple[float, float, float]:
+    """`radial_bounds(domain, sampled=True)`, or (r, r, 0.0) for an exact
+    ball of radius r (one with a radial callable).  The node maximum
+    rho_max bounds the radius of a ball only: a star reaches past it."""
+    if domain.is_ball() and domain.rho_fn is not None:
+        return domain.rho_max, domain.rho_max, 0.0
+    return radial_bounds(domain, sampled=True)
+
+
 def _sampled_bounds(coeffs: HarmonicCoeffs) -> tuple[float, float, float]:
     """(rho_lo, rho_hi, G) for a radius of degree L >= 1, from samples.
 
@@ -355,10 +364,13 @@ def _laplacian(coeffs: HarmonicCoeffs) -> HarmonicCoeffs:
                           coeffs.values * np.repeat(-l * (l + 1.0), 2 * l + 1))
 
 
-def scale_domain(domain: StarDomain, lam: float) -> StarDomain:
-    """Dilation x -> lam*x about the origin."""
+def scale_domain(domain, lam: float):
+    """Dilation x -> lam*x about the origin; a union is dilated
+    component by component."""
     if lam <= 0:
         raise GeometryError("scale factor must be positive")
+    if isinstance(domain, CompositeDomain):
+        return CompositeDomain([scale_domain(c, lam) for c in domain.components])
     coeffs = None
     if domain.coeffs is not None:
         coeffs = domain.coeffs.copy()
@@ -376,10 +388,11 @@ def scale_domain(domain: StarDomain, lam: float) -> StarDomain:
     )
 
 
-def normalize_volume(domain: StarDomain) -> StarDomain:
-    """Dilate so the volume equals that of the unit ball (within 1e-12)."""
-    lam = (ball_volume() / volume(domain)) ** (1.0 / 3)
-    return scale_domain(domain, lam)
+def normalize_volume(domain):
+    """Dilate a star or a union about the origin so its volume equals
+    that of the unit ball (within 1e-12).  Returns (domain, factor)."""
+    lam = (ball_volume() / volume(domain)) ** (1.0 / 3.0)
+    return scale_domain(domain, lam), lam
 
 
 def boundary_cloud(domain) -> np.ndarray:
@@ -411,9 +424,10 @@ def truncate_rescale(domain, radius_cut: float):
     """Drop components outside a centered ball, rescale the rest to unit volume.
 
     Every component must lie entirely inside or entirely outside the
-    ball of radius `radius_cut`; a component the cut sphere slices is
-    refused.  Components inside are dilated about the origin so the
-    retained volume equals the unit-ball volume.
+    ball of radius `radius_cut`, judged by its certified radius
+    (`_certified_bounds`); a component the cut sphere slices is refused.
+    The kept part, one component or a union of several, is dilated
+    about the origin to unit-ball volume (`normalize_volume`).
 
     Returns the truncated domain and a report with the volume dropped,
     the dilation factor, and the diameter of the result.
@@ -422,9 +436,10 @@ def truncate_rescale(domain, radius_cut: float):
     inside, outside = [], []
     for k, c in enumerate(comps):
         dist = float(np.linalg.norm(c.center_offset))
-        if dist + c.rho_max <= radius_cut:
+        rho_hi = _certified_bounds(c)[1]
+        if dist + rho_hi <= radius_cut:
             inside.append(c)
-        elif dist - c.rho_max >= radius_cut:
+        elif dist - rho_hi >= radius_cut:
             outside.append(c)
         else:
             raise GeometryError(
@@ -432,10 +447,7 @@ def truncate_rescale(domain, radius_cut: float):
             )
     if not inside:
         raise GeometryError("no component lies inside the cut sphere")
-    kept_volume = sum(volume(c) for c in inside)
-    lam = (ball_volume() / kept_volume) ** (1.0 / 3.0)
-    rescaled = [scale_domain(c, lam) for c in inside]
-    out = CompositeDomain(rescaled) if len(rescaled) > 1 else rescaled[0]
+    out, lam = normalize_volume(CompositeDomain(inside) if len(inside) > 1 else inside[0])
     report = TruncationReport(
         outside_volume=sum(volume(c) for c in outside),
         scale=lam,
@@ -513,7 +525,7 @@ def family_member(spec: FamilySpec, k: int):
     """
     if spec.variant == "ellipsoid":
         eps = float(np.linspace(spec.eps_min, spec.eps_max, spec.count)[k])
-        return spec.member_id(k), eps, normalize_volume(ellipsoid(eps)), None
+        return spec.member_id(k), eps, normalize_volume(ellipsoid(eps))[0], None
     if spec.variant == "harmonic_perturbation":
         t = float((spec.amplitude * (1.0 + np.arange(spec.count)) / spec.count)[k])
         phi = HarmonicCoeffs.single(spec.degree, spec.order, t,

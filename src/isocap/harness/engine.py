@@ -18,8 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..asymmetry import (alpha, alpha_R, annulus_lower_bound, composite_symdiff_volume,
-                         fraenkel, symdiff_volume)
+from ..asymmetry import alpha, alpha_R, annulus_lower_bound, fraenkel, symdiff_volume
 from ..capacity import (CapacityResult, DeficitResult, WosConfig, _check_outer_radius,
                         cap_ball, cap_spheroid, capacity, deficit)
 from ..domains import CompositeDomain, FamilySpec, ball, family_member, truncate_rescale, volume
@@ -399,15 +398,14 @@ def run_asym(domain, outer_radius: float | None = None) -> dict:
     A composite gets Fraenkel and the symmetric difference with B_1 only:
     the weighted asymmetries integrate along the rays of one star.
     """
-    composite = isinstance(domain, CompositeDomain)
     fr = fraenkel(domain)
-    v = (composite_symdiff_volume if composite else symdiff_volume)(domain, np.zeros(3), 1.0)
+    v = symdiff_volume(domain, np.zeros(3), 1.0)
     out = {
         "fraenkel": repr(float(fr.value)),
         "minimizing_center": [repr(float(c)) for c in fr.minimizing_center],
         "symdiff_origin": repr(float(v)),
     }
-    if composite:
+    if isinstance(domain, CompositeDomain):
         return out
     out["alpha"] = repr(float(alpha(domain)))
     out["annulus_lower_bound"] = repr(float(annulus_lower_bound(v)))

@@ -18,12 +18,12 @@ from scipy.optimize import brentq, minimize
 
 import isocap.asymmetry
 from isocap.asymmetry import (_crossing_radii, _nelder_mead, alpha, alpha_R, annulus_lower_bound,
-                              composite_symdiff_volume, fraenkel, symdiff_volume)
+                              fraenkel, symdiff_volume)
 from isocap.capacity import counter_uniform
 from isocap.domains import (CompositeDomain, FamilySpec, StarDomain, ball, barycenter,
                             ellipsoid, family_member, generate_family,
                             nearly_spherical_from_phi, radial_bounds, volume)
-from isocap.errors import GeometryError, SolverError
+from isocap.errors import ConfigError, GeometryError, SolverError
 from isocap.sphere import ball_volume, build_quadrature
 from isocap.stability import project_barycenter
 
@@ -388,6 +388,13 @@ def test_alpha_R_outer_radius_gate():
         alpha_R(ellipsoid(0.2), 1.1)
 
 
+@pytest.mark.parametrize("R", [0.9, 1.0])
+def test_alpha_R_refuses_an_outer_radius_not_above_one(R):
+    # the one ConfigError of every entry point that takes an outer radius
+    with pytest.raises(ConfigError, match="must exceed 1"):
+        alpha_R(ball(0.5), R)
+
+
 def test_annulus_bound_closed_form():
     # delta = 1/2 annulus: volume omega*(1.5^3 - 0.5^3), weighted integral
     # 4 pi * (int_0.5^1 (1-s)s^2 + int_1^1.5 (s-1)s^2) = 4 pi * 0.28125
@@ -651,7 +658,7 @@ def test_symdiff_mc_unit_ball_against_truth():
     # near ball misses a thin spherical shell
     r_near = (1 - 0.01) ** (1 / 3)
     truth = 0.01 * OMEGA + (OMEGA - ball_volume(r_near))
-    assert composite_symdiff_volume(comp, np.zeros(3), 1.0) == pytest.approx(truth, abs=1e-14)
+    assert symdiff_volume(comp, np.zeros(3), 1.0) == pytest.approx(truth, abs=1e-14)
     # the Monte Carlo oracle below agrees with the same truth
     v, err = _symdiff_mc_reference(comp, np.zeros(3), 1.0, n_samples=200000, seed=1)
     assert abs(v - truth) <= 4.0 * err
@@ -661,8 +668,8 @@ def test_symdiff_mc_unit_ball_against_truth():
 def test_symdiff_mc_deterministic():
     comp = _truncation_composite()
     # the exact route has no seed: repeated calls return the same bits
-    a = composite_symdiff_volume(comp, (0.3, -0.2, 0.1), 0.9)
-    b = composite_symdiff_volume(comp, (0.3, -0.2, 0.1), 0.9)
+    a = symdiff_volume(comp, (0.3, -0.2, 0.1), 0.9)
+    b = symdiff_volume(comp, (0.3, -0.2, 0.1), 0.9)
     assert a == b
     r1, r2 = fraenkel(comp), fraenkel(comp)
     assert (r1.value, r1.evaluations) == (r2.value, r2.evaluations)
@@ -730,7 +737,7 @@ def test_symdiff_mc_matches_per_center_draw(center, radius, seed):
     # each center; a stratum that is all in or all out has no error, so
     # there the two agree to rounding
     comp = _truncation_composite()
-    got = composite_symdiff_volume(comp, center, radius)
+    got = symdiff_volume(comp, center, radius)
     want, err = _symdiff_mc_reference(comp, center, radius, 50000, seed)
     assert abs(got - want) <= 4.0 * err + 1e-12
     assert err < 0.02
@@ -771,7 +778,7 @@ def test_symdiff_two_ball_composite_matches_lens(center, radius):
     inter = (_lens_by_caps(r1, radius, float(np.linalg.norm(c)))
              + _lens_by_caps(r2, radius, float(np.linalg.norm(c - c2))))
     want = ball_volume(r1) + ball_volume(r2) + ball_volume(radius) - 2.0 * inter
-    assert composite_symdiff_volume(comp, c, radius) == pytest.approx(want, rel=1e-13)
+    assert symdiff_volume(comp, c, radius) == pytest.approx(want, rel=1e-13)
 
 
 def test_symdiff_star_plus_far_ball_sums_its_components():
@@ -780,12 +787,12 @@ def test_symdiff_star_plus_far_ball_sums_its_components():
     comp = CompositeDomain([star, far])
     # a ball that misses the far component: the far ball adds its volume
     for c in [(0.0, 0.0, 0.0), (0.2, -0.1, 0.3)]:
-        got = composite_symdiff_volume(comp, c, 1.0)
+        got = symdiff_volume(comp, c, 1.0)
         assert got == pytest.approx(symdiff_volume(star, c, 1.0) + volume(far), rel=1e-14)
     # in general, the sum over the components less the extra copy of the ball
     for c, r in [((0.4, 0.2, -0.1), 1.0), ((6.1, 0.1, 0.0), 0.5), ((3.0, 0.0, 0.0), 3.0)]:
         want = symdiff_volume(star, c, r) + symdiff_volume(far, c, r) - ball_volume(r)
-        assert composite_symdiff_volume(comp, c, r) == pytest.approx(want, rel=1e-14)
+        assert symdiff_volume(comp, c, r) == pytest.approx(want, rel=1e-14)
 
 
 def test_symdiff_ball_beyond_the_enclosing_sphere_is_exact():

@@ -15,7 +15,7 @@ from isocap.capacity import (WosConfig, _any_orthonormal, _cross, _run_wos_block
                              cap_relative_harmonic, cap_spheroid, cap_wos, capacity,
                              counter_uniform, deficit)
 from isocap.domains import (CompositeDomain, FamilySpec, StarDomain, ball,
-                            ellipsoid, generate_family)
+                            ellipsoid, generate_family, scale_domain, volume)
 from isocap.errors import ConfigError, GeometryError, SolverError
 from isocap.sphere import (HarmonicCoeffs, ball_volume, build_quadrature, flat_index,
                            synthesize)
@@ -610,6 +610,21 @@ def test_deficit_ball_is_zero():
     d = deficit(ball(1.3))
     assert abs(d.value) <= max(d.error_estimate, 1e-9)
     assert d.scale == pytest.approx(1.0 / 1.3, rel=1e-12)
+
+
+def test_deficit_of_two_balls_is_the_written_out_formula_bit_for_bit():
+    # the unit-volume factor, the component-wise dilation, then the
+    # closed-form capacity, as deficit computed them before
+    # normalize_volume took a union
+    two_balls = CompositeDomain([ball(0.9), ball(0.4, center=(3.0, 0.0, 0.0))])
+    lam = (ball_volume() / volume(two_balls)) ** (1.0 / 3.0)
+    scaled = CompositeDomain([scale_domain(c, lam) for c in two_balls.components])
+    cap = capacity(scaled, solver="closed")
+    d = deficit(two_balls, solver="closed")
+    assert d.scale == lam
+    assert d.capacity == cap
+    assert d.value == cap.value - cap_ball(1.0)
+    assert d.error_estimate == cap.error_estimate
 
 
 def test_deficit_positive_for_ellipsoid():

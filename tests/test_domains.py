@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isocap.capacity import deficit
 from isocap.domains import (CompositeDomain, FamilySpec, StarDomain, ball,
                             barycenter, boundary_cloud, diameter, ellipsoid,
-                            generate_family, load_domain,
+                            family_member, generate_family, load_domain,
                             nearly_spherical_from_phi, normalize_volume,
                             radial_bounds, save_domain, scale_domain,
                             truncate_rescale, volume)
@@ -97,7 +98,7 @@ def test_scale_translate_normalize():
     dom = ellipsoid(0.2)
     scaled = scale_domain(dom, 2.0)
     assert volume(scaled) == pytest.approx(8.0 * volume(dom), rel=1e-12)
-    back = normalize_volume(scaled)
+    back, _ = normalize_volume(scaled)
     assert volume(back) == pytest.approx(OMEGA, rel=1e-12)
     moved = ball(1.0, center=(1.0, 0.0, 0.0))
     npt.assert_allclose(barycenter(moved), [1.0, 0.0, 0.0], atol=1e-14)
@@ -112,6 +113,65 @@ def test_composite_requires_disjoint_components():
     assert volume(comp) == pytest.approx(OMEGA * (1 + 0.5**3), rel=1e-13)
     with pytest.raises(GeometryError):
         CompositeDomain([])
+
+
+def _two_balls():
+    return CompositeDomain([ball(0.9), ball(0.4, center=(3.0, 0.0, 0.0))])
+
+
+def _star_plus_far_ball():
+    star = generate_family(FamilySpec("random_star", 1, amplitude=0.3, seed=2))[0][2]
+    return CompositeDomain([star, ball(0.3, center=(6.0, 0.0, 0.0))])
+
+
+@pytest.mark.parametrize("make", [_two_balls, _star_plus_far_ball])
+def test_normalize_volume_of_a_union(make):
+    comp = make()
+    out, lam = normalize_volume(comp)
+    assert isinstance(out, CompositeDomain)
+    assert abs(volume(out) - OMEGA) <= 1e-12
+    # every component is dilated about the origin by the one factor
+    for before, after in zip(comp.components, out.components, strict=True):
+        npt.assert_array_equal(after.center_offset, lam * before.center_offset)
+        npt.assert_array_equal(after.rho, lam * before.rho)
+    if make is _two_balls:
+        assert deficit(comp, solver="closed").scale == lam
+
+
+def _seed1_member(k):
+    return family_member(FamilySpec("random_star", 4, amplitude=0.3, seed=1, max_degree=8),
+                         k)[2]
+
+
+def _peak(dom):
+    """The largest radius on a degree-600 sampling, and its direction."""
+    fine = build_quadrature(600)
+    r = dom.radial(fine.nodes)
+    return float(r.max()), fine.nodes[int(np.argmax(r))]
+
+
+def test_composite_refuses_a_ball_that_meets_a_star_between_its_nodes():
+    # the star's radius peaks between its quadrature nodes, above rho_max,
+    # so a ball that reaches 1e-3 into the peak overlaps it although it
+    # clears the node maximum
+    star = _seed1_member(1)
+    peak, u = _peak(star)
+    assert peak - star.rho_max > 1e-3
+    with pytest.raises(GeometryError, match="not certifiably disjoint"):
+        CompositeDomain([star, ball(0.2, center=(peak + 0.2 - 1e-3) * u)])
+    # past the certified radius the pair is accepted
+    rho_hi = radial_bounds(star, sampled=True)[1]
+    assert peak < rho_hi
+    CompositeDomain([star, ball(0.2, center=(rho_hi + 0.2 + 1e-9) * u)])
+
+
+def test_truncate_rescale_refuses_a_cut_between_the_nodes_and_the_peak():
+    star = _seed1_member(1)
+    peak, _ = _peak(star)
+    cut = star.rho_max + 1e-4
+    assert cut < peak  # the cut sphere slices the star
+    with pytest.raises(GeometryError, match="sliced"):
+        truncate_rescale(star, cut)
 
 
 def test_composite_barycenter_weighted():
@@ -305,8 +365,8 @@ def test_ellipsoid_radial_bounds(eps):
 @given(st.floats(min_value=0.3, max_value=2.5),
        st.floats(min_value=0.3, max_value=2.5))
 def test_scale_composes(a, b):
-    dom = ball(1.0)
-    once = scale_domain(dom, a * b)
-    twice = scale_domain(scale_domain(dom, a), b)
-    assert once.rho_max == pytest.approx(twice.rho_max, rel=1e-12)
-    assert volume(once) == pytest.approx(volume(twice), rel=1e-12)
+    for dom in (ball(1.0), CompositeDomain([ball(1.0), ball(0.5, center=(3.0, 0.0, 0.0))])):
+        once = scale_domain(dom, a * b)
+        twice = scale_domain(scale_domain(dom, a), b)
+        assert once.enclosing_radius == pytest.approx(twice.enclosing_radius, rel=1e-12)
+        assert volume(once) == pytest.approx(volume(twice), rel=1e-12)

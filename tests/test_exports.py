@@ -42,6 +42,23 @@ def test_no_export_takes_a_mode(name):
     assert [f.__name__ for f in checked if "mode" in inspect.signature(f).parameters] == []
 
 
+SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "isocap"
+
+
+@pytest.mark.parametrize("path", sorted(p.relative_to(SOURCE).as_posix()
+                                        for p in SOURCE.rglob("*.py")
+                                        if p.name != "__init__.py"))
+def test_no_unused_imports(path):
+    # every name a top-level import binds is read somewhere in the module
+    tree = ast.parse((SOURCE / path).read_text())
+    bound = [alias.asname or alias.name.partition(".")[0] for node in tree.body
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [name for name in bound if name not in used] == []
+
+
 def test_readme_python_examples_run():
     # the blocks build on each other, so they run in order in one namespace
     readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
