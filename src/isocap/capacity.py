@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import CompositeDomain, StarDomain, _certified_bounds, _check_seed, normalize_volume
+from .domains import (CompositeDomain, StarDomain, _certified_bounds, _check_seed, _is_integer,
+                      normalize_volume)
 from .errors import ConfigError, GeometryError, SolverError
 from .sphere import build_quadrature, harmonic_basis, sphere_area
 
@@ -288,8 +289,8 @@ def _mix64(x):
 
 # counter_uniform's chain mixes in seed, walk, step and slot in turn,
 # adding _GOLD to each hash before the next key is xor-ed in.  The WoS
-# loop runs it in stages: the walk keys once per block, the step keys
-# once per step, and then one mix per slot.
+# loop runs it in stages: a walk's key once, when the walk is admitted,
+# the step keys once per step, and then one mix per slot.
 
 def _walk_keys(seed: int, walk) -> np.ndarray:
     """The chain through (seed, walk), plus _GOLD."""
@@ -306,20 +307,19 @@ def _step_keys(walk_keys: np.ndarray, step: int) -> np.ndarray:
     return h
 
 
-def _slot_uniform(step_keys: np.ndarray, slot: int) -> np.ndarray:
-    """The chain finished with slot, as uniforms in [0, 1)."""
+def _slot_uniform(step_keys: np.ndarray, slot) -> np.ndarray:
+    """The chain finished with slot, as uniforms in [0, 1); a column of
+    slots gives a row of uniforms for each."""
     h = _mix64(step_keys ^ np.uint64(slot))
     h >>= np.uint64(11)
-    u = h.astype(np.float64)
-    u *= 2.0**-53
-    return u
+    return np.multiply(h, 2.0**-53)
 
 
 def counter_uniform(seed: int, walk: np.ndarray, step: int, slot: int) -> np.ndarray:
     """Deterministic uniforms in [0, 1) keyed by (seed, walk, step, slot).
 
     Stateless, so a walk's stream does not depend on which other walks
-    are drawn with it, or in which block.
+    are drawn with it, or on when it joins the WoS pool.
     """
     with np.errstate(over="ignore"):
         return _slot_uniform(_step_keys(_walk_keys(seed, walk), step), slot)
@@ -332,14 +332,32 @@ class WosConfig:
 
     def __post_init__(self):
         _check_seed(self.seed)
-        if self.num_walks < 1:
-            raise ConfigError(f"walk on spheres needs at least one walk, got {self.num_walks!r}")
+        if not _is_integer(self.num_walks) or self.num_walks < 1:
+            raise ConfigError(f"walk on spheres needs a whole number of walks, at least one, "
+                              f"got {self.num_walks!r}")
 
+
+# The slots of a step key: 0 and 1 draw the move's direction, 2 decides
+# whether a walker outside the launch sphere survives, and 3 and 4 draw
+# its re-entry point.
+_MOVE_SLOTS = np.array([[0], [1]], dtype=np.uint64)
+_ESCAPE_SLOTS = np.array([[2], [3], [4]], dtype=np.uint64)
 
 _WOS_MAX_STEPS = 10000  # a walk still alive after this many steps counts as killed
-# Walks run this many at a time, which bounds the memory of one pass;
-# walks are independent, so the estimate does not depend on it.
+# At most this many walkers are alive at once, which bounds the memory of
+# a call whatever its walk count; a walker that leaves gives its place to
+# the next walk id.  Walks are independent, so the estimate does not
+# depend on it.
 _WOS_BLOCK = 8192
+
+
+def _norm(p: np.ndarray) -> np.ndarray:
+    """|x| for each column of p, shape (3, n), with the operations of
+    np.linalg.norm(axis=1) on rows, in its order: (x*x + y*y) + z*z."""
+    s = p[0] * p[0]
+    s += p[1] * p[1]
+    s += p[2] * p[2]
+    return np.sqrt(s, out=s)
 
 
 class _WosComponent:
@@ -359,6 +377,7 @@ class _WosComponent:
 
     def __init__(self, dom: StarDomain):
         self.center = dom.center_offset
+        self.centered = not np.any(self.center)
         self.exact_ball = dom.is_ball() and dom.rho_fn is not None
         self.dom = dom
         self.rho_lo, self.rho_hi, g = _certified_bounds(dom)
@@ -367,46 +386,51 @@ class _WosComponent:
                                 f"the certified lower bound is {self.rho_lo:.4g}")
         self.lipschitz = math.sqrt(1.0 + (g / self.rho_lo) ** 2)
 
-    def step_gap(self, p: np.ndarray):
-        """(certified step, signed radial gap) for points p, vectorised.
+    def step_gap(self, p: np.ndarray, norms: np.ndarray):
+        """(certified step, signed radial gap) for the columns of p,
+        shape (3, n), whose norms are given; a component centered at the
+        origin takes them as its r.
 
         The gap is negative inside the component; the step is only
         meaningful where the gap is positive.
         """
-        q = p - self.center
-        r = np.linalg.norm(q, axis=1)
+        q, r = p, norms
+        if not self.centered:
+            q = p - self.center[:, None]
+            r = _norm(q)
         if self.exact_ball:
             gap = r - self.rho_hi
             return gap, gap
-        gap = r - self.dom.radial(q / np.maximum(r, 1e-300)[:, None])
+        gap = r - self.dom.radial((q / np.maximum(r, 1e-300)).T)
         return np.maximum(gap / self.lipschitz, r - self.rho_hi), gap
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise u x v, written out with np.cross's operations in its
-    order, so it matches np.cross bit for bit, signed zeros too."""
-    u0, u1, u2 = u.T
-    v0, v1, v2 = v.T
+    """Column-wise u x v for shape (3, n), written out with np.cross's
+    operations in its order, so it matches np.cross bit for bit, signed
+    zeros too."""
     out = np.empty_like(u)
-    out[:, 0] = u1 * v2 - u2 * v1
-    out[:, 1] = u2 * v0 - u0 * v2
-    out[:, 2] = u0 * v1 - u1 * v0
+    out[0] = u[1] * v[2] - u[2] * v[1]
+    out[1] = u[2] * v[0] - u[0] * v[2]
+    out[2] = u[0] * v[1] - u[1] * v[0]
     return out
 
 
 def _any_orthonormal(w: np.ndarray) -> np.ndarray:
-    """A unit vector orthogonal to each row of w."""
+    """A unit vector orthogonal to each column of w, shape (3, n)."""
     ref = np.zeros_like(w)
-    small = np.abs(w[:, 0]) < 0.9
-    ref[small, 0] = 1.0
-    ref[~small, 1] = 1.0
+    small = np.abs(w[0]) < 0.9
+    ref[0, small] = 1.0
+    ref[1, ~small] = 1.0
     a = _cross(w, ref)
-    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    a /= _norm(a)
     return a
 
 
-def _reentry_points(p: np.ndarray, a: float, u_pol: np.ndarray, u_azi: np.ndarray) -> np.ndarray:
-    """Return-to-sphere positions for escaped walkers.
+def _reentry_points(p: np.ndarray, r: np.ndarray, a: float, u_pol: np.ndarray,
+                    u_azi: np.ndarray) -> np.ndarray:
+    """Return-to-sphere positions for escaped walkers at the columns of
+    p, whose norms are r.
 
     Conditioned on a walker at |p| > a ever reaching the sphere of
     radius a again, the landing point follows the harmonic measure of
@@ -414,8 +438,7 @@ def _reentry_points(p: np.ndarray, a: float, u_pol: np.ndarray, u_azi: np.ndarra
     cosine about p/|p| has a closed-form inverse CDF in three
     dimensions, used here directly.
     """
-    r = np.linalg.norm(p, axis=1)
-    axis = p / r[:, None]
+    axis = p / r
     h = a / r
     t = 1.0 / (1.0 + h) + 2.0 * h * u_pol / (1.0 - h**2)
     c = (1.0 + h**2 - t**-2) / (2.0 * h)
@@ -424,60 +447,85 @@ def _reentry_points(p: np.ndarray, a: float, u_pol: np.ndarray, u_azi: np.ndarra
     chi = 2.0 * math.pi * u_azi
     e1 = _any_orthonormal(axis)
     e2 = _cross(axis, e1)
-    out = axis * c[:, None] + (np.cos(chi)[:, None] * e1 + np.sin(chi)[:, None] * e2) * s[:, None]
+    out = axis * c + (np.cos(chi) * e1 + np.sin(chi) * e2) * s
     return a * out
 
 
-def _uniform_directions(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Unit vectors, uniform on the sphere for uniform u and v in [0, 1)."""
+def _uniform_directions(step_keys: np.ndarray, scale) -> tuple:
+    """Coordinates (x, y, z) of scale times unit vectors, uniform on the
+    sphere, drawn from the move's slots of the step keys."""
+    u, v = _slot_uniform(step_keys, _MOVE_SLOTS)
     z = 1.0 - 2.0 * u
     s = np.sqrt(np.maximum(0.0, 1.0 - z**2))
     phi = 2.0 * math.pi * v
-    return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+    return s * np.cos(phi) * scale, s * np.sin(phi) * scale, z * scale
 
 
-def _run_wos_block(components, walk_ids: np.ndarray, seed: int, a: float, eps: float):
-    """Run the walks walk_ids to the end; return (hits, unresolved).
+def _admit(seed: int, first: int, count: int, a: float):
+    """Walk keys, step counts, launch points and their norms for the
+    walk ids first .. first + count - 1."""
+    keys = _walk_keys(seed, np.arange(first, first + count, dtype=np.uint64))
+    pos = np.array(_uniform_directions(_step_keys(keys, 0), a))
+    return keys, np.zeros(count, dtype=np.uint64), pos, _norm(pos)
 
-    Only live walkers are carried: their positions and walk keys sit in
-    compacted arrays, in walk order, and a walker leaves them when it is
-    absorbed or killed.  Each walker's arithmetic does not depend on the
-    others, so this is the walk of each id alone.
+
+def _run_walks(components, num_walks: int, seed: int, a: float, eps: float):
+    """Run walks 0 .. num_walks - 1 to the end; return (hits, unresolved).
+
+    Walkers live in a pool of at most _WOS_BLOCK, positions stored
+    coordinate-major, shape (3, n), with each one's norm.  A walker
+    leaves when it is absorbed, killed or out of steps, and the next walk
+    ids take the places freed; a walk's key and launch point are
+    computed when it is admitted, and each walker keeps its own step
+    count.  Each walker's arithmetic does not depend on the others, so
+    this is the walk of each id alone.
     """
-    keys = _walk_keys(seed, walk_ids)
-    start = _step_keys(keys, 0)
-    pos = a * _uniform_directions(_slot_uniform(start, 0), _slot_uniform(start, 1))
-    hits = 0
-    for step in range(1, _WOS_MAX_STEPS + 1):
-        if not len(pos):
-            break
-        d, gap = components[0].step_gap(pos)
+    admitted = min(_WOS_BLOCK, num_walks)
+    keys, steps, pos, r = _admit(seed, 0, admitted, a)
+    hits = unresolved = passes = 0
+    while len(keys):
+        passes += 1
+        d, gap = components[0].step_gap(pos, r)
         for comp in components[1:]:
-            dc, gc = comp.step_gap(pos)
+            dc, gc = comp.step_gap(pos, r)
             d = np.minimum(d, dc)
             gap = np.minimum(gap, gc)
-        absorbed = gap <= eps
-        n_absorbed = int(np.count_nonzero(absorbed))
-        if n_absorbed:
-            hits += n_absorbed
-            move = ~absorbed
-            pos, keys, d = pos[move], keys[move], d[move]
-        step_keys = _step_keys(keys, step)
-        pos += d[:, None] * _uniform_directions(_slot_uniform(step_keys, 0),
-                                                _slot_uniform(step_keys, 1))
-        r = np.linalg.norm(pos, axis=1)
-        out = np.nonzero(r > a)[0]
+        # absorbed walkers take this step with the rest, which costs less
+        # than dropping them first, and leave with the killed ones below
+        leave = gap <= eps
+        hits += int(np.count_nonzero(leave))
+        steps += np.uint64(1)
+        step_keys = _step_keys(keys, steps)
+        for coord, dx in zip(pos, _uniform_directions(step_keys, d)):
+            coord += dx
+        r = _norm(pos)
+        out = np.flatnonzero(r > a)
         if len(out):
-            survive = _slot_uniform(step_keys[out], 2) < a / r[out]
+            u = _slot_uniform(step_keys[out], _ESCAPE_SLOTS)
+            survive = u[0] < a / r[out]
             back = out[survive]
             if len(back):
-                pos[back] = _reentry_points(pos[back], a, _slot_uniform(step_keys[back], 3),
-                                            _slot_uniform(step_keys[back], 4))
-            if len(back) < len(out):
-                keep = np.ones(len(pos), dtype=bool)
-                keep[out[~survive]] = False
-                pos, keys = pos[keep], keys[keep]
-    return hits, len(pos)
+                pos[:, back] = _reentry_points(pos[:, back], r[back], a,
+                                               u[1, survive], u[2, survive])
+                r[back] = _norm(pos[:, back])
+            leave[out[~survive]] = True
+        if passes >= _WOS_MAX_STEPS:
+            spent = (steps >= _WOS_MAX_STEPS) & ~leave
+            unresolved += int(np.count_nonzero(spent))
+            leave |= spent
+        free = np.flatnonzero(leave)
+        if not len(free):
+            continue
+        take = min(len(free), num_walks - admitted)
+        if take:
+            slots = free[:take]
+            keys[slots], steps[slots], pos[:, slots], r[slots] = _admit(seed, admitted, take, a)
+            admitted += take
+        if take < len(free):
+            keep = np.ones(len(keys), dtype=bool)
+            keep[free[take:]] = False
+            keys, steps, pos, r = keys[keep], steps[keep], pos[:, keep], r[keep]
+    return hits, unresolved
 
 
 def cap_wos(domain, cfg: WosConfig | None = None) -> CapacityResult:
@@ -496,7 +544,9 @@ def cap_wos(domain, cfg: WosConfig | None = None) -> CapacityResult:
     documented O(eps_shell) absorption bias bound, with eps_shell
     1e-4 times the enclosing radius; walks still alive after
     _WOS_MAX_STEPS steps count as killed and are added to the error
-    term.
+    term.  The walks run through a pool of at most _WOS_BLOCK live
+    walkers (`_run_walks`), which bounds memory whatever the walk count
+    and leaves every walk, and so the estimate, as it would be alone.
 
     The bias bound holds because each step radius is a certified lower
     bound on the distance to the boundary, so no sphere leaves the
@@ -516,11 +566,7 @@ def cap_wos(domain, cfg: WosConfig | None = None) -> CapacityResult:
     eps = 1e-4 * encl
     geoms = [_WosComponent(c) for c in comps]
     m = cfg.num_walks
-    blocks = [np.arange(i, min(i + _WOS_BLOCK, m), dtype=np.uint64)
-              for i in range(0, m, _WOS_BLOCK)]
-    parts = [_run_wos_block(geoms, b, cfg.seed, a, eps) for b in blocks]
-    hits = sum(p[0] for p in parts)
-    unresolved = sum(p[1] for p in parts)
+    hits, unresolved = _run_walks(geoms, m, cfg.seed, a, eps)
     if hits == 0:
         raise SolverError("walk on spheres recorded zero hits; result inconclusive")
     scale = sphere_area() * a

@@ -495,11 +495,17 @@ class FamilySpec:
         return f"{prefix}-{k:03d}"
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or NumPy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_seed(seed: int) -> None:
-    """Refuse a seed outside [0, 2**64), the range every seeded stream
-    of isocap takes (NumPy's generator, the uint64 walk hash)."""
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"the seed must lie in [0, 2**64), got {seed!r}")
+    """Refuse a seed that is not an integer in [0, 2**64), the range
+    every seeded stream of isocap takes (NumPy's generator, the uint64
+    walk hash)."""
+    if not (_is_integer(seed) and 0 <= seed < 2**64):
+        raise ConfigError(f"the seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def _random_phi(seed: int, member: int, max_degree: int, amplitude: float) -> HarmonicCoeffs:

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocap.capacity import (WosConfig, _any_orthonormal, _cross, _run_wos_block,
+from isocap.capacity import (WosConfig, _any_orthonormal, _cross, _norm, _run_walks,
                              _WosComponent, cap_ball, cap_exterior_harmonic,
                              cap_relative_harmonic, cap_spheroid, cap_wos, capacity,
                              counter_uniform, deficit)
@@ -258,19 +259,63 @@ def test_wos_random_star_known_answer(block_size, monkeypatch):
     assert res.error_estimate == 0.81074641274984
 
 
+def test_wos_pool_size_changes_no_bit(monkeypatch):
+    # walkers leave the pool and the next walk ids take their places; no
+    # pass carries more walkers than the pool holds, and the estimate is
+    # the same for any pool size
+    module = sys.modules["isocap.capacity"]
+    step_keys = module._step_keys
+    widest = []
+
+    def counted(walk_keys, step):
+        widest[-1] = max(widest[-1], len(walk_keys))
+        return step_keys(walk_keys, step)
+
+    monkeypatch.setattr(module, "_step_keys", counted)
+    dom, cfg = _star_member(), WosConfig(num_walks=300, seed=3)
+    results = []
+    for pool in (1, 7, 64, 8192):
+        monkeypatch.setattr(module, "_WOS_BLOCK", pool)
+        widest.append(0)
+        results.append(cap_wos(dom, cfg))
+        assert widest[-1] == min(pool, 300)
+    for res in results[1:]:
+        assert (res.value, res.error_estimate) == (results[0].value, results[0].error_estimate)
+
+
+def test_wos_memory_is_set_by_the_pool_not_the_walk_count():
+    # NumPy reports its buffers to tracemalloc; five times the walks may
+    # not cost more than a quarter more memory at the peak
+    def peak(walks):
+        tracemalloc.start()
+        try:
+            cap_wos(ball(1.0), WosConfig(num_walks=walks, seed=1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)
+    assert peak(40000) <= 1.25 * peak(8192)
+
+
 def test_wos_killed_walkers_known_answer(monkeypatch):
     # with the step cap lowered, walkers are killed: the count of
     # unresolved walks, and the error term they add, are pinned
     dom = _star_member()
     comps = [_WosComponent(dom)]
     a, eps = 4.0 * dom.enclosing_radius, 1e-4 * dom.enclosing_radius
-    ids = np.arange(1000, dtype=np.uint64)
     module = sys.modules["isocap.capacity"]
     monkeypatch.setattr(module, "_WOS_MAX_STEPS", 5)
-    assert _run_wos_block(comps, ids, 3, a, eps) == (0, 540)
+    assert _run_walks(comps, 1000, 3, a, eps) == (0, 540)
     monkeypatch.setattr(module, "_WOS_MAX_STEPS", 40)
-    assert _run_wos_block(comps, ids, 3, a, eps) == (32, 199)
+    assert _run_walks(comps, 1000, 3, a, eps) == (32, 199)
+    # a walker admitted after others have left gets the whole step budget
+    # of its own: a loop that counted steps over the call would kill it early
     monkeypatch.setattr(module, "_WOS_BLOCK", 250)
+    assert _run_walks(comps, 1000, 3, a, eps) == (32, 199)
+    monkeypatch.setattr(module, "_WOS_MAX_STEPS", 5)
+    assert _run_walks(comps, 1000, 3, a, eps) == (0, 540)
+    monkeypatch.setattr(module, "_WOS_MAX_STEPS", 40)
     res = cap_wos(dom, WosConfig(num_walks=1000, seed=3))
     assert res.value == 2.044918173916086
     assert res.error_estimate == 13.072885287119284
@@ -278,10 +323,21 @@ def test_wos_killed_walkers_known_answer(monkeypatch):
 
 @pytest.mark.parametrize("kwargs", [
     dict(seed=-1), dict(seed=2**64), dict(num_walks=0), dict(num_walks=-5),
-], ids=["seed-negative", "seed-too-large", "no-walks", "negative-walks"])
+    dict(seed=1.5), dict(seed=1.0), dict(seed="1"), dict(seed=True),
+    dict(num_walks=100.5), dict(num_walks=100.0), dict(num_walks="100"),
+    dict(num_walks=True),
+], ids=["seed-negative", "seed-too-large", "no-walks", "negative-walks",
+        "seed-fraction", "seed-float", "seed-string", "seed-bool",
+        "walks-fraction", "walks-float", "walks-string", "walks-bool"])
 def test_wos_config_refuses_bad_values(kwargs):
     with pytest.raises(ConfigError):
         WosConfig(**kwargs)
+
+
+def test_wos_config_takes_numpy_integers():
+    want = cap_wos(ball(1.0), WosConfig(num_walks=300, seed=7))
+    for walks, seed in ((np.int64(300), np.uint64(7)), (np.uint16(300), np.int32(7))):
+        assert cap_wos(ball(1.0), WosConfig(num_walks=walks, seed=seed)) == want
 
 
 def test_wos_config_takes_the_largest_seed():
@@ -314,9 +370,15 @@ def test_written_out_cross_products_match_np_cross_bit_for_bit():
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     w = np.vstack([edge, -edge, rows])
     bits = lambda x: x.view(np.uint64)  # noqa: E731
-    npt.assert_array_equal(bits(_any_orthonormal(w)), bits(_np_cross_orthonormal(w)))
+    # the helpers take vectors as columns, the references as rows
+    npt.assert_array_equal(bits(_any_orthonormal(np.ascontiguousarray(w.T)).T),
+                           bits(_np_cross_orthonormal(w)))
     v = np.vstack([edge[::-1], edge, rows[::-1]])
-    npt.assert_array_equal(bits(_cross(w, v)), bits(np.cross(w, v)))
+    npt.assert_array_equal(bits(_cross(np.ascontiguousarray(w.T), np.ascontiguousarray(v.T)).T),
+                           bits(np.cross(w, v)))
+    x = 3.0 * w + v
+    npt.assert_array_equal(bits(_norm(np.ascontiguousarray(x.T))),
+                           bits(np.linalg.norm(x, axis=1)))
 
 
 def test_wos_ball_within_three_sigma():
@@ -393,7 +455,7 @@ def _nearest_boundary_distance(dom, q, cloud_degree=600, rounds=200):
     span = np.full(len(q), math.pi / cloud_degree)
     offs = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
     for _ in range(rounds):
-        a1 = _any_orthonormal(w)
+        a1 = _any_orthonormal(w.T).T
         a2 = np.cross(w, a1)
         improved = np.zeros(len(q), dtype=bool)
         for s, t in offs:
@@ -426,7 +488,8 @@ def test_wos_step_is_a_certified_distance_bound(amplitude, max_degree):
     # half the points within 1e-3 of the surface, half up to 1.5 away
     gaps = np.concatenate([10.0 ** rng.uniform(-6, -3, 120), rng.uniform(1e-3, 1.5, 120)])
     q = (dom.radial(u) + gaps)[:, None] * u
-    step, gap = comp.step_gap(dom.center_offset + q)
+    p = (dom.center_offset + q).T
+    step, gap = comp.step_gap(p, _norm(p))
     true = _nearest_boundary_distance(dom, q)
     npt.assert_allclose(gap, gaps, rtol=1e-12, atol=1e-15)
     assert np.all(step > 0.0)

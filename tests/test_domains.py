@@ -248,11 +248,13 @@ def test_generate_family_rejects_bad_variant_and_count():
         generate_family(FamilySpec("ellipsoid", 0))
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 1.0, "1", True])
 def test_family_spec_refuses_a_seed_outside_uint64(seed):
     with pytest.raises(ConfigError):
         FamilySpec("random_star", 2, seed=seed)
     assert FamilySpec("random_star", 1, seed=2**64 - 1).seed == 2**64 - 1
+    assert FamilySpec("random_star", 1, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+    assert FamilySpec("random_star", 1, seed=np.int64(5)).seed == 5
 
 
 def test_save_load_roundtrip(tmp_path):
