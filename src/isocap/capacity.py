@@ -325,6 +325,12 @@ def counter_uniform(seed: int, walk: np.ndarray, step: int, slot: int) -> np.nda
         return _slot_uniform(_step_keys(_walk_keys(seed, walk), step), slot)
 
 
+def _check_walks(num_walks: int) -> None:
+    """Refuse a walk count that is not an integer of at least 1."""
+    if not _is_integer(num_walks) or num_walks < 1:
+        raise ConfigError(f"the walk count must be an integer of at least 1, got {num_walks!r}")
+
+
 @dataclass(frozen=True)
 class WosConfig:
     num_walks: int = 20000
@@ -332,9 +338,7 @@ class WosConfig:
 
     def __post_init__(self):
         _check_seed(self.seed)
-        if not _is_integer(self.num_walks) or self.num_walks < 1:
-            raise ConfigError(f"walk on spheres needs a whole number of walks, at least one, "
-                              f"got {self.num_walks!r}")
+        _check_walks(self.num_walks)
 
 
 # The slots of a step key: 0 and 1 draw the move's direction, 2 decides

@@ -33,8 +33,8 @@ import inspect
 import json
 import sys
 
-from ..capacity import WosConfig, cap_ball, deficit
-from ..domains import FamilySpec, ball, ellipsoid, load_domain, volume
+from ..capacity import WosConfig, _check_walks, cap_ball, deficit
+from ..domains import FamilySpec, _check_seed, ball, ellipsoid, load_domain, volume
 from ..errors import ConfigError, GeometryError, SolverError
 from .engine import (ExperimentConfig, run_asym, run_fuglede, run_profile,
                      run_spectrum, run_sweep, run_truncation)
@@ -84,8 +84,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="outer shell radius for relative mode")
     sub.add_argument("--Lmax", type=int, dest="l_max",
                      help="harmonic solver truncation degree")
-    sub.add_argument("--seed", type=int, help="seed for all randomness")
-    sub.add_argument("--walks", type=int, help="walk-on-spheres sample count")
+    sub.add_argument("--seed", type=int, help="seed of a sweep's family and of cap's walks")
+    sub.add_argument("--walks", type=int, dest="num_walks",
+                     help="walk-on-spheres sample count of cap --solver wos")
     sub.add_argument("--threads", type=int,
                      help="accepted and ignored: every command runs in one thread")
     sub.add_argument("--out-dir", help="directory for output files")
@@ -199,11 +200,14 @@ def parse_args(argv=None) -> argparse.Namespace:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if "config" not in args:
-        return args
-    at = argv.index(args.command) + 1
-    return parser.parse_args(
-        argv[:at] + _config_tokens(parser, args.config, args.command) + argv[at:])
+    if "config" in args:
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(
+            argv[:at] + _config_tokens(parser, args.config, args.command) + argv[at:])
+    # refused here for every command, also those that draw nothing
+    _check_seed(getattr(args, "seed", 0))
+    _check_walks(getattr(args, "num_walks", 1))
+    return args
 
 
 def _options(args: argparse.Namespace, target) -> dict:
@@ -235,7 +239,7 @@ def _build_domain(args: argparse.Namespace):
 def _cmd_cap(args: argparse.Namespace) -> int:
     cfg = _experiment_config(args)
     dom = _build_domain(args)
-    wos = WosConfig(num_walks=cfg.walks, seed=cfg.seed)
+    wos = WosConfig(**_options(args, WosConfig))
     R = cfg.outer_radius
     d = deficit(dom, R, solver=args.solver, l_max=cfg.l_max, wos_cfg=wos)
     out = {

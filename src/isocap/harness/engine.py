@@ -1,11 +1,10 @@
 """Experiment engine: family sweeps, Taylor ladders, truncation runs,
 and table emission.
 
-Every run is deterministic for a fixed config: the domain families,
-solvers, and Monte Carlo streams are all seeded, and the CSV/JSON
-writers format floats by repr, so repeated runs produce byte-identical
-files.  SVG output is identical too once its timestamp comment is
-turned off.
+Every run is deterministic for a fixed config: the random families are
+seeded, no run draws Monte Carlo samples, and the CSV/JSON writers
+format floats by repr, so repeated runs produce byte-identical files.
+SVG output is identical too once its timestamp comment is turned off.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..asymmetry import alpha, alpha_R, annulus_lower_bound, fraenkel, symdiff_volume
-from ..capacity import (CapacityResult, DeficitResult, WosConfig, _check_outer_radius,
-                        cap_ball, cap_spheroid, capacity, deficit)
+from ..capacity import (CapacityResult, DeficitResult, _check_outer_radius, cap_ball,
+                        cap_spheroid, capacity, deficit)
 from ..domains import CompositeDomain, FamilySpec, ball, family_member, truncate_rescale, volume
 from ..errors import ConfigError, GeometryError, SolverError
 from ..sphere import HarmonicCoeffs, ball_volume
@@ -41,13 +40,12 @@ class ExperimentConfig:
     """Shared knobs for the experiment commands.
 
     outer_radius None is the absolute problem; a radius R > 1 is the
-    problem relative to the ball B_R.
+    problem relative to the ball B_R.  No experiment runs Monte Carlo, so
+    there is no seed or walk count here: a sweep's seed is its family's.
     """
 
     outer_radius: float | None = None
     l_max: int = 8
-    seed: int = 0
-    walks: int = 20000
     out_dir: str = "."
     timestamp: bool = True
     family: FamilySpec | None = None
@@ -312,26 +310,22 @@ def run_truncation(cfg: ExperimentConfig, far_volume_fraction: float = 0.01,
     volume fraction; total volume is that of the unit ball.  The far
     ball must lie entirely beyond the cut sphere.  Reports the diameter
     and volume identities of the truncated set, the deficit ratio and
-    asymmetry drop with their empirical constants, and the closed-form
-    capacity sandwich on the kept part checked against walk-on-spheres.
+    asymmetry drop with their empirical constants, and the capacity
+    sandwich on the kept part.
 
-    The full set's capacity is exact: the two balls' Kelvin image series
-    (`capacity(..., solver="closed")`), with cap_full_err its tail and
-    rounding bound.  The sandwich's walk on spheres is the one Monte
-    Carlo estimate in the report.
+    Every capacity is a closed form and no Monte Carlo runs.  The full
+    set's is the two balls' Kelvin image series, with cap_full_err its
+    tail and rounding bound.  The kept part is a ball, whose capacity is
+    the sandwich's lower bound itself: margin and error are 0.
     """
     if not 0.0 <= far_volume_fraction < 0.5:
         raise ConfigError("far volume fraction must be small and nonnegative")
-    omega = ball_volume()
     r_near = (1.0 - far_volume_fraction) ** (1.0 / 3.0)
     if far_volume_fraction > 0.0:
         r_far = far_volume_fraction ** (1.0 / 3.0)
         if far_distance - r_far <= cut_radius:
             raise GeometryError("far ball must lie beyond the cut sphere")
-        dom = CompositeDomain([
-            ball(r_near),
-            ball(r_far, center=(far_distance, 0.0, 0.0)),
-        ])
+        dom = CompositeDomain([ball(r_near), ball(r_far, center=(far_distance, 0.0, 0.0))])
     else:
         dom = ball(r_near)
 
@@ -356,11 +350,7 @@ def run_truncation(cfg: ExperimentConfig, far_volume_fraction: float = 0.01,
     # capacity sandwich on the kept, un-rescaled part: the closed-form
     # lower bound from the isocapacitary inequality at reduced volume
     lower = cap_ball(1.0) * (1.0 - far_volume_fraction) ** (1.0 / 3.0)
-    kept = ball(r_near)
-    cap_kept_raw = capacity(kept, solver="wos",
-                            wos_cfg=WosConfig(num_walks=cfg.walks, seed=cfg.seed))
-    sandwich_margin = cap_kept_raw.value - lower
-    sandwich = verdict_for(sandwich_margin, 3.0 * cap_kept_raw.error_estimate)
+    kept = capacity(ball(r_near), solver="closed")
 
     def _r(x) -> str:
         return repr(float(x))
@@ -382,11 +372,10 @@ def run_truncation(cfg: ExperimentConfig, far_volume_fraction: float = 0.01,
         "deficit_ratio_c": _r(deficit_ratio),
         "asymmetry_drop_c": _r(asym_drop),
         "sandwich_lower": _r(lower),
-        "sandwich_cap_kept": _r(cap_kept_raw.value),
-        "sandwich_cap_kept_err": _r(cap_kept_raw.error_estimate),
-        "sandwich_verdict": sandwich,
-        "volume_identity": verdict_for(
-            1e-12 - abs(volume(trunc) - omega), 0.0),
+        "sandwich_cap_kept": _r(kept.value),
+        "sandwich_cap_kept_err": _r(kept.error_estimate),
+        "sandwich_verdict": verdict_for(kept.value - lower, kept.error_estimate),
+        "volume_identity": verdict_for(1e-12 - abs(volume(trunc) - ball_volume()), 0.0),
         "diameter_bound_d": _r(max(rep.diameter, 2.0)),
     }
     return report, write_outputs(cfg, basename, summary=report)

@@ -176,12 +176,11 @@ def test_criterion_10_truncation_experiment(tmp_path, bispherical_cap):
     # the truncated set keeps the diameter bound and the exact volume, the
     # deficit ratio and asymmetry-drop constants are finite, the full
     # capacity matches the bispherical sum within its error bound plus
-    # the reference's rounding, and the closed-form capacity lower bound
-    # for the kept part holds within three Monte Carlo standard errors;
-    # budget 2 min
+    # the reference's rounding, and the kept part's exact capacity meets
+    # the closed-form lower bound at reduced volume (with equality: the
+    # kept part is a ball); budget 2 min
     t0 = time.monotonic()
-    cfg = ExperimentConfig(seed=3, walks=20000, timestamp=False,
-                           out_dir=str(tmp_path))
+    cfg = ExperimentConfig(timestamp=False, out_dir=str(tmp_path))
     report, _ = run_truncation(cfg)
     assert float(report["diameter_truncated"]) <= \
         float(report["diameter_bound_d"]) + 1e-12

@@ -21,7 +21,7 @@ from isocap.harness.cli import main as cli_main
 from isocap.harness.engine import _member_record
 from isocap.sphere import ball_volume
 
-GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens" / "v4"
+GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens" / "v5"
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
@@ -172,26 +172,39 @@ def test_abs_member_builds_its_projected_domain_once(monkeypatch):
     assert counts["builds"] == counts["rounds"] + 1
 
 
-def test_truncation_walks_on_spheres_once_on_the_kept_ball(monkeypatch, tmp_path):
-    # the full set's capacity is the two balls' image series, so the one
-    # walk-on-spheres run left is the sandwich check on the kept ball
+def test_truncation_runs_no_walk_on_spheres(monkeypatch, tmp_path, capsys):
+    # every capacity in the report is a closed form, so --seed and --walks
+    # are accepted and change no byte; gate 08 keeps WoS on a ball covered
     capacity = sys.modules["isocap.capacity"]
     wos = capacity.cap_wos
-    domains = []
+    calls = []
 
     def counted_wos(dom, cfg=None):
-        domains.append(dom)
+        calls.append(dom)
         return wos(dom, cfg)
 
     monkeypatch.setattr(capacity, "cap_wos", counted_wos)
-    cfg = ExperimentConfig(seed=3, walks=2000, timestamp=False, out_dir=str(tmp_path))
-    report, _ = run_truncation(cfg)
-    assert len(domains) == 1
-    kept = domains[0]
-    assert not isinstance(kept, CompositeDomain)
-    assert kept.is_ball() and kept.rho_max == 0.99 ** (1.0 / 3.0)
-    assert not kept.center_offset.any()
-    assert report["sandwich_cap_kept"] == repr(wos(kept, capacity.WosConfig(2000, 3)).value)
+    reports = []
+    for seed, walks in ((0, 2000), (3, 20000)):
+        out = tmp_path / f"seed{seed}"
+        assert cli_main(["truncation", "--seed", str(seed), "--walks", str(walks),
+                         "--out-dir", str(out)]) == 0
+        reports.append((out / "truncation.json").read_bytes())
+    capsys.readouterr()
+    assert calls == []
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("f", [0.0, 0.01, 0.1, 0.3, 0.49])
+def test_truncation_sandwich_is_the_kept_balls_exact_capacity(tmp_path, f):
+    # the kept part is the ball of volume fraction 1 - f, whose capacity
+    # 4 pi (1 - f)^(1/3) is the sandwich's lower bound itself
+    report, _ = run_truncation(ExperimentConfig(out_dir=str(tmp_path)),
+                               far_volume_fraction=f)
+    exact = 4.0 * math.pi * (1.0 - f) ** (1.0 / 3.0)
+    assert float(report["sandwich_cap_kept"]) == float(report["sandwich_lower"]) == exact
+    assert float(report["sandwich_cap_kept_err"]) == 0.0
+    assert report["sandwich_verdict"] == "holds-within-error"
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +545,21 @@ def test_golden_v4_truncation_capacity_moved_to_the_bispherical_sum(bispherical_
     drop = (float(v4["asymmetry_full"]) - float(v4["asymmetry_truncated"])) \
         / float(v4["deficit_full"])
     assert float(v4["asymmetry_drop_c"]) == drop
+
+
+# Every line in which goldens/v5 departs from goldens/v4, in the same form.
+# The truncation report's sandwich takes the kept ball's capacity from its
+# closed form, not from walk on spheres, so it has no error bar.
+GOLDEN_V5_MOVES = [
+    ("truncation.json", ' "sandwich_cap_kept": "12.371545328937966",',
+     ' "sandwich_cap_kept": "12.524342305059694",'),
+    ("truncation.json", ' "sandwich_cap_kept_err": "0.15399950924483827",',
+     ' "sandwich_cap_kept_err": "0.0",'),
+]
+
+
+def test_goldens_v5_depart_from_v4_only_in_recorded_cells():
+    _departs_only_in(GOLDEN_DIR.parent / "v4", GOLDEN_DIR.parent / "v5", GOLDEN_V5_MOVES)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.iterdir()))
