@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,11 +80,12 @@ class StarDomain:
             raise GeometryError("a star domain needs harmonic coefficients, or an exact "
                                 "radial callable together with its rho_bounds")
 
-    @property
+    # rho is set once, in __post_init__, so its extremes are taken once
+    @cached_property
     def rho_max(self) -> float:
         return float(self.rho.max())
 
-    @property
+    @cached_property
     def rho_min(self) -> float:
         return float(self.rho.min())
 

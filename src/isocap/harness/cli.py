@@ -10,15 +10,17 @@ Subcommands::
     isocap spectrum    eigenvalue tables
     isocap profile     penalized ball profile
 
-Each option's dest is the name of the engine parameter or config field
-it feeds; an option not given is not passed, so the engine's default
-applies.  Every option can also be set in a config file (INI style,
-``--config``): keys in ``[common]`` apply to all subcommands, keys in a
-section named after the subcommand to it alone.  A key is the long
-option name without the dashes, case kept (``R``, ``Lmax``), and is
-parsed as an option token placed before the command line's own, so it
-passes the same checks and the command line overrides it.  A key of
-another subcommand's option only is skipped; an unknown key is refused.
+A subcommand takes only the options it reads, and ``--threads``, which
+all ignore.  Each option's dest is the name of the engine parameter or
+config field it feeds; an option not given is not passed, so the
+engine's default applies.  Every option can also be set in a config file
+(INI style, ``--config``): keys in ``[common]`` apply to all
+subcommands, keys in a section named after the subcommand to it alone.
+A key is the long option name without the dashes, case kept (``R``,
+``Lmax``), and is parsed as an option token placed before the command
+line's own, so it passes the same checks and the command line overrides
+it.  Only ``[common]`` skips a key of another subcommand's option; any
+other key the subcommand does not take is refused.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 a checked property was violated.
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import inspect
 import json
 import sys
@@ -44,24 +47,12 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VIOLATION = 4
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
 
 def _emit_error(kind: str, message: str, code: int) -> None:
     """Machine-readable error report on stderr."""
     json.dump({"error": kind, "message": message, "exit_code": code},
               sys.stderr, sort_keys=True)
     sys.stderr.write("\n")
-
-
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ConfigError(f"not a boolean: {text!r}")
 
 
 def _ladder(text: str) -> tuple:
@@ -76,22 +67,24 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="INI config file; CLI flags override it")
-    sub.add_argument("--mode", choices=("abs", "rel"), default="abs",
-                     help="absolute (exterior) or relative (shell) capacity")
-    sub.add_argument("--R", type=float, default=2.0,
-                     help="outer shell radius for relative mode")
-    sub.add_argument("--Lmax", type=int, dest="l_max",
-                     help="harmonic solver truncation degree")
-    sub.add_argument("--seed", type=int, help="seed of a sweep's family and of cap's walks")
-    sub.add_argument("--walks", type=int, dest="num_walks",
-                     help="walk-on-spheres sample count of cap --solver wos")
-    sub.add_argument("--threads", type=int,
-                     help="accepted and ignored: every command runs in one thread")
-    sub.add_argument("--out-dir", help="directory for output files")
-    sub.add_argument("--no-timestamp", action="store_false", dest="timestamp",
-                     help="omit the generation-time comment in SVG")
+# The options that more than one subcommand takes, in help order.  Each
+# takes --config and --threads, and those others its handler reads.
+_SHARED = {
+    "--config": dict(help="INI config file; CLI flags override it"),
+    "--mode": dict(choices=("abs", "rel"), default="abs",
+                   help="absolute (exterior) or relative (shell) capacity"),
+    "--R": dict(type=float, default=2.0, help="radius of the enclosing ball B_R"),
+    "--Lmax": dict(type=int, dest="l_max", help="harmonic solver truncation degree"),
+    "--seed": dict(type=int, help="seed of a sweep's family and of cap's walks; "
+                                  "truncation only checks it"),
+    "--walks": dict(type=int, dest="num_walks", help="walk-on-spheres sample count "
+                    "of cap --solver wos; truncation only checks it"),
+    "--threads": dict(type=int, help="accepted and ignored by all: each command runs in one thread"),
+    "--out-dir": dict(help="directory for output files"),
+    "--no-timestamp": dict(action="store_false", dest="timestamp",
+                           help="omit the generation-time comment in SVG"),
+    "--basename": dict(help="file name of the outputs, without extension"),
+}
 
 
 def _add_domain_flags(sub: argparse.ArgumentParser) -> None:
@@ -106,26 +99,30 @@ def _add_domain_flags(sub: argparse.ArgumentParser) -> None:
                      help="star domain from a saved harmonic-generator file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(
         prog="isocap",
         description="capacity, asymmetry, and isocapacitary deficit experiments")
     subs = top.add_subparsers(dest="command", required=True)
 
-    def command(name, text):
+    def command(name, text, takes):
         p = subs.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
-        _add_common(p)
+        for flag, kwargs in _SHARED.items():
+            if flag in ("--config", "--threads", *takes.split()):
+                p.add_argument(flag, **kwargs)
         return p
 
-    p = command("cap", "capacity / deficit of one domain")
+    p = command("cap", "capacity / deficit of one domain", "--mode --R --Lmax --seed --walks")
     _add_domain_flags(p)
     p.add_argument("--solver", choices=("harmonic", "wos", "closed"),
                    default="harmonic")
 
-    p = command("asym", "asymmetry panel of one domain")
+    p = command("asym", "asymmetry panel of one domain", "--mode --R")
     _add_domain_flags(p)
 
-    p = command("sweep", "family sweep with tables and plot")
+    p = command("sweep", "family sweep with tables and plot",
+                "--mode --R --Lmax --seed --out-dir --no-timestamp --basename")
     p.add_argument("--family", dest="variant", default="random_star",
                    choices=("ellipsoid", "harmonic_perturbation", "random_star"))
     p.add_argument("--count", type=int, default=8)
@@ -135,31 +132,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=0, help="signed order -l..l")
     p.add_argument("--amplitude", type=float)
     p.add_argument("--max-degree", type=int)
-    p.add_argument("--basename")
 
-    p = command("fuglede", "Taylor ladder for one harmonic")
+    p = command("fuglede", "Taylor ladder for one harmonic",
+                "--mode --R --Lmax --out-dir --basename")
     p.add_argument("--degree", type=int)
     p.add_argument("--order", type=int, help="signed order -l..l")
     p.add_argument("--ladder", type=_ladder,
                    help="comma-separated t values, largest first")
-    p.add_argument("--basename")
 
-    p = command("truncation", "two-ball truncation experiment")
+    # --seed and --walks, read by nothing, so that the benchmark's argv parses
+    p = command("truncation", "two-ball truncation experiment",
+                "--seed --walks --out-dir --basename")
     p.add_argument("--far-fraction", type=float, dest="far_volume_fraction",
                    help="volume fraction in the far component")
     p.add_argument("--far-distance", type=float)
     p.add_argument("--cut-radius", type=float)
-    p.add_argument("--basename")
 
-    p = command("spectrum", "eigenvalue tables")
-    p.add_argument("--basename")
+    command("spectrum", "eigenvalue tables", "--R --Lmax --out-dir --basename")
 
-    p = command("profile", "penalized ball profile")
+    p = command("profile", "penalized ball profile", "--R --out-dir --basename")
     p.add_argument("--eta", type=float, help="volume penalty strength")
     p.add_argument("--points", type=int)
     p.add_argument("--r-lo", type=float)
     p.add_argument("--r-hi", type=float)
-    p.add_argument("--basename")
 
     return top
 
@@ -185,12 +180,16 @@ def _config_tokens(parser: argparse.ArgumentParser, path: str, command: str) -> 
             flag = "--" + key
             action = subs[command]._option_string_actions.get(flag)
             if action is None:
-                if any(flag in p._option_string_actions for p in subs.values()):
+                # [common] may hold another command's option; [<command>] may not
+                if section == "common" and any(
+                        flag in p._option_string_actions for p in subs.values()):
                     continue
-                raise ConfigError(f"unknown config key {key!r} in [{section}]")
+                raise ConfigError(f"{command} takes no config key {key!r} in [{section}]")
             if action.nargs != 0:
                 tokens.append(f"{flag}={value}")
-            elif _parse_bool(value):
+            elif value.lower() not in ini.BOOLEAN_STATES:
+                raise ConfigError(f"not a boolean: {value!r}")
+            elif ini.BOOLEAN_STATES[value.lower()]:
                 tokens.append(flag)
     return tokens
 
@@ -218,8 +217,9 @@ def _options(args: argparse.Namespace, target) -> dict:
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     """The shared knobs.  This is where --mode and --R become the one
-    outer_radius the library takes: None for abs, R for rel."""
-    return ExperimentConfig(outer_radius=args.R if args.mode == "rel" else None,
+    outer_radius the library takes: R for rel or for --R without --mode."""
+    rel = "R" in args and getattr(args, "mode", "rel") == "rel"
+    return ExperimentConfig(outer_radius=args.R if rel else None,
                             **_options(args, ExperimentConfig))
 
 
@@ -313,7 +313,6 @@ def _cmd_truncation(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    # the table is of the exterior problem and of B_R, whatever --mode says
     rows, paths = run_spectrum(_experiment_config(args), args.R,
                                **_options(args, run_spectrum))
     print(f"wrote {paths['csv']} and {paths['json']} ({len(rows)} rows)")
@@ -321,9 +320,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    # the profile is relative to B_R whatever --mode says
-    cfg = ExperimentConfig(outer_radius=args.R, **_options(args, ExperimentConfig))
-    rep, summary, paths = run_profile(cfg, **_options(args, run_profile))
+    rep, summary, paths = run_profile(_experiment_config(args),
+                                      **_options(args, run_profile))
     print(f"wrote {paths['csv']} and {paths['json']}")
     print(f"argmin radius {summary['argmin_radius']}, "
           f"linear constant {summary['linear_constant']}")

@@ -695,12 +695,19 @@ def test_cli_refuses_an_unknown_mode_in_a_config_file(tmp_path, capsys):
     assert "weird" in err["message"]
 
 
-@pytest.mark.parametrize("command", [["cap", "--ball", "1.0"], ["profile"], ["fuglede"]])
-def test_cli_refuses_an_outer_radius_of_one(tmp_path, capsys, command):
-    code = cli_main(command + ["--mode", "rel", "--R", "1", "--out-dir", str(tmp_path)])
-    assert code == 2
+@pytest.mark.parametrize("command", [
+    ["cap", "--ball", "1.0", "--mode", "rel", "--R", "1"],
+    ["profile", "--R", "1"],
+    ["fuglede", "--mode", "rel", "--R", "1"],
+    ["spectrum", "--R", "1"],
+])
+def test_cli_refuses_an_outer_radius_of_one(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(command) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["exit_code"] == 2
+    assert "the outer radius must exceed 1" in err["message"]
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_malformed_domain_file(tmp_path, capsys):
@@ -782,18 +789,20 @@ def test_cli_config_keys_keep_their_case(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text,argv", [
-    ("[cap]\nsolver = foo\n", []),
-    ("[common]\nno-such-option = 1\n", []),
-    ("[common]\nlmax = 4\n", []),
-    ("[common]\nno-timestamp = maybe\n", []),
-    ("", ["--solver", "nope"]),
-    ("", ["--ball", "1", "--ellipsoid", "0.1"]),
+    ("[cap]\nsolver = foo\n", ["cap", "--ball", "1"]),
+    ("[common]\nno-such-option = 1\n", ["cap", "--ball", "1"]),
+    ("[common]\nlmax = 4\n", ["cap", "--ball", "1"]),
+    # on sweep, which takes --no-timestamp: cap would skip the key
+    ("[common]\nno-timestamp = maybe\n", ["sweep", "--count", "2"]),
+    ("", ["cap", "--ball", "1", "--solver", "nope"]),
+    ("", ["cap", "--ball", "1", "--ellipsoid", "0.1"]),
 ], ids=["file-choice", "file-unknown-key", "file-key-case", "file-boolean",
         "flag-choice", "flag-exclusive"])
-def test_cli_refusals_are_json(tmp_path, capsys, text, argv):
+def test_cli_refusals_are_json(tmp_path, monkeypatch, capsys, text, argv):
+    monkeypatch.chdir(tmp_path)
     ini = tmp_path / "run.ini"
     ini.write_text(text)
-    assert cli_main(["cap", "--ball", "1", "--config", str(ini)] + argv) == 2
+    assert cli_main(argv + ["--config", str(ini)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["exit_code"] == 2
     assert err["error"] == "config"
@@ -810,10 +819,13 @@ def test_cli_refusals_are_json(tmp_path, capsys, text, argv):
 ], ids=["cap-seed-negative", "cap-seed-too-large", "truncation-seed-negative",
         "sweep-seed-negative", "cap-no-walks", "cap-negative-walks", "truncation-no-walks"])
 def test_cli_refuses_bad_seed_and_walks(tmp_path, capsys, argv):
-    assert cli_main(argv + ["--out-dir", str(tmp_path)]) == 2
+    # cap writes to stdout only, and takes no --out-dir
+    out_dir = [] if argv[0] == "cap" else ["--out-dir", str(tmp_path)]
+    assert cli_main(argv + out_dir) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["exit_code"] == 2
     assert err["error"] == "config"
+    assert re.search(r"the (seed|walk count) must be", err["message"]), err["message"]
     assert not any(tmp_path.iterdir())
 
 
@@ -822,6 +834,64 @@ def test_cli_config_skips_another_commands_key(tmp_path, capsys):
     ini.write_text("[common]\nfamily = ellipsoid\nLmax = 4\n")
     from_file = _cap_json(capsys, ["cap", "--ellipsoid", "0.1", "--config", str(ini)])
     assert from_file == _cap_json(capsys, ["cap", "--ellipsoid", "0.1", "--Lmax", "4"])
+
+
+def test_cli_refuses_another_commands_key_in_its_own_section(tmp_path, capsys):
+    # only [common] serves every command; [truncation] names truncation alone
+    ini = tmp_path / "run.ini"
+    ini.write_text("[truncation]\nmode = rel\n")
+    out_dir = tmp_path / "out"
+    assert cli_main(["truncation", "--config", str(ini), "--out-dir", str(out_dir)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 2
+    assert err["error"] == "config"
+    assert "'mode'" in err["message"]
+    assert not out_dir.exists()
+
+
+# The shared options each command does not read, and so does not take.
+# Once every command took all of them: `truncation --mode rel --R 3`
+# wrote the absolute report, byte for byte.
+_NOT_TAKEN = {
+    "cap": ["--out-dir", "--no-timestamp"],
+    "asym": ["--Lmax", "--seed", "--walks", "--out-dir", "--no-timestamp"],
+    "sweep": ["--walks"],
+    "fuglede": ["--seed", "--walks", "--no-timestamp"],
+    "truncation": ["--mode", "--R", "--Lmax", "--no-timestamp"],
+    "spectrum": ["--mode", "--seed", "--walks", "--no-timestamp"],
+    "profile": ["--mode", "--Lmax", "--seed", "--walks", "--no-timestamp"],
+}
+_TOKENS = {
+    "--mode": ["--mode", "rel", "--R", "3"],
+    "--R": ["--R", "3"],
+    "--Lmax": ["--Lmax", "16"],
+    "--seed": ["--seed", "1"],
+    "--walks": ["--walks", "1000"],
+    "--out-dir": ["--out-dir", "out"],
+    "--no-timestamp": ["--no-timestamp"],
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    pytest.param(command, flag, id=command + flag)
+    for command, flags in _NOT_TAKEN.items() for flag in flags])
+def test_cli_refuses_an_option_its_command_does_not_read(tmp_path, monkeypatch, capsys,
+                                                          command, flag):
+    monkeypatch.chdir(tmp_path)
+    domain = ["--ball", "1"] if command in ("cap", "asym") else []
+    assert cli_main([command] + domain + _TOKENS[flag]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 2
+    assert err["error"] == "config"
+    assert "unrecognized arguments: " + flag in err["message"]
+    # and as a key of the command's own config section
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{command}]\n{flag[2:]} = {(_TOKENS[flag] + ['yes'])[1]}\n")
+    assert cli_main([command, "--config", str(ini)] + domain) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert f"{command} takes no config key {flag[2:]!r}" in err["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
 
 def _file_options():
@@ -878,24 +948,26 @@ sys.exit(rc)
 """
 
 
+# --out-dir is the working directory, the subprocess's tmp_path
 @pytest.mark.parametrize("argv", [
     ["cap", "--ellipsoid", "0.1"],
     ["cap", "--ball", "1.0", "--solver", "wos", "--walks", "500", "--seed", "1"],
     ["asym", "--ellipsoid", "0.2"],
-    ["sweep", "--count", "2", "--amplitude", "0.12", "--seed", "5"],
-    ["sweep", "--count", "2", "--amplitude", "0.12", "--seed", "5", "--mode", "rel"],
-    ["fuglede", "--degree", "2", "--ladder", "0.02,0.01"],
-    ["spectrum"],
-    ["profile"],
-    ["truncation", "--walks", "2000", "--seed", "3"],
+    ["sweep", "--count", "2", "--amplitude", "0.12", "--seed", "5", "--out-dir", ".",
+     "--no-timestamp"],
+    ["sweep", "--count", "2", "--amplitude", "0.12", "--seed", "5", "--mode", "rel",
+     "--out-dir", ".", "--no-timestamp"],
+    ["fuglede", "--degree", "2", "--ladder", "0.02,0.01", "--out-dir", "."],
+    ["spectrum", "--out-dir", "."],
+    ["profile", "--out-dir", "."],
+    ["truncation", "--walks", "2000", "--seed", "3", "--out-dir", "."],
 ], ids=["cap", "cap-wos", "asym", "sweep-abs", "sweep-rel", "fuglede", "spectrum",
         "profile", "truncation"])
 def test_cli_never_loads_scipy(argv, tmp_path):
     # this process has imported SciPy for other tests, so each command
     # runs in a fresh interpreter
     path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _REPORT_SCIPY, *argv,
-                           "--out-dir", str(tmp_path), "--no-timestamp"],
+    proc = subprocess.run([sys.executable, "-c", _REPORT_SCIPY, *argv],
                           env={**os.environ, "PYTHONPATH": path}, cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
