@@ -353,8 +353,8 @@ def _crossing_radii(domain: StarDomain, origin: np.ndarray, dirs: np.ndarray) ->
     everywhere when rho_lo^2 > |a| sqrt(rho_lo^2 + G^2).  Every ray then
     leaves the domain transversally, hence exactly once, at a radius in
     [rho_lo - |a|, rho_hi + |a|].  The coefficient bounds are tried
-    first; if they cannot certify, the sampled ones are; if those cannot
-    either, GeometryError.
+    first; if they cannot certify, the sampled ones (`certified_bounds`)
+    are; if those cannot either, GeometryError.
 
     All rays are bisected together from that bracket, one `radial` call
     per pass on g(s) = |a + s w| - rho, for as many passes as take the
@@ -367,7 +367,7 @@ def _crossing_radii(domain: StarDomain, origin: np.ndarray, dirs: np.ndarray) ->
     na = float(np.linalg.norm(a))
     bounds = radial_bounds(domain)
     if not _transversal(bounds, na):
-        bounds = radial_bounds(domain, sampled=True)
+        bounds = domain.certified_bounds
     rho_lo, rho_hi, grad = bounds
     if not _transversal(bounds, na):
         raise GeometryError(

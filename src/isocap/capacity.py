@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (CompositeDomain, StarDomain, _certified_bounds, _check_seed, _is_integer,
-                      normalize_volume)
+from .domains import CompositeDomain, StarDomain, _check_seed, _is_integer, normalize_volume
 from .errors import ConfigError, GeometryError, SolverError
 from .sphere import build_quadrature, harmonic_basis, sphere_area
 
@@ -375,16 +374,15 @@ class _WosComponent:
     and the function |z - c| - rho((z - c)/|z - c|), which vanishes on
     the boundary, has gradient at most sqrt(1 + (G / rho_lo)^2); so the
     distance is at least the gap over that constant, and at least
-    r - rho_hi.  (rho_lo, rho_hi, G) come from `_certified_bounds`; an
-    exact ball's are its radius twice and 0.
+    r - rho_hi.  (rho_lo, rho_hi, G) are the domain's `certified_bounds`;
+    a ball's are (r, r, 0), so its step is its gap, the exact distance.
     """
 
     def __init__(self, dom: StarDomain):
         self.center = dom.center_offset
         self.centered = not np.any(self.center)
-        self.exact_ball = dom.is_ball() and dom.rho_fn is not None
         self.dom = dom
-        self.rho_lo, self.rho_hi, g = _certified_bounds(dom)
+        self.rho_lo, self.rho_hi, g = dom.certified_bounds
         if self.rho_lo <= 0.0:
             raise GeometryError("walk on spheres needs a radius bounded away from zero; "
                                 f"the certified lower bound is {self.rho_lo:.4g}")
@@ -402,9 +400,6 @@ class _WosComponent:
         if not self.centered:
             q = p - self.center[:, None]
             r = _norm(q)
-        if self.exact_ball:
-            gap = r - self.rho_hi
-            return gap, gap
         gap = r - self.dom.radial((q / np.maximum(r, 1e-300)).T)
         return np.maximum(gap / self.lipschitz, r - self.rho_hi), gap
 

@@ -80,7 +80,7 @@ class StarDomain:
             raise GeometryError("a star domain needs harmonic coefficients, or an exact "
                                 "radial callable together with its rho_bounds")
 
-    # rho is set once, in __post_init__, so its extremes are taken once
+    # rho, coeffs and rho_bounds are set once, at construction, so these are taken once
     @cached_property
     def rho_max(self) -> float:
         return float(self.rho.max())
@@ -89,9 +89,17 @@ class StarDomain:
     def rho_min(self) -> float:
         return float(self.rho.min())
 
+    @cached_property
+    def certified_bounds(self) -> tuple[float, float, float]:
+        """`radial_bounds(self, sampled=True)`, the tightest certified
+        (rho_lo, rho_hi, G) there is, worked out once per domain."""
+        return radial_bounds(self, sampled=True)
+
     @property
     def enclosing_radius(self) -> float:
-        """Radius about the origin of a ball containing the closure."""
+        """|center| + rho_max: for a ball, the radius about the origin of a
+        ball containing the closure.  A star can reach past its node maximum
+        rho_max (by 3.8e-4 to 3.6e-3 on degree-8 random stars); then it falls short."""
         return float(np.linalg.norm(self.center_offset) + self.rho_max)
 
     def radial(self, dirs: np.ndarray) -> np.ndarray:
@@ -112,7 +120,7 @@ class CompositeDomain:
     """Finite union of star domains with pairwise disjoint closures.
 
     Disjointness is certified by center separation exceeding the sum of
-    certified radii about each component's own center (`_certified_bounds`).
+    certified radii about each component's own center (`certified_bounds`).
     """
 
     components: list
@@ -121,7 +129,7 @@ class CompositeDomain:
         comps = self.components
         if not comps:
             raise GeometryError("composite domain needs at least one component")
-        rho_hi = [_certified_bounds(c)[1] for c in comps]
+        rho_hi = [c.certified_bounds[1] for c in comps]
         for i in range(len(comps)):
             for j in range(i + 1, len(comps)):
                 gap = np.linalg.norm(comps[i].center_offset - comps[j].center_offset)
@@ -137,6 +145,7 @@ class CompositeDomain:
 
 
 def ball(radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> StarDomain:
+    """Ball about center, with the closed-form bounds (radius, radius, 0.0)."""
     if radius <= 0:
         raise GeometryError(f"radius must be positive, got {radius}")
     quad = build_quadrature(16)
@@ -148,6 +157,7 @@ def ball(radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> StarDomain:
         rho=np.full(quad.n_nodes, r),
         coeffs=coeffs,
         rho_fn=lambda dirs: np.full(np.atleast_2d(dirs).shape[0], r),
+        rho_bounds=(r, r, 0.0),
         center_offset=np.asarray(center, dtype=float),
     )
 
@@ -296,9 +306,8 @@ def radial_bounds(domain: StarDomain, sampled: bool = False) -> tuple[float, flo
 
     sampled=True also bounds both from samples, which is tight but costs
     a synthesis at degree 2L on about 80 L^2 points (`_sampled_bounds`),
-    and returns the better of each pair.  A domain with an exact radial
-    callable and no coefficients returns the closed-form bounds it
-    carries (`ellipsoid`).
+    and returns the better of each pair.  A domain that carries
+    closed-form bounds (`ball`, `ellipsoid`) returns them either way.
     """
     if domain.rho_bounds is not None:
         return domain.rho_bounds
@@ -312,15 +321,6 @@ def radial_bounds(domain: StarDomain, sampled: bool = False) -> tuple[float, flo
         return mean - spread, mean + spread, grad
     lo, hi, g = _sampled_bounds(coeffs)
     return max(lo, mean - spread), min(hi, mean + spread), min(g, grad)
-
-
-def _certified_bounds(domain: StarDomain) -> tuple[float, float, float]:
-    """`radial_bounds(domain, sampled=True)`, or (r, r, 0.0) for an exact
-    ball of radius r (one with a radial callable).  The node maximum
-    rho_max bounds the radius of a ball only: a star reaches past it."""
-    if domain.is_ball() and domain.rho_fn is not None:
-        return domain.rho_max, domain.rho_max, 0.0
-    return radial_bounds(domain, sampled=True)
 
 
 def _sampled_bounds(coeffs: HarmonicCoeffs) -> tuple[float, float, float]:
@@ -427,7 +427,7 @@ def truncate_rescale(domain, radius_cut: float):
 
     Every component must lie entirely inside or entirely outside the
     ball of radius `radius_cut`, judged by its certified radius
-    (`_certified_bounds`); a component the cut sphere slices is refused.
+    (`certified_bounds`); a component the cut sphere slices is refused.
     The kept part, one component or a union of several, is dilated
     about the origin to unit-ball volume (`normalize_volume`).
 
@@ -438,7 +438,7 @@ def truncate_rescale(domain, radius_cut: float):
     inside, outside = [], []
     for k, c in enumerate(comps):
         dist = float(np.linalg.norm(c.center_offset))
-        rho_hi = _certified_bounds(c)[1]
+        rho_hi = c.certified_bounds[1]
         if dist + rho_hi <= radius_cut:
             inside.append(c)
         elif dist - rho_hi >= radius_cut:

@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-min", type=float)
     p.add_argument("--eps-max", type=float)
     p.add_argument("--degree", type=int)
-    p.add_argument("--order", type=int, default=0, help="signed order -l..l")
+    p.add_argument("--order", type=int, help="signed order -l..l")
     p.add_argument("--amplitude", type=float)
     p.add_argument("--max-degree", type=int)
 
@@ -270,11 +270,18 @@ def _cmd_asym(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _experiment_config(args)
+    given = _options(args, FamilySpec)
+    reads = {"ellipsoid": "eps_min eps_max", "random_star": "amplitude seed max_degree",
+             "harmonic_perturbation": "degree order amplitude"}[args.variant]
+    unread = sorted(given.keys() - {"variant", "count", *reads.split()})
+    if unread:
+        raise ConfigError(f"--family {args.variant} reads no --"
+                          + " --".join(unread).replace("_", "-"))
     # FamilySpec counts orders from 0 to 2*degree; --order is signed
-    spec = FamilySpec(**_options(args, FamilySpec))
-    if abs(args.order) > spec.degree:
+    spec = FamilySpec(**given)
+    if abs(order := given.get("order", 0)) > spec.degree:
         raise ConfigError("need |order| <= degree")
-    cfg.family = dataclasses.replace(spec, order=spec.degree + args.order)
+    cfg.family = dataclasses.replace(spec, order=spec.degree + order)
     records, summary, paths = run_sweep(cfg, **_options(args, run_sweep))
     print(f"wrote {paths['csv']} and {paths['json']}"
           + (f" and {paths['svg']}" if paths["svg"] else ""))
@@ -313,8 +320,7 @@ def _cmd_truncation(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    rows, paths = run_spectrum(_experiment_config(args), args.R,
-                               **_options(args, run_spectrum))
+    rows, paths = run_spectrum(_experiment_config(args), **_options(args, run_spectrum))
     print(f"wrote {paths['csv']} and {paths['json']} ({len(rows)} rows)")
     return EXIT_OK
 

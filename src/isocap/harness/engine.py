@@ -263,12 +263,11 @@ def run_fuglede(cfg: ExperimentConfig, degree: int = 2, order: int = 0,
     return rows_t, summary, write_outputs(cfg, basename, TAYLOR_COLUMNS, rows, summary)
 
 
-def run_spectrum(cfg: ExperimentConfig, outer_radius: float = 2.0, l_max: int = 6,
-                 basename: str = "spectrum"):
-    """Eigenvalue tables for the exterior problem and the shell of radius
-    outer_radius."""
+def run_spectrum(cfg: ExperimentConfig, l_max: int = 6, basename: str = "spectrum"):
+    """Eigenvalue tables to degree l_max for the exterior problem and the
+    shell of radius cfg.outer_radius, 2 for the absolute cfg."""
     rows = []
-    for R in (None, float(outer_radius)):
+    for R in (None, 2.0 if cfg.outer_radius is None else float(cfg.outer_radius)):
         head = ["abs", ""] if R is None else ["rel", repr(R)]
         for e in spectrum_table(l_max, R):
             rows.append(head + [repr(e.degree), repr(e.energy_eigenvalue),

@@ -481,7 +481,6 @@ def test_wos_step_is_a_certified_distance_bound(amplitude, max_degree):
         dom = generate_family(FamilySpec("random_star", 1, amplitude=amplitude, seed=2,
                                          max_degree=max_degree))[0][2]
     comp = _WosComponent(dom)
-    assert not comp.exact_ball
     rng = np.random.default_rng(11)
     u = rng.normal(size=(240, 3))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
@@ -495,6 +494,37 @@ def test_wos_step_is_a_certified_distance_bound(amplitude, max_degree):
     assert np.all(step > 0.0)
     assert np.all(step <= true)
     assert np.all(true <= gap)
+
+
+@pytest.mark.parametrize("dom", [
+    ball(1.0), ball(0.7, center=(0.3, -1.2, 2.5)), scale_domain(ball(1.3), 0.77),
+], ids=["centred", "shifted", "scaled"])
+def test_wos_step_on_a_ball_is_its_gap(dom):
+    # a ball's certified bounds are (r, r, 0): the Lipschitz factor is 1
+    # and the step is the gap, the exact distance, bit for bit
+    comp = _WosComponent(dom)
+    assert comp.lipschitz == 1.0
+    rng = np.random.default_rng(3)
+    u = rng.normal(size=(200, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    p = (dom.center_offset + (dom.rho_max + rng.uniform(1e-9, 3.0, 200))[:, None] * u).T
+    step, gap = comp.step_gap(p, _norm(p))
+    assert np.all(gap > 0.0)
+    assert np.array_equal(step, gap)
+
+
+def test_wos_on_balls_keeps_its_recorded_values():
+    # recorded when a ball's walks stepped by its exact distance on a
+    # branch of their own: the general step must give them bit for bit
+    cfg = WosConfig(num_walks=4000, seed=2)
+    single = cap_wos(ball(1.0), cfg)
+    pair = cap_wos(CompositeDomain([ball(1.0), ball(0.5, center=(3.0, 0.0, 0.0))]), cfg)
+    assert repr(single) == ("CapacityResult(value=12.352742313915066, method='wos', "
+                            "error_estimate=0.34340712776676996, max_residual=None, "
+                            "condition=None)")
+    assert repr(pair) == ("CapacityResult(value=15.1738925168387, method='wos', "
+                          "error_estimate=0.7915320243951822, max_residual=None, "
+                          "condition=None)")
 
 
 def test_wos_refuses_a_radius_that_reaches_zero():
@@ -517,7 +547,6 @@ def test_wos_star_path_on_a_coefficient_ball_against_closed_form():
     quad = build_quadrature(16)
     dom = StarDomain(quad=quad, rho=np.full(quad.n_nodes, 1.3),
                      coeffs=coeffs, center_offset=np.array([0.4, -0.3, 0.2]))
-    assert not _WosComponent(dom).exact_ball
     res = cap_wos(dom, WosConfig(num_walks=40000, seed=6))
     assert abs(res.value - cap_ball(1.3)) <= 3.0 * res.error_estimate
     assert res.error_estimate / cap_ball(1.3) < 0.02

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isocap import domains
 from isocap.capacity import deficit
 from isocap.domains import (CompositeDomain, FamilySpec, StarDomain, ball,
                             barycenter, boundary_cloud, diameter, ellipsoid,
@@ -172,6 +173,21 @@ def test_truncate_rescale_refuses_a_cut_between_the_nodes_and_the_peak():
     assert cut < peak  # the cut sphere slices the star
     with pytest.raises(GeometryError, match="sliced"):
         truncate_rescale(star, cut)
+
+
+def test_a_star_is_certified_once(monkeypatch):
+    star = _seed1_member(1)
+    calls = []
+    sampled = domains._sampled_bounds
+    monkeypatch.setattr(domains, "_sampled_bounds",
+                        lambda coeffs: calls.append(coeffs) or sampled(coeffs))
+    far = ball(0.5, center=(4.0, 0.0, 0.0))
+    CompositeDomain([star, far])
+    comp = CompositeDomain([far, star])
+    truncate_rescale(comp, 2.5)
+    assert len(calls) == 1
+    assert star.certified_bounds == radial_bounds(star, sampled=True)
+    assert len(calls) == 2  # radial_bounds itself keeps nothing
 
 
 def test_composite_barycenter_weighted():

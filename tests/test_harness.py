@@ -14,8 +14,8 @@ import pytest
 
 from isocap.domains import (CompositeDomain, FamilySpec, ball, ellipsoid, family_member,
                             generate_family, save_domain)
-from isocap.harness import (ExperimentConfig, fit_loglog, run_asym, run_sweep,
-                            run_truncation, scatter_svg, verdict_for)
+from isocap.harness import (ExperimentConfig, fit_loglog, run_asym, run_spectrum,
+                            run_sweep, run_truncation, scatter_svg, verdict_for)
 from isocap.harness import cli
 from isocap.harness.cli import main as cli_main
 from isocap.harness.engine import _member_record
@@ -892,6 +892,58 @@ def test_cli_refuses_an_option_its_command_does_not_read(tmp_path, monkeypatch, 
     assert err["error"] == "config"
     assert f"{command} takes no config key {flag[2:]!r}" in err["message"]
     assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+
+# The family options each --family does not read.  Once a sweep took all
+# of them: `sweep --family ellipsoid --seed 5` wrote what it wrote without.
+_FAMILY_NOT_READ = {
+    "ellipsoid": ["--degree", "--order", "--amplitude", "--seed", "--max-degree"],
+    "harmonic_perturbation": ["--eps-min", "--eps-max", "--seed", "--max-degree"],
+    "random_star": ["--eps-min", "--eps-max", "--degree", "--order"],
+}
+
+
+@pytest.mark.parametrize("family,flag", [
+    pytest.param(family, flag, id=family + flag)
+    for family, flags in _FAMILY_NOT_READ.items() for flag in flags])
+def test_cli_sweep_refuses_an_option_its_family_does_not_read(tmp_path, monkeypatch, capsys,
+                                                              family, flag):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["sweep", "--family", family, "--count", "1", flag, "1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 2
+    assert err["error"] == "config"
+    assert err["message"] == f"--family {family} reads no {flag}"
+    # and as a key of the sweep's config section
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[sweep]\nfamily = {family}\n{flag[2:]} = 1\n")
+    assert cli_main(["sweep", "--config", str(ini), "--count", "1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == f"--family {family} reads no {flag}"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "ellipsoid", "--eps-min", "0.1", "--eps-max", "0.2"],
+    ["--family", "harmonic_perturbation", "--degree", "2", "--order", "-1",
+     "--amplitude", "0.05"],
+    ["--family", "random_star", "--amplitude", "0.1", "--seed", "3", "--max-degree", "4"],
+], ids=["ellipsoid", "harmonic_perturbation", "random_star"])
+def test_cli_sweep_takes_every_option_its_family_reads(tmp_path, capsys, argv):
+    assert cli_main(["sweep", "--count", "1", "--out-dir", str(tmp_path)] + argv) == 0
+    capsys.readouterr()
+    assert (tmp_path / "sweep.csv").exists()
+
+
+def test_spectrum_tabulates_the_configured_outer_radius(tmp_path, capsys):
+    rows, _ = run_spectrum(ExperimentConfig(outer_radius=3.0, out_dir=str(tmp_path)))
+    assert {row[1] for row in rows if row[0] == "rel"} == {"3.0"}
+    rows, _ = run_spectrum(ExperimentConfig(out_dir=str(tmp_path)))
+    assert {row[1] for row in rows if row[0] == "rel"} == {"2.0"}
+    assert cli_main(["spectrum", "--R", "3", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "spectrum.csv").read_text()
+    assert "rel,3.0," in text and "rel,2.0," not in text
 
 
 def _file_options():
