@@ -201,6 +201,12 @@ def _sup_norm_dense(coeffs: HarmonicCoeffs) -> float:
     return float(np.abs(synthesize(coeffs, fine.nodes)).max())
 
 
+def _check_sup_norm(phi: HarmonicCoeffs) -> None:
+    """Refuse a perturbation with sup|phi| >= 1/2, by dense sampling."""
+    if _sup_norm_dense(phi) >= _SUP_NORM_BOUND:
+        raise GeometryError("perturbation exceeds the sup-norm bound 1/2")
+
+
 def nearly_spherical_from_phi(phi: HarmonicCoeffs) -> StarDomain:
     """Domain with radial graph 1 + phi + shift for a band-limited
     perturbation phi.
@@ -209,10 +215,16 @@ def nearly_spherical_from_phi(phi: HarmonicCoeffs) -> StarDomain:
     shift is found by Newton iteration so that the volume equals that of
     the unit ball to within 1e-13.
     """
+    _check_sup_norm(phi)
+    return _nearly_spherical(phi)
+
+
+def _nearly_spherical(phi: HarmonicCoeffs) -> StarDomain:
+    """`nearly_spherical_from_phi` without the dense check of phi, for a
+    caller that checks the phi it starts from and the one it returns
+    (`project_barycenter`).  The radii at the nodes are still checked."""
     # the volume integrand rho^3 must stay inside the exactness range
     quad = build_quadrature(max(3 * phi.max_degree, 16))
-    if _sup_norm_dense(phi) >= _SUP_NORM_BOUND:
-        raise GeometryError("perturbation exceeds the sup-norm bound 1/2")
     phi_nodes = synthesize(phi, quad.nodes)
     shift = 0.0
     w = quad.weights

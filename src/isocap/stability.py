@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import _check_outer_radius, cap_ball, deficit
-from .domains import StarDomain, barycenter, nearly_spherical_from_phi
+from .domains import (StarDomain, _check_sup_norm, _nearly_spherical, barycenter,
+                      nearly_spherical_from_phi)
 from .errors import ConfigError, SolverError
 from .sphere import HarmonicCoeffs, ball_volume
 
@@ -199,12 +200,16 @@ def project_barycenter(phi: HarmonicCoeffs) -> tuple[HarmonicCoeffs, StarDomain]
     very small phi, so this iterates to the tolerance instead).
 
     Returns the adjusted phi and its domain, nearly_spherical_from_phi(phi).
+    The dense sup-norm check runs on the phi given and the phi returned,
+    not on the rounds between.
     """
+    _check_sup_norm(phi)
     out = phi.copy()
     for _ in range(_PROJECTION_MAX_ROUNDS):
-        dom = nearly_spherical_from_phi(out)
+        dom = _nearly_spherical(out)
         x = barycenter(dom)
         if float(np.linalg.norm(x)) < _PROJECTION_TOL:
+            _check_sup_norm(out)
             return out, dom
         sl = out.degree_slice(1)
         # a translation by v shifts the radial graph by v . omega at

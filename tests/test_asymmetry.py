@@ -505,12 +505,24 @@ def test_crossing_radii_match_scalar_oracle(member):
     dom = generate_family(FamilySpec("random_star", 4, amplitude=0.3, seed=4,
                                      max_degree=8))[member][2]
     rng = np.random.default_rng(member)
+    exact = dom.radial
+    calls = [0]
+
+    def counted(dirs):
+        calls[0] += 1
+        return exact(dirs)
+
     for frac in (0.5, 0.9, 0.99):
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
         a = frac * _certified_limit(dom) * v
         dirs = np.vstack([dom.quad.nodes, POLES, v, -v])
+        calls[0] = 0
+        dom.radial = counted
         got = _crossing_radii(dom, dom.center_offset + a, dirs)
+        dom.radial = exact
+        # one call for the center-ray start, then one per pass
+        assert calls[0] <= 24, (frac, calls[0])
         want = _crossing_radii_reference(dom, dom.center_offset + a, dirs)
         err = np.abs(got - want)
         # near the poles synthesis resolves the radius only to a few 1e-15,
@@ -522,20 +534,36 @@ def test_crossing_radii_match_scalar_oracle(member):
         assert np.median(err) <= 1e-15
 
 
-def test_crossing_radii_nan_radius_raises_solver_error():
-    # a radius that answers the bracket ends and then turns NaN
+@pytest.mark.parametrize("first_nan", [2, 3, 5])
+def test_crossing_radii_nan_radius_raises_solver_error(first_nan):
+    # a radius that answers the start and the first passes, then turns NaN
     dom = generate_family(FamilySpec("random_star", 1, amplitude=0.3, seed=4))[0][2]
     exact = dom.radial
     calls = [0]
 
     def unsettled(dirs):
         calls[0] += 1
-        return exact(dirs) if calls[0] == 1 else np.full(len(dirs), np.nan)
+        return exact(dirs) if calls[0] < first_nan else np.full(len(dirs), np.nan)
 
     dom.radial = unsettled
     with pytest.raises(SolverError, match="NaN"):
         _crossing_radii(dom, dom.center_offset + 0.01, dom.quad.nodes)
-    assert calls[0] == 2
+    assert calls[0] == first_nan
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_crossing_radii_refuse_a_bracket_without_sign_change(shift):
+    # a radius off its certified bounds by `shift` leaves g one sign over
+    # the whole bracket; the solve reaches the far end of the certified
+    # bracket, evaluates it and refuses, whether the start lies inside
+    # the bracket (the node radii) or is clipped to its end (radial)
+    dom = generate_family(FamilySpec("random_star", 1, amplitude=0.3, seed=4))[0][2]
+    exact = dom.radial
+    dom.radial = lambda dirs: exact(dirs) + shift
+    origin = dom.center_offset + 0.01
+    for start in (dom.rho, None):
+        with pytest.raises(SolverError, match="does not change sign"):
+            _crossing_radii(dom, origin, dom.quad.nodes, start=start)
 
 
 def test_crossing_radii_refuse_uncertified_origin():
@@ -596,7 +624,7 @@ def test_alpha_solves_all_rays_in_few_radial_calls():
 
     dom.radial = counted
     assert alpha(dom) > 0.0
-    assert 0 < calls[0] <= 64
+    assert 0 < calls[0] <= 8
 
 
 def _golden_cell(version, name, row_id, column):

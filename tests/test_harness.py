@@ -146,8 +146,9 @@ def test_run_sweep_header_and_verdicts(tmp_path):
 
 def test_abs_member_builds_its_projected_domain_once(monkeypatch):
     # the projection's last round builds the member's domain, so an abs
-    # member is built once by the family and once per projection round
-    build = sys.modules["isocap.domains"].nearly_spherical_from_phi
+    # member is built once by the family and once per projection round;
+    # both go through the builder that the public function wraps
+    build = sys.modules["isocap.domains"]._nearly_spherical
     stability = sys.modules["isocap.stability"]
     centering = stability.barycenter
     counts = {"builds": 0, "rounds": 0}
@@ -161,9 +162,8 @@ def test_abs_member_builds_its_projected_domain_once(monkeypatch):
         return centering(dom)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("isocap") and getattr(module, "nearly_spherical_from_phi",
-                                                 None) is build:
-            monkeypatch.setattr(module, "nearly_spherical_from_phi", counted_build)
+        if name.startswith("isocap") and getattr(module, "_nearly_spherical", None) is build:
+            monkeypatch.setattr(module, "_nearly_spherical", counted_build)
     monkeypatch.setattr(stability, "barycenter", counted_round)
     spec = FamilySpec("random_star", 1, amplitude=0.3, seed=1)
     record = _member_record(ExperimentConfig(family=spec), *family_member(spec, 0))

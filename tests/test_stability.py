@@ -1,5 +1,7 @@
 """Spectral second-variation forms, penalties, and Taylor checks."""
 
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from isocap.capacity import cap_ball
 from isocap.domains import (FamilySpec, barycenter, generate_family,
                             nearly_spherical_from_phi)
-from isocap.errors import ConfigError
+from isocap.errors import ConfigError, GeometryError
 from isocap.sphere import HarmonicCoeffs, ball_volume
 from isocap.stability import (ball_profile, dtn, f_eta, h_half_norm, project_barycenter,
                               second_variation, spectrum_table, taylor_check)
@@ -188,6 +190,14 @@ def test_project_barycenter_reaches_tolerance():
     assert float(np.linalg.norm(barycenter(dom))) < 1e-10
     again, _ = project_barycenter(projected)
     npt.assert_allclose(again.values, projected.values, atol=1e-9)
+
+
+def test_project_barycenter_refuses_a_perturbation_over_the_bound(monkeypatch):
+    # the dense sup-norm check runs on the phi given, before any round builds
+    stability = sys.modules["isocap.stability"]
+    monkeypatch.setattr(stability, "_nearly_spherical", lambda phi: pytest.fail("built"))
+    with pytest.raises(GeometryError, match="sup-norm bound 1/2"):
+        project_barycenter(HarmonicCoeffs.single(2, 2, 2.0))
 
 
 def test_taylor_check_quadratic_match():
