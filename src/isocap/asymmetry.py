@@ -372,8 +372,9 @@ def _crossing_radii(domain: StarDomain, origin: np.ndarray, dirs: np.ndarray,
     bracket has not halved in three passes.  It stops when g <= 0 and
     g >= 0 were evaluated at the bracket's ends and the bracket is no
     wider than 4e-16 of its lower end, and returns the midpoint.  The
-    stop reads the bracket, not |g|: near the poles synthesis resolves
-    rho only to a few 1e-15.  An end of the certified bracket that is
+    stop reads the bracket, not |g|: synthesis resolves rho only to
+    rounding, and g strays up to 7e-16 from its secant within 24 ulp of
+    a root.  An end of the certified bracket that is
     reached unevaluated is evaluated, and a sign there against the
     certificate raises SolverError.  A projected sweep member takes 3-5
     `radial` calls; origins at 0.5 to 0.99 of the certified distance

@@ -470,30 +470,70 @@ def _nearest_boundary_distance(dom, q, cloud_degree=600, rounds=200):
     return best
 
 
-@pytest.mark.parametrize("amplitude, max_degree", [
+_STEP_CASES = [
     (0.3, 4), (0.3, 8), (0.3, 16), (0.45, 4), (0.45, 8), (0.45, 16),
     (None, None),  # ellipsoid(0.3), with its closed-form bounds
-])
-def test_wos_step_is_a_certified_distance_bound(amplitude, max_degree):
+]
+
+
+def _step_case(amplitude, max_degree):
+    """A domain, its WoS component, cap_wos's absorption shell, and 240
+    outside points p, (3, n), with their offsets q from the center and
+    their radial gaps: half within 1e-3 of the surface, half up to 1.5
+    away."""
     if amplitude is None:
         dom = ellipsoid(0.3)
     else:
         dom = generate_family(FamilySpec("random_star", 1, amplitude=amplitude, seed=2,
                                          max_degree=max_degree))[0][2]
-    comp = _WosComponent(dom)
     rng = np.random.default_rng(11)
     u = rng.normal(size=(240, 3))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    # half the points within 1e-3 of the surface, half up to 1.5 away
     gaps = np.concatenate([10.0 ** rng.uniform(-6, -3, 120), rng.uniform(1e-3, 1.5, 120)])
     q = (dom.radial(u) + gaps)[:, None] * u
     p = (dom.center_offset + q).T
-    step, gap = comp.step_gap(p, _norm(p))
+    return dom, _WosComponent(dom), 1e-4 * dom.enclosing_radius, p, q, gaps
+
+
+@pytest.mark.parametrize("amplitude, max_degree", _STEP_CASES)
+def test_wos_step_is_a_certified_distance_bound(amplitude, max_degree):
+    dom, comp, eps, p, q, gaps = _step_case(amplitude, max_degree)
+    step, gap = comp.step_gap(p, _norm(p), eps)
     true = _nearest_boundary_distance(dom, q)
-    npt.assert_allclose(gap, gaps, rtol=1e-12, atol=1e-15)
+    # the step and radial gap of a full synthesis on every column
+    r = _norm(q.T)
+    full = r - dom.radial(q / r[:, None])
+    want = np.maximum(full / comp.lipschitz, r - comp.rho_hi)
+    skipped = np.isinf(gap)
+    npt.assert_allclose(gap[~skipped], gaps[~skipped], rtol=1e-12, atol=1e-15)
+    assert np.array_equal(gap[~skipped], full[~skipped])
+    # a column left unsynthesised steps by the floor r - rho_hi, which is
+    # what the synthesis would give bit for bit, and is not absorbed
+    assert np.array_equal(step[skipped], (r - comp.rho_hi)[skipped])
+    assert np.array_equal(step, want)
+    assert np.all(full[skipped] > eps)
     assert np.all(step > 0.0)
     assert np.all(step <= true)
     assert np.all(true <= gap)
+    assert np.all(true <= full)
+
+
+def test_wos_step_skips_synthesis_only_where_the_floor_sets_it():
+    # the cases above include steps of both kinds, and a skipped column
+    # costs no radius: the rows synthesised are the finite gaps
+    both = 0
+    for case in _STEP_CASES:
+        dom, comp, eps, p, _, _ = _step_case(*case)
+        rows = []
+        radial = dom.radial
+        dom.radial = lambda dirs: rows.append(len(dirs)) or radial(dirs)
+        try:
+            _, gap = comp.step_gap(p, _norm(p), eps)
+        finally:
+            del dom.radial
+        assert sum(rows) == np.count_nonzero(np.isfinite(gap)) > 0, case
+        both += bool(np.isinf(gap).any())
+    assert both >= 2
 
 
 @pytest.mark.parametrize("dom", [
@@ -508,7 +548,7 @@ def test_wos_step_on_a_ball_is_its_gap(dom):
     u = rng.normal(size=(200, 3))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     p = (dom.center_offset + (dom.rho_max + rng.uniform(1e-9, 3.0, 200))[:, None] * u).T
-    step, gap = comp.step_gap(p, _norm(p))
+    step, gap = comp.step_gap(p, _norm(p), 1e-4 * dom.enclosing_radius)
     assert np.all(gap > 0.0)
     assert np.array_equal(step, gap)
 

@@ -1024,3 +1024,16 @@ def test_cli_never_loads_scipy(argv, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stderr.splitlines()[-1]) == []
+
+
+def test_cli_import_loads_no_test_only_dependency():
+    # scipy, mpmath and hypothesis serve the tests alone; importing the
+    # command line must not pay for them in a fresh interpreter
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    code = ("import json, sys, isocap.harness.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] in ('scipy', 'mpmath', 'hypothesis'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

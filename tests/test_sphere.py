@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, lpmv
 
-from isocap.sphere import (HarmonicCoeffs, ball_volume, build_quadrature, expand,
+from isocap.sphere import (HarmonicCoeffs, _polar, ball_volume, build_quadrature, expand,
                            flat_index, harmonic_basis, sphere_area, synthesize)
 
 
@@ -81,6 +81,27 @@ def directions(n, seed):
     equator = np.column_stack([np.cos(t), np.sin(t), np.zeros(8)])
     poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     return np.vstack([d / np.linalg.norm(d, axis=1, keepdims=True), poles, equator])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_polar_powers_match_complex_powers(seed):
+    # C + iS = (x + iy)^m by the real recurrence, to m ulps of its modulus
+    # sin^m theta; at the poles x = y = 0 makes every power exactly 0
+    d = directions(500, seed)
+    z, C, S = _polar(d, 32)
+    assert np.array_equal(z, d[:, 2])
+    assert C.shape == S.shape == (32, len(d))
+    w = d[:, 0] + 1j * d[:, 1]
+    for m in range(1, 33):
+        ref = w**m
+        tol = 2 * m * np.finfo(float).eps * np.abs(w) ** m
+        assert np.all(np.abs(C[m - 1] - ref.real) <= tol), m
+        assert np.all(np.abs(S[m - 1] - ref.imag) <= tol), m
+    poles = (d[:, 0] == 0.0) & (d[:, 1] == 0.0)
+    assert np.count_nonzero(poles) == 2
+    assert np.all(C[:, poles] == 0.0) and np.all(S[:, poles] == 0.0)
+    # the equator points are the unit complex numbers e^{i t}
+    npt.assert_allclose(np.abs(C[:, -8:] + 1j * S[:, -8:]), 1.0, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("L", [0, 1, 2, 8, 16, 32])
