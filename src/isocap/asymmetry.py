@@ -19,7 +19,7 @@ import numpy as np
 from .capacity import _check_outer_radius
 from .domains import CompositeDomain, StarDomain, barycenter, radial_bounds, volume
 from .errors import GeometryError, SolverError
-from .sphere import SphereQuadrature, ball_volume, build_quadrature, sphere_area
+from .sphere import antipodes, ball_volume, build_quadrature, sphere_area
 
 __all__ = [
     "AsymmetryResult",
@@ -61,18 +61,25 @@ _RAY_DEGREE = 128  # internal angular rule; ray integrands have kinks at
 @dataclass(frozen=True)
 class _RaySamples:
     """What `symdiff_volume` reads of a domain on every call.  A ball
-    needs only its flag; any other domain has the cubes of its radii at
-    the nodes of a rule of degree >= _RAY_DEGREE, and the certified upper
-    bound rho_hi on its radius (`radial_bounds`)."""
+    needs only its flag.  Any other domain has a rule of degree
+    >= _RAY_DEGREE taken one antipodal pair at a time (`antipodes`):
+    `half` holds the rule's first n/2 nodes w, and `weights` and
+    `rho_cubed` hold the rule's weights and the cubes of the domain's
+    radii at the rule's own nodes, for the n/2 rays w and then for their
+    antipodes -w.  It also has the certified upper bound rho_hi on its
+    radius (`radial_bounds`)."""
 
     ball: bool
-    quad: SphereQuadrature | None = None
+    half: np.ndarray | None = None
+    weights: np.ndarray | None = None
     rho_cubed: np.ndarray | None = None
     rho_hi: float = math.inf
 
 
 def _ray_samples(domain: StarDomain) -> _RaySamples:
-    """The domain's `_RaySamples`, built on first use and kept on it."""
+    """The domain's `_RaySamples`, built on first use and kept on it.  A
+    domain whose own rule has degree >= _RAY_DEGREE lends it and its
+    radii, so building them synthesises nothing."""
     if domain._rays is None:
         if domain.is_ball():
             domain._rays = _RaySamples(ball=True)
@@ -82,24 +89,30 @@ def _ray_samples(domain: StarDomain) -> _RaySamples:
             else:
                 quad = build_quadrature(_RAY_DEGREE)
                 rho = domain.radial(quad.nodes)
-            domain._rays = _RaySamples(False, quad, _cube(rho),
-                                       radial_bounds(domain)[1])
+            anti = antipodes(quad.degree)
+            pairs = np.concatenate([np.arange(anti.size), anti])
+            domain._rays = _RaySamples(False, quad.nodes[: anti.size], quad.weights[pairs],
+                                       _cube(rho)[pairs], radial_bounds(domain)[1])
     return domain._rays
 
 
 def _ball_interval(dots: np.ndarray, c2: float, radius: float):
-    """Entry/exit parameters of rays t*w (t >= 0) through a ball.
+    """Entry/exit parameters of the rays t*w and t*(-w) (t >= 0) through
+    a ball, for each row w of `_RaySamples.half`.
 
-    dots holds w . c for the ball center c, c2 = |c|^2.  Returns
-    (b0, b1) clipped to t >= 0, with b1 <= b0 marking no intersection.
+    dots holds w . c for the ball center c, c2 = |c|^2.  Along -w the
+    projection is -w . c and the discriminant is the same.  Returns
+    (b0, b1), the rays w first and then -w, clipped to t >= 0, with
+    b0 = b1 = 0 where a ray misses the ball.
     """
     disc = dots**2 - c2 + radius * radius
     s = np.sqrt(np.maximum(disc, 0.0))
-    b0 = np.maximum(dots - s, 0.0)
-    b1 = np.maximum(dots + s, 0.0)
-    empty = disc <= 0.0
-    b0 = np.where(empty, 0.0, b0)
-    b1 = np.where(empty, 0.0, b1)
+    plus, minus = dots + s, dots - s
+    b0 = np.maximum(np.concatenate([minus, -plus]), 0.0)
+    b1 = np.maximum(np.concatenate([plus, -minus]), 0.0)
+    empty = np.tile(disc <= 0.0, 2)
+    b0[empty] = 0.0
+    b1[empty] = 0.0
     return b0, b1
 
 
@@ -120,18 +133,24 @@ def symdiff_volume(domain, center, radius: float) -> float:
     |Omega| + |B|; the rays would see it as a small cap with a kinked
     edge, off by up to a few percent of |B|.
 
+    The rays come in antipodal pairs w, -w (`_RaySamples`).  Along -w
+    the projection t = w.c only changes sign, and the discriminant
+    t^2 - |c|^2 + r^2 is the same, so one projection and one square root
+    serve a pair.  On a ray the domain is [0, rho) and the ball
+    [b0, b1), and |1_A - 1_B| integrates to a third of
+    |rho^3 - b1^3| + b0^3 - 2 max(min(hi, b0^3) - lo, 0)
+    along it, with lo and hi the least and greatest of rho^3 and b1^3:
+    this is rho^3 + (b1^3 - b0^3) - 2 |[0, rho) cap [b0, b1)|^3.  The
+    rounded cube x*x*x is nondecreasing for x >= 0, so min(b, rho)^3 is
+    min(b^3, rho^3) exactly, and the cached rho^3 is used.
+
     When 4|c|^2 <= r^2, with c the ball center relative to the domain's,
     the ray origin lies inside the ball, and the discriminant is at least
-    (w.c)^2 + 3r^2/4, so its root exceeds |w.c| even after rounding.
-    Then every ray enters the ball at t = 0: b0 and its cube are exactly
-    0, no ray misses, b1 = w.c + root is positive, and only b1 is
-    computed.  The result is the general formula's, bit for bit, with
-    the same operations in the same order.
-
-    A ray's share of |Omega cap B| is min(b1, rho)^3 - min(b0, rho)^3.
-    The rounded cube x*x*x is nondecreasing for x >= 0, so
-    min(b, rho)^3 is min(b^3, rho^3) exactly, and the cached rho^3 is
-    used.
+    t^2 + 3r^2/4, so its root s exceeds |t| even after rounding.  Then
+    every ray enters the ball at t = 0: b0 and its cube are exactly 0,
+    the pair leaves it at s + t and s - t, and the term is
+    |rho^3 - b1^3| alone.  The result is the general formula's, bit for
+    bit: adding b0^3 = 0 and subtracting 2 max(-lo, 0) = 0 change no bit.
     """
     if isinstance(domain, CompositeDomain):
         parts = [symdiff_volume(c, center, radius) for c in domain.components]
@@ -146,26 +165,23 @@ def symdiff_volume(domain, center, radius: float) -> float:
     if c2 >= (rays.rho_hi + radius) ** 2:
         return volume(domain) + ball_volume(radius)
     rho3 = rays.rho_cubed
-    dots = rays.quad.nodes @ c
-    # |1_A - 1_B| integrates to vol(A) + vol(B) - 2 vol(A cap B) per ray
+    t = rays.half @ c
     if 4.0 * c2 <= radius * radius:
-        b1 = dots**2
-        b1 -= c2
-        b1 += radius * radius
-        np.sqrt(b1, out=b1)
-        b1 += dots
-        ib = _cube(b1)
-        iab = np.minimum(ib, rho3)
+        s = t**2
+        s -= c2
+        s += radius * radius
+        np.sqrt(s, out=s)
+        b = np.empty(2 * t.size)
+        np.add(s, t, out=b[: t.size])
+        np.subtract(s, t, out=b[t.size :])
+        term = _cube(b)
+        np.subtract(rho3, term, out=term)
+        np.abs(term, out=term)
     else:
-        b0, b1 = _ball_interval(dots, c2, radius)
-        b0, b1 = _cube(b0), _cube(b1)
-        ib = b1 - b0
-        iab = np.minimum(b1, rho3)
-        iab -= np.minimum(b0, rho3)
-    ib += rho3
-    iab *= 2.0
-    ib -= iab
-    return float(rays.quad.weights @ ib) / 3.0
+        b0, b1 = map(_cube, _ball_interval(t, c2, radius))
+        lo, hi = np.minimum(rho3, b1), np.maximum(rho3, b1)
+        term = np.abs(rho3 - b1) + b0 - 2.0 * np.maximum(np.minimum(hi, b0) - lo, 0.0)
+    return float(rays.weights @ term) / 3.0
 
 
 _SIMPLEX_TOL = 1e-10  # xatol and fatol of the simplex stop
@@ -186,7 +202,9 @@ def _nelder_mead(f, x0, maxfev: int):
     (reflection 2 xbar - w, expansion 3 xbar - 2 w, contractions
     1.5 xbar - 0.5 w and 0.5 xbar + 0.5 w, shrink toward the best
     vertex), the same tie-breaking (np.argsort, which is not stable on
-    every machine: on AVX-512 it runs a sorting network) and the same stop.
+    every machine: on AVX-512 it runs a sorting network; where the values
+    are distinct and none is NaN, Python's sort gives the same order at
+    less cost) and the same stop.
     The budget is checked before each evaluation, so it can run out
     inside a shrink, which leaves the vertex being shrunk moved with its
     old value, as SciPy does.  f receives a list.
@@ -214,7 +232,11 @@ def _nelder_mead(f, x0, maxfev: int):
         return f(x)
 
     def sort():
-        order = np.argsort(fsim).tolist()
+        # with n + 1 distinct values and no NaN every sort gives one order
+        if len(set(fsim)) > n and all(v == v for v in fsim):
+            order = sorted(range(n + 1), key=fsim.__getitem__)
+        else:
+            order = np.argsort(fsim).tolist()
         sim[:] = [sim[i] for i in order]
         fsim[:] = [fsim[i] for i in order]
 

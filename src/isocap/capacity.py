@@ -189,9 +189,10 @@ def _collocate(domain: StarDomain, l_max: int, radial):
     """Fit sum_lm c_lm radial(l, |x|) Y_lm(x/|x|) = 1 on the boundary.
 
     radial(l, r) is the radial factor of the degree-l modes, broadcast
-    over an (n, 1) column of radii and the (L+1)^2 degrees of the
-    columns.  The fit is ridge-regularised weighted least squares at
-    quadrature nodes of degree 2*l_max.  The maximum-principle bounds of
+    over an (n, 1) column of radii and the degrees 0..L, so each factor
+    is computed once and every column of its degree takes it.  The fit
+    is ridge-regularised weighted least squares at quadrature nodes of
+    degree 2*l_max.  The maximum-principle bounds of
     both solvers need the residual sup over the whole boundary, so it is
     measured on a grid finer than the collocation nodes.
 
@@ -208,11 +209,12 @@ def _collocate(domain: StarDomain, l_max: int, radial):
         )
     if np.linalg.norm(domain.center_offset) >= domain.rho_min:
         raise GeometryError("origin must lie inside the domain for the harmonic expansion")
-    l_of = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
-    A = harmonic_basis(l_max, dirs) * radial(l_of, r[:, None])
+    degrees = np.arange(l_max + 1)
+    l_of = np.repeat(degrees, 2 * degrees + 1)
+    A = harmonic_basis(l_max, dirs) * radial(degrees, r[:, None])[:, l_of]
     coef, cond = _ridge_weighted_lstsq(A, quad.weights)
     _, rf, df = _surface_polar(domain, 4 * l_max + 8)
-    fit = (harmonic_basis(l_max, df) * radial(l_of, rf[:, None])) @ coef
+    fit = (harmonic_basis(l_max, df) * radial(degrees, rf[:, None])[:, l_of]) @ coef
     max_res = float(np.abs(fit - 1.0).max())
     return coef[0], r.max(), max_res, cond
 

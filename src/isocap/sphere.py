@@ -72,17 +72,16 @@ def build_quadrature(degree: int) -> SphereQuadrature:
 
     Notes
     -----
-    The rule uses ceil((degree+1)/2) Gauss-Legendre nodes in
-    cos(theta) and an even number >= degree+1 of uniform azimuth nodes,
-    which makes the node set antipodally symmetric.
+    The rule uses n_theta = floor(degree/2) + 1 Gauss-Legendre nodes in
+    cos(theta) and n_phi = 2 n_theta >= degree+1 uniform azimuth nodes,
+    which makes the node set antipodally symmetric (`antipodes`).  Node
+    i * n_phi + j sits at the i-th polar cosine, ascending, and the j-th
+    azimuth.
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     n_theta = (degree + 2) // 2
-    n_theta = max(n_theta, 1)
-    n_phi = degree + 1
-    if n_phi % 2 == 1:
-        n_phi += 1
+    n_phi = 2 * n_theta
     z, wz = np.polynomial.legendre.leggauss(n_theta)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     s = np.sqrt(1.0 - z**2)
@@ -95,6 +94,26 @@ def build_quadrature(degree: int) -> SphereQuadrature:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return SphereQuadrature(degree=degree, nodes=nodes, weights=weights)
+
+
+@functools.lru_cache(maxsize=None)
+def antipodes(degree: int) -> np.ndarray:
+    """Where the antipode of each of the first n/2 nodes of
+    `build_quadrature(degree)` sits in that rule.
+
+    Gauss-Legendre nodes are symmetric about 0 and the azimuths are an
+    even number, so node (i, j) of the (theta, phi) layout has its
+    antipode at (n_theta - 1 - i, j + n_phi/2 mod n_phi), with the same
+    weight exactly and coordinates negated to within 1e-15.  The first
+    n/2 nodes are the rows i < floor(n_theta/2) and, when n_theta is odd,
+    the first half of the equator row; with their antipodes they cover
+    the rule once.  Cached and read-only, as the rules are.
+    """
+    n_theta = (degree + 2) // 2
+    i, j = np.divmod(np.arange(n_theta * n_theta), 2 * n_theta)
+    anti = (n_theta - 1 - i) * 2 * n_theta + (j + n_theta) % (2 * n_theta)
+    anti.setflags(write=False)
+    return anti
 
 
 _SQRT2 = math.sqrt(2.0)

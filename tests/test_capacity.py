@@ -11,15 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocap.capacity import (WosConfig, _any_orthonormal, _cross, _norm, _run_walks,
-                             _WosComponent, cap_ball, cap_exterior_harmonic,
-                             cap_relative_harmonic, cap_spheroid, cap_wos, capacity,
-                             counter_uniform, deficit)
+from isocap.capacity import (WosConfig, _any_orthonormal, _cross, _norm, _ridge_weighted_lstsq,
+                             _run_walks, _shell_radial, _surface_polar, _WosComponent,
+                             cap_ball, cap_exterior_harmonic, cap_relative_harmonic,
+                             cap_spheroid, cap_wos, capacity, counter_uniform, deficit)
 from isocap.domains import (CompositeDomain, FamilySpec, StarDomain, ball,
                             ellipsoid, generate_family, scale_domain, volume)
 from isocap.errors import ConfigError, GeometryError, SolverError
 from isocap.sphere import (HarmonicCoeffs, ball_volume, build_quadrature, flat_index,
-                           synthesize)
+                           harmonic_basis, synthesize)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -162,6 +162,41 @@ def test_harmonic_refuses_origin_outside():
 # ---------------------------------------------------------------------------
 # harmonic collocation, relative problem
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("outer_radius", [None, 2.0])
+def test_collocation_radial_factors_once_per_degree_bit_for_bit(outer_radius, monkeypatch):
+    # `_collocate` takes each degree's radial factor once and spreads it
+    # over the degree's 2l + 1 columns; its design matrix and its residual
+    # are those of the factor broadcast over every column, bit for bit
+    dom = generate_family(FamilySpec("random_star", 1, amplitude=0.3, seed=1))[0][2]
+    L = 8
+    if outer_radius is None:
+        def radial(l, r):
+            return r ** -(l + 1)
+        solve = cap_exterior_harmonic
+    else:
+        def radial(l, r):
+            return _shell_radial(l, r, outer_radius)
+
+        def solve(domain, l_max):
+            return cap_relative_harmonic(domain, outer_radius, l_max=l_max)
+    seen = []
+
+    def captured(A, w):
+        out = _ridge_weighted_lstsq(A, w)
+        seen.append((A, out[0]))
+        return out
+
+    monkeypatch.setattr(sys.modules["isocap.capacity"], "_ridge_weighted_lstsq", captured)
+    res = solve(dom, l_max=L)
+    (A, coef), = seen
+    l_of = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+    _, r, dirs = _surface_polar(dom, 2 * L)
+    assert A.tobytes() == (harmonic_basis(L, dirs) * radial(l_of, r[:, None])).tobytes()
+    _, rf, df = _surface_polar(dom, 4 * L + 8)
+    fit = (harmonic_basis(L, df) * radial(l_of, rf[:, None])) @ coef
+    assert res.max_residual == float(np.abs(fit - 1.0).max())
 
 
 def test_relative_harmonic_ball():

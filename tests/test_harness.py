@@ -1028,12 +1028,21 @@ def test_cli_never_loads_scipy(argv, tmp_path):
 
 def test_cli_import_loads_no_test_only_dependency():
     # scipy, mpmath and hypothesis serve the tests alone; importing the
-    # command line must not pay for them in a fresh interpreter
+    # command line must not pay for them in a fresh interpreter.  Nor
+    # does it fill a cache: every functools.lru_cache in isocap (the
+    # quadrature rules, their antipodes, the Legendre tables) is empty
+    # until a command asks for it
     path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
     code = ("import json, sys, isocap.harness.cli\n"
             "print(json.dumps(sorted(m for m in sys.modules\n"
-            "                        if m.split('.')[0] in ('scipy', 'mpmath', 'hypothesis'))))")
+            "                        if m.split('.')[0] in ('scipy', 'mpmath', 'hypothesis'))))\n"
+            "print(json.dumps({f'{m}.{k}': f.cache_info().currsize\n"
+            "                  for m, mod in list(sys.modules.items()) if m.split('.')[0] == 'isocap'\n"
+            "                  for k, f in vars(mod).items() if hasattr(f, 'cache_clear')}))")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    modules, caches = map(json.loads, proc.stdout.splitlines()[-2:])
+    assert modules == []
+    assert "isocap.sphere.build_quadrature" in caches and "isocap.sphere.antipodes" in caches
+    assert {name: size for name, size in caches.items() if size} == {}
