@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import _check_outer_radius
-from .domains import CompositeDomain, StarDomain, barycenter, radial_bounds, volume
+from .domains import CompositeDomain, StarDomain, barycenter, volume
 from .errors import GeometryError, SolverError
-from .sphere import antipodes, ball_volume, build_quadrature, sphere_area
+from .sphere import antipodal_pairs, antipodes, ball_volume, build_quadrature, sphere_area
 
 __all__ = [
     "AsymmetryResult",
@@ -58,47 +58,22 @@ _RAY_DEGREE = 128  # internal angular rule; ray integrands have kinks at
                    # surface crossings, so finer than the domain default
 
 
-@dataclass(frozen=True)
-class _RaySamples:
-    """What `symdiff_volume` reads of a domain on every call.  A ball
-    needs only its flag.  Any other domain has a rule of degree
-    >= _RAY_DEGREE taken one antipodal pair at a time (`antipodes`):
-    `half` holds the rule's first n/2 nodes w, and `weights` and
-    `rho_cubed` hold the rule's weights and the cubes of the domain's
-    radii at the rule's own nodes, for the n/2 rays w and then for their
-    antipodes -w.  It also has the certified upper bound rho_hi on its
-    radius (`radial_bounds`)."""
-
-    ball: bool
-    half: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    rho_cubed: np.ndarray | None = None
-    rho_hi: float = math.inf
-
-
-def _ray_samples(domain: StarDomain) -> _RaySamples:
-    """The domain's `_RaySamples`, built on first use and kept on it.  A
-    domain whose own rule has degree >= _RAY_DEGREE lends it and its
-    radii, so building them synthesises nothing."""
+def _ray_cubes(domain: StarDomain) -> np.ndarray:
+    """The cubes of the domain's radii at the nodes of the degree-_RAY_DEGREE
+    rule, for the rays w of `antipodal_pairs` and then for their antipodes
+    -w, synthesised on first use and kept on the domain.  The rule's
+    nodes and weights are shared by every domain."""
     if domain._rays is None:
-        if domain.is_ball():
-            domain._rays = _RaySamples(ball=True)
-        else:
-            if domain.quad.degree >= _RAY_DEGREE:
-                quad, rho = domain.quad, domain.rho
-            else:
-                quad = build_quadrature(_RAY_DEGREE)
-                rho = domain.radial(quad.nodes)
-            anti = antipodes(quad.degree)
-            pairs = np.concatenate([np.arange(anti.size), anti])
-            domain._rays = _RaySamples(False, quad.nodes[: anti.size], quad.weights[pairs],
-                                       _cube(rho)[pairs], radial_bounds(domain)[1])
+        rho3 = _cube(domain.radial(build_quadrature(_RAY_DEGREE).nodes))
+        anti = antipodes(_RAY_DEGREE)
+        domain._rays = np.concatenate([rho3[: anti.size], rho3[anti]])
     return domain._rays
 
 
 def _ball_interval(dots: np.ndarray, c2: float, radius: float):
     """Entry/exit parameters of the rays t*w and t*(-w) (t >= 0) through
-    a ball, for each row w of `_RaySamples.half`.
+    a ball, for each of the first n/2 nodes w of the ray rule
+    (`antipodal_pairs`).
 
     dots holds w . c for the ball center c, c2 = |c|^2.  Along -w the
     projection is -w . c and the discriminant is the same.  Returns
@@ -124,16 +99,18 @@ def symdiff_volume(domain, center, radius: float) -> float:
     |Omega symdiff B| = sum_i |Omega_i symdiff B| - (k - 1) |B|.
 
     The ball may sit anywhere; a star is integrated along rays from
-    its own star center, where its radial extent is exact.  Ball domains
-    take a closed-form lens route instead: the per-ray integrand has a
-    derivative kink along the curve where the surfaces cross, which
-    limits the quadrature path to roughly 1e-5 accuracy at unit scale.
-    A ball that misses the domain's certified enclosing sphere,
-    |c| >= rho_hi + r, is disjoint from it, so the value is exactly
-    |Omega| + |B|; the rays would see it as a small cap with a kinked
-    edge, off by up to a few percent of |B|.
+    its own star center, where its radial extent is exact.  A ball
+    (`StarDomain.is_ball`) takes a closed-form lens route instead: the
+    per-ray integrand has a derivative kink along the curve where the
+    surfaces cross, which limits the quadrature path to roughly 1e-5
+    accuracy at unit scale.  A ball that misses the domain's certified
+    enclosing sphere, |c| >= rho_hi + r with rho_hi from its `bounds`,
+    is disjoint from it, so the value is exactly |Omega| + |B|; the rays
+    would see it as a small cap with a kinked edge, off by up to a few
+    percent of |B|.
 
-    The rays come in antipodal pairs w, -w (`_RaySamples`).  Along -w
+    The rays come in antipodal pairs w, -w (`antipodal_pairs`), along
+    which the domain keeps its radii cubed (`_ray_cubes`).  Along -w
     the projection t = w.c only changes sign, and the discriminant
     t^2 - |c|^2 + r^2 is the same, so one projection and one square root
     serve a pair.  On a ray the domain is [0, rho) and the ball
@@ -157,15 +134,15 @@ def symdiff_volume(domain, center, radius: float) -> float:
         return math.fsum(parts) - (len(parts) - 1) * ball_volume(radius)
     c = np.asarray(center, dtype=float) - domain.center_offset
     c2 = float(c @ c)
-    rays = _ray_samples(domain)
-    if rays.ball:
+    if domain.is_ball():
         r1 = domain.rho_max
         cap = _lens_volume(r1, radius, math.sqrt(c2))
         return max(ball_volume(r1) + ball_volume(radius) - 2.0 * cap, 0.0)
-    if c2 >= (rays.rho_hi + radius) ** 2:
+    if c2 >= (domain.bounds[1] + radius) ** 2:
         return volume(domain) + ball_volume(radius)
-    rho3 = rays.rho_cubed
-    t = rays.half @ c
+    rho3 = _ray_cubes(domain)
+    half, weights = antipodal_pairs(_RAY_DEGREE)
+    t = half @ c
     if 4.0 * c2 <= radius * radius:
         s = t**2
         s -= c2
@@ -181,7 +158,7 @@ def symdiff_volume(domain, center, radius: float) -> float:
         b0, b1 = map(_cube, _ball_interval(t, c2, radius))
         lo, hi = np.minimum(rho3, b1), np.maximum(rho3, b1)
         term = np.abs(rho3 - b1) + b0 - 2.0 * np.maximum(np.minimum(hi, b0) - lo, 0.0)
-    return float(rays.weights @ term) / 3.0
+    return float(weights @ term) / 3.0
 
 
 _SIMPLEX_TOL = 1e-10  # xatol and fatol of the simplex stop
@@ -373,10 +350,10 @@ def _crossing_radii(domain: StarDomain, origin: np.ndarray, dirs: np.ndarray,
     sqrt(1 + |grad_S rho|^2 / rho^2) because grad_S rho is orthogonal to
     u.  So (x - a) . (u - grad_S rho / rho) is at least
     rho - |a| sqrt(1 + |grad_S rho|^2 / rho^2).
-    With (rho_lo, rho_hi, G) from `radial_bounds` this is positive
+    With (rho_lo, rho_hi, G) from the domain's `bounds` this is positive
     everywhere when rho_lo^2 > |a| sqrt(rho_lo^2 + G^2).  Every ray then
     leaves the domain transversally, hence exactly once, at a radius in
-    [rho_lo - |a|, rho_hi + |a|].  The coefficient bounds are tried
+    [rho_lo - |a|, rho_hi + |a|].  The domain's `bounds` are tried
     first; if they cannot certify, the sampled ones (`certified_bounds`)
     are; if those cannot either, GeometryError.
 
@@ -408,7 +385,7 @@ def _crossing_radii(domain: StarDomain, origin: np.ndarray, dirs: np.ndarray,
     """
     a = np.asarray(origin, dtype=float) - domain.center_offset
     na = float(np.linalg.norm(a))
-    bounds = radial_bounds(domain)
+    bounds = domain.bounds
     if not _transversal(bounds, na):
         bounds = domain.certified_bounds
     rho_lo, rho_hi, grad = bounds
@@ -504,14 +481,12 @@ def alpha(domain: StarDomain) -> float:
     measured in coordinates centered at the barycenter x_O.
 
     The rays run from the domain's own center, on the node radii, only
-    where x_O is that center exactly, as in `alpha_R`.  A ball, whose
-    certified bounds meet (rho_lo == rho_hi), is centered by symmetry:
-    its quadrature barycenter is off only by rounding, 5e-17 for
-    `ball(1.0)`.
+    where x_O is that center exactly, as in `alpha_R`.  A ball
+    (`StarDomain.is_ball`) is centered by symmetry: its quadrature
+    barycenter is off only by rounding, 5e-17 for `ball(1.0)`.
     """
     x0 = barycenter(domain)
-    rho_lo, rho_hi, _ = radial_bounds(domain)
-    centered = rho_lo == rho_hi or np.linalg.norm(x0 - domain.center_offset) == 0.0
+    centered = domain.is_ball() or np.linalg.norm(x0 - domain.center_offset) == 0.0
     return _weighted_asymmetry(domain, None if centered else x0)
 
 

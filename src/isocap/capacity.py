@@ -166,6 +166,8 @@ def _surface_polar(domain: StarDomain, degree: int):
     quad = build_quadrature(degree)
     surface = domain.center_offset + domain.radial(quad.nodes)[:, None] * quad.nodes
     r = np.linalg.norm(surface, axis=1)
+    if r.min() <= 0:
+        raise GeometryError("surface passes through the origin")
     dirs = surface / r[:, None]
     return quad, r, dirs
 
@@ -198,9 +200,9 @@ def _collocate(domain: StarDomain, l_max: int, radial):
 
     Returns (c_00, largest boundary radius, max residual, condition).
     """
+    if l_max < 0:
+        raise ConfigError(f"the truncation degree l_max must be at least 0, got {l_max}")
     quad, r, dirs = _surface_polar(domain, 2 * l_max)
-    if r.min() <= 0:
-        raise GeometryError("surface passes through the origin")
     ratio = r.max() / r.min()
     if ratio > _MAX_RADIUS_RATIO:
         raise GeometryError(
@@ -618,9 +620,10 @@ def cap_wos(domain, cfg: WosConfig | None = None) -> CapacityResult:
 
 
 def _check_outer_radius(outer_radius: float) -> None:
-    """Refuse an outer radius that does not enclose the unit ball."""
-    if not outer_radius > 1.0:
-        raise ConfigError(f"the outer radius must exceed 1, got {outer_radius!r}")
+    """Refuse an outer radius that is not finite or does not enclose the
+    unit ball."""
+    if not 1.0 < outer_radius < math.inf:
+        raise ConfigError(f"the outer radius must exceed 1 and be finite, got {outer_radius!r}")
 
 
 def capacity(domain, outer_radius: float | None = None,

@@ -37,7 +37,6 @@ __all__ = [
     "volume",
     "barycenter",
     "normalize_volume",
-    "radial_bounds",
     "scale_domain",
     "diameter",
     "truncate_rescale",
@@ -50,7 +49,6 @@ __all__ = [
 _SUP_NORM_BOUND = 0.5  # radial perturbations must stay below this in sup norm
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 50
-_BALL_TOL = 1e-13  # radius spread below which a domain counts as a ball
 
 
 @dataclass
@@ -63,8 +61,9 @@ class StarDomain:
     rho_fn: object | None = None  # exact radial callable dirs -> radii
     rho_bounds: tuple | None = None  # closed-form (rho_lo, rho_hi, G) for rho_fn
     center_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    # `asymmetry.symdiff_volume`'s ray samples, set once on first use; not
-    # an init field, so a domain made by `replace` starts without them
+    # the cubes of the radii on `asymmetry.symdiff_volume`'s ray rule, set
+    # once on first use; not an init field, so a domain made by `replace`
+    # starts without them
     _rays: object | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -74,8 +73,8 @@ class StarDomain:
             raise GeometryError("rho must be sampled at the quadrature nodes")
         if not np.all(np.isfinite(self.rho)) or np.any(self.rho <= 0.0):
             raise GeometryError("radial function must be finite and strictly positive")
-        if self.center_offset.shape != (3,):
-            raise GeometryError("center_offset has wrong shape")
+        if self.center_offset.shape != (3,) or not np.all(np.isfinite(self.center_offset)):
+            raise GeometryError("center_offset must hold 3 finite numbers")
         if self.coeffs is None and (self.rho_fn is None or self.rho_bounds is None):
             raise GeometryError("a star domain needs harmonic coefficients, or an exact "
                                 "radial callable together with its rho_bounds")
@@ -90,10 +89,47 @@ class StarDomain:
         return float(self.rho.min())
 
     @cached_property
+    def bounds(self) -> tuple[float, float, float]:
+        """Certified (rho_lo, rho_hi, G): rho_lo <= rho <= rho_hi and
+        |grad_S rho| <= G everywhere on the sphere, worked out once.
+
+        A domain that carries closed-form bounds (`ball`, `ellipsoid`)
+        returns them.  Otherwise they hold for the band-limited radius
+        `radial` synthesises and are read off its harmonic coefficients.
+        With c_l the coefficients of degree l, Cauchy-Schwarz and the
+        addition theorem sum_m Y_lm^2 = (2l+1)/(4 pi),
+        sum_m |grad_S Y_lm|^2 = l(l+1)(2l+1)/(4 pi) bound the degree-l
+        part by |c_l| sqrt((2l+1)/(4 pi)) and its gradient by
+        |c_l| sqrt(l(l+1)(2l+1)/(4 pi)); summing over l >= 1 around the
+        mean c_00 / sqrt(4 pi) gives the three numbers.  The sums grow
+        with the degree much faster than the radius and its gradient do,
+        so at perturbations of 0.3 and above they can leave rho_lo <= 0.
+        """
+        if self.rho_bounds is not None:
+            return self.rho_bounds
+        coeffs = self.coeffs
+        l = np.arange(1, coeffs.max_degree + 1)
+        norms = np.array([np.linalg.norm(coeffs.degree_slice(k)) for k in l])
+        mean = float(coeffs.values[0]) / math.sqrt(4.0 * math.pi)
+        spread = float(norms @ np.sqrt((2 * l + 1) / (4.0 * math.pi)))
+        grad = float(norms @ np.sqrt(l * (l + 1) * (2 * l + 1) / (4.0 * math.pi)))
+        return mean - spread, mean + spread, grad
+
+    @cached_property
     def certified_bounds(self) -> tuple[float, float, float]:
-        """`radial_bounds(self, sampled=True)`, the tightest certified
-        (rho_lo, rho_hi, G) there is, worked out once per domain."""
-        return radial_bounds(self, sampled=True)
+        """`bounds` tightened by samples, the tightest certified
+        (rho_lo, rho_hi, G) there is, worked out once.
+
+        A radius of degree L >= 1 given by coefficients is also bounded
+        from samples, which is tight but costs a synthesis at degree 2L
+        on about 80 L^2 points (`_sampled_bounds`), and the better of
+        each pair is kept.  Closed-form bounds are returned as they are.
+        """
+        if self.rho_bounds is not None or self.coeffs.max_degree == 0:
+            return self.bounds
+        lo, hi, grad = self.bounds
+        s_lo, s_hi, s_grad = _sampled_bounds(self.coeffs)
+        return max(s_lo, lo), min(s_hi, hi), min(s_grad, grad)
 
     @property
     def enclosing_radius(self) -> float:
@@ -112,7 +148,10 @@ class StarDomain:
         return synthesize(self.coeffs, dirs)
 
     def is_ball(self) -> bool:
-        return self.rho_max - self.rho_min <= _BALL_TOL
+        """Whether the certified `bounds` meet, rho_lo == rho_hi: a ball
+        about the domain's center, of radius rho_lo."""
+        lo, hi, _ = self.bounds
+        return lo == hi
 
 
 @dataclass
@@ -172,7 +211,7 @@ def ellipsoid(eps: float) -> StarDomain:
     rho = ac / sqrt(c^2 sin^2 t + a^2 cos^2 t), between c and a, and
     |d rho/dt| = rho (a^2 - c^2) sin t cos t / (c^2 sin^2 t + a^2 cos^2 t)
     <= rho (a^2 - c^2) / (2ac) <= (a^2 - c^2) / (2c) by AM-GM: the
-    closed-form `radial_bounds` it carries.
+    closed-form `bounds` it carries.
     """
     if not 0.0 <= eps < 0.5:
         raise GeometryError(f"eps must lie in [0, 0.5), got {eps}")
@@ -203,7 +242,7 @@ def _sup_norm_dense(coeffs: HarmonicCoeffs) -> float:
 
 def _check_sup_norm(phi: HarmonicCoeffs) -> None:
     """Refuse a perturbation with sup|phi| >= 1/2, by dense sampling."""
-    if _sup_norm_dense(phi) >= _SUP_NORM_BOUND:
+    if not _sup_norm_dense(phi) < _SUP_NORM_BOUND:
         raise GeometryError("perturbation exceeds the sup-norm bound 1/2")
 
 
@@ -300,39 +339,6 @@ def barycenter(domain) -> np.ndarray:
     v = volume(domain)
     moment = (domain.quad.weights * domain.rho ** 4) @ domain.quad.nodes / 4
     return domain.center_offset + moment / v
-
-
-def radial_bounds(domain: StarDomain, sampled: bool = False) -> tuple[float, float, float]:
-    """Certified (rho_lo, rho_hi, G): rho_lo <= rho <= rho_hi and
-    |grad_S rho| <= G everywhere on the sphere.
-
-    The bounds hold for the band-limited radius `radial` synthesises.
-    By default they are read off its harmonic coefficients.  With c_l
-    the coefficients of degree l, Cauchy-Schwarz and the addition theorem
-    sum_m Y_lm^2 = (2l+1)/(4 pi), sum_m |grad_S Y_lm|^2 = l(l+1)(2l+1)/(4 pi)
-    bound the degree-l part by |c_l| sqrt((2l+1)/(4 pi)) and its
-    gradient by |c_l| sqrt(l(l+1)(2l+1)/(4 pi)); summing over l >= 1
-    around the mean c_00 / sqrt(4 pi) gives the three numbers.  The sums
-    grow with the degree much faster than the radius and its gradient
-    do, so at perturbations of 0.3 and above they can leave rho_lo <= 0.
-
-    sampled=True also bounds both from samples, which is tight but costs
-    a synthesis at degree 2L on about 80 L^2 points (`_sampled_bounds`),
-    and returns the better of each pair.  A domain that carries
-    closed-form bounds (`ball`, `ellipsoid`) returns them either way.
-    """
-    if domain.rho_bounds is not None:
-        return domain.rho_bounds
-    coeffs = domain.coeffs
-    l = np.arange(1, coeffs.max_degree + 1)
-    norms = np.array([np.linalg.norm(coeffs.degree_slice(k)) for k in l])
-    mean = float(coeffs.values[0]) / math.sqrt(4.0 * math.pi)
-    spread = float(norms @ np.sqrt((2 * l + 1) / (4.0 * math.pi)))
-    grad = float(norms @ np.sqrt(l * (l + 1) * (2 * l + 1) / (4.0 * math.pi)))
-    if not sampled or coeffs.max_degree == 0:
-        return mean - spread, mean + spread, grad
-    lo, hi, g = _sampled_bounds(coeffs)
-    return max(lo, mean - spread), min(hi, mean + spread), min(g, grad)
 
 
 def _sampled_bounds(coeffs: HarmonicCoeffs) -> tuple[float, float, float]:
@@ -501,6 +507,13 @@ class FamilySpec:
             raise GeometryError(f"unknown family variant {self.variant!r}")
         if self.count < 1:
             raise GeometryError("family count must be >= 1")
+        if self.max_degree < 1:
+            raise ConfigError(f"the family's max_degree must be at least 1, got {self.max_degree}")
+        if not math.isfinite(self.amplitude):
+            raise ConfigError(f"the family's amplitude must be finite, got {self.amplitude}")
+        if not (0.0 <= self.eps_min < 0.5 and 0.0 <= self.eps_max < 0.5):
+            raise ConfigError("the family's eps_min and eps_max must lie in [0, 0.5), "
+                              f"got {self.eps_min} and {self.eps_max}")
         _check_seed(self.seed)
 
     def member_id(self, k: int) -> str:

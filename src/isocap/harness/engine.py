@@ -152,9 +152,7 @@ def _member_record(cfg: ExperimentConfig, domain_id, param, dom, phi) -> RunReco
         if R is None:
             phi, dom = project_barycenter(phi)
         hh = h_half_norm(phi, R)
-    spheroid = (phi is None and cfg.family is not None
-                and cfg.family.variant == "ellipsoid")
-    if spheroid and R is None:
+    if cfg.family.variant == "ellipsoid" and R is None:
         d = _spheroid_deficit(float(param))
     else:
         d = deficit(dom, R, solver="harmonic", l_max=cfg.l_max)
@@ -216,28 +214,25 @@ def run_sweep(cfg: ExperimentConfig, basename: str = "sweep"):
         summary["min_fuglede_ratio"] = repr(
             min(r.deficit / r.hhalf for r in ratios))
     positive = [r for r in done if r.deficit > 0 and r.fraenkel > 0]
-    slope_note = ""
-    fit = None
+    svg = None
     if len(positive) >= 3:
         slope, intercept, half = fit_loglog(
             [r.fraenkel for r in positive], [r.deficit for r in positive])
         summary["slope"] = repr(slope)
         summary["slope_halfwidth"] = repr(half)
-        fit = (slope, intercept)
-        slope_note = f"slope {slope:.3f} +/- {half:.3f}"
-
-    paths = write_outputs(cfg, basename, SWEEP_COLUMNS, [r.row() for r in done], summary)
-    paths["svg"] = None
-    if len(positive) >= 3:
-        paths["svg"] = os.path.join(cfg.out_dir, basename + ".svg")
-        with open(paths["svg"], "w") as fh:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        svg = os.path.join(cfg.out_dir, basename + ".svg")
+        with open(svg, "w") as fh:
             fh.write(scatter_svg(
                 [math.log10(r.fraenkel) for r in positive],
                 [math.log10(r.deficit) for r in positive],
                 title="capacity deficit vs asymmetry",
                 xlabel="log10 asymmetry", ylabel="log10 deficit",
-                fit=(fit[0], fit[1] / math.log(10.0)) if fit else None,
-                fit_label=slope_note, timestamp=cfg.timestamp))
+                fit=(slope, intercept / math.log(10.0)),
+                fit_label=f"slope {slope:.3f} +/- {half:.3f}", timestamp=cfg.timestamp))
+
+    paths = write_outputs(cfg, basename, SWEEP_COLUMNS, [r.row() for r in done], summary)
+    paths["svg"] = svg
     return done, summary, paths
 
 
@@ -277,13 +272,16 @@ def run_spectrum(cfg: ExperimentConfig, l_max: int = 6, basename: str = "spectru
 
 def run_profile(cfg: ExperimentConfig, eta: float = 0.01, r_lo: float = 0.2,
                 r_hi: float = 1.8, points: int = 400, basename: str = "profile"):
-    """Penalized ball profile on a grid that contains r = 1 exactly.
+    """Penalized ball profile on a grid of at least 4 points that
+    contains r = 1 exactly.
 
     The profile is of the relative capacity: relative to B_R for
     cfg.outer_radius R, and to B_2 for the absolute cfg.
     """
-    if not 0 < r_lo < 1.0 < r_hi:
-        raise ConfigError("grid must straddle r = 1")
+    if not 0 < r_lo < 1.0 < r_hi < math.inf:
+        raise ConfigError("grid must straddle r = 1, with finite ends")
+    if points < 4:
+        raise ConfigError(f"the grid needs at least 4 points to hold r = 1, got {points}")
     R = 2.0 if cfg.outer_radius is None else cfg.outer_radius
     half = points // 2
     grid = np.concatenate([np.linspace(r_lo, 1.0, half),

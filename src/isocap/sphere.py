@@ -116,6 +116,18 @@ def antipodes(degree: int) -> np.ndarray:
     return anti
 
 
+@functools.lru_cache(maxsize=None)
+def antipodal_pairs(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """`build_quadrature(degree)` taken one antipodal pair at a time: its
+    first n/2 nodes w, and its weights for the rays w and then for their
+    antipodes -w (`antipodes`).  Cached and read-only, as the rules are."""
+    quad = build_quadrature(degree)
+    anti = antipodes(degree)
+    weights = np.concatenate([quad.weights[: anti.size], quad.weights[anti]])
+    weights.setflags(write=False)
+    return quad.nodes[: anti.size], weights
+
+
 _SQRT2 = math.sqrt(2.0)
 # rows synthesised per pass: keeps the (L+1, rows) work arrays in cache and
 # reused from the heap, which halves the time of a 65,536-row call at L = 8

@@ -115,7 +115,9 @@ def h_half_norm(phi: HarmonicCoeffs, outer_radius: float | None = None) -> float
 
 def spectrum_table(max_degree: int,
                    outer_radius: float | None = None) -> list[SpectrumEntry]:
-    """Eigenvalue and form-weight table through max_degree."""
+    """Eigenvalue and form-weight table through max_degree >= 0."""
+    if max_degree < 0:
+        raise ConfigError(f"the table's degree must be at least 0, got {max_degree}")
     pre = _prefactor(outer_radius)
     out = []
     for l in range(max_degree + 1):
@@ -136,8 +138,8 @@ def f_eta(s: float, eta: float) -> float:
     Slope -1/eta below the ball volume and -eta above it, so
     eta * (t - s) <= f_eta(s) - f_eta(t) holds for every s <= t.
     """
-    if eta <= 0:
-        raise ConfigError("eta must be positive")
+    if not 0.0 < eta < math.inf:
+        raise ConfigError(f"eta must be positive and finite, got {eta!r}")
     if s < 0:
         raise ValueError("volume must be nonnegative")
     gap = s - ball_volume()
@@ -251,6 +253,6 @@ def taylor_check(phi: HarmonicCoeffs, t_ladder, outer_radius: float | None = Non
                          form_half=half, remainder_ratio=(d.value - half) / t**2)
 
     ts = [float(t) for t in t_ladder]
-    if any(t <= 0 for t in ts):
-        raise ConfigError("ladder values must be positive")
+    if not all(0.0 < t < math.inf for t in ts):
+        raise ConfigError(f"ladder values must be positive and finite, got {ts}")
     return [row(t) for t in ts]

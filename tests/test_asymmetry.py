@@ -22,7 +22,7 @@ from isocap.asymmetry import (_crossing_radii, _nelder_mead, alpha, alpha_R, ann
 from isocap.capacity import counter_uniform
 from isocap.domains import (CompositeDomain, FamilySpec, StarDomain, ball, barycenter,
                             ellipsoid, family_member, generate_family,
-                            nearly_spherical_from_phi, radial_bounds, volume)
+                            nearly_spherical_from_phi, volume)
 from isocap.errors import ConfigError, GeometryError, SolverError
 from isocap.sphere import antipodes, ball_volume, build_quadrature
 from isocap.stability import project_barycenter
@@ -197,7 +197,7 @@ def test_symdiff_fast_ray_path_matches_general_formula_bit_for_bit(member, monke
 
     monkeypatch.setattr(isocap.asymmetry, "_ball_interval", counted)
     p = _paired(dom.radial(build_quadrature(128).nodes))
-    rho_hi = radial_bounds(dom)[1]
+    rho_hi = dom.bounds[1]
     fast = disjoint = 0
     for center, r in zip(centers, radii):
         c = center - dom.center_offset
@@ -220,7 +220,7 @@ def test_symdiff_paired_rays_match_the_per_node_sum(member):
     # per-node terms summed exactly (at most 5.0e-16 was measured)
     dom = _ray_path_stars()[member]
     centers, radii = _ray_path_centers(dom, member)
-    rho_hi = radial_bounds(dom)[1]
+    rho_hi = dom.bounds[1]
     worst = 0.0
     for center, r in zip(centers, radii):
         c = center - dom.center_offset
@@ -240,22 +240,6 @@ def test_ray_rule_pairs_every_node_with_its_antipode(degree):
     assert np.array_equal(np.sort(np.concatenate([half, anti])), np.arange(quad.n_nodes))
     assert np.abs(quad.nodes[anti] + quad.nodes[half]).max() <= 1e-15
     assert np.array_equal(quad.weights[anti], quad.weights[half])
-
-
-def test_ray_samples_of_a_fine_domain_synthesise_nothing(monkeypatch):
-    # a domain whose own rule has degree >= 128 lends its radii
-    coarse = ellipsoid(0.3)
-    quad = build_quadrature(160)
-    dom = dataclasses.replace(coarse, quad=quad, rho=coarse.rho_fn(quad.nodes))
-    calls = []
-    monkeypatch.setattr(dom, "radial", lambda dirs: calls.append(dirs) or coarse.radial(dirs))
-    rays = isocap.asymmetry._ray_samples(dom)
-    assert calls == []
-    rho = dom.rho[np.concatenate([np.arange(quad.n_nodes // 2), antipodes(160)])]
-    assert np.array_equal(rays.rho_cubed, rho * rho * rho)
-    assert np.array_equal(rays.half, quad.nodes[: quad.n_nodes // 2])
-    assert symdiff_volume(dom, (0.05, 0.0, 0.0), 1.0) > 0.0
-    assert calls == []
 
 
 def test_ray_cache_belongs_to_its_domain():
@@ -546,7 +530,7 @@ POLES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
 
 def _certified_limit(dom, sampled=True):
     """Largest |origin - center| the single-crossing certificate admits."""
-    lo, _, grad = radial_bounds(dom, sampled)
+    lo, _, grad = dom.certified_bounds if sampled else dom.bounds
     return lo * lo / math.hypot(lo, grad) if lo > 0.0 else 0.0
 
 
@@ -561,7 +545,7 @@ def _scalar_g(dom, a):
 def _crossing_radii_reference(dom, origin, dirs):
     """One scalar brentq per ray, as tight as brentq goes."""
     a = np.asarray(origin) - dom.center_offset
-    lo, hi, _ = radial_bounds(dom, sampled=True)
+    lo, hi, _ = dom.certified_bounds
     na = float(np.linalg.norm(a))
     g = _scalar_g(dom, a)
     return np.array([brentq(g, lo - na - 1e-9, hi + na + 1e-9, args=(w,),
@@ -904,7 +888,7 @@ def test_symdiff_ball_beyond_the_enclosing_sphere_is_exact():
     # from it; the degree-128 ray rule alone was off here by +1.5e-3,
     # +4.4e-3 and -3.4e-3 (3.0% of |B|)
     star = generate_family(FamilySpec("random_star", 1, amplitude=0.3, seed=2))[0][2]
-    rho_hi = radial_bounds(star)[1]
+    rho_hi = star.bounds[1]
     for c, r in [((6.1, 0.1, 0.0), 0.5), ((3.0, 0.0, 0.0), 0.5), ((2.0, 0.0, 0.0), 0.3)]:
         assert np.linalg.norm(c) >= rho_hi + r
         want = volume(star) + ball_volume(r)

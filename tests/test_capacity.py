@@ -157,6 +157,33 @@ def test_harmonic_refuses_eccentric_domain():
 def test_harmonic_refuses_origin_outside():
     with pytest.raises(GeometryError):
         cap_exterior_harmonic(ball(0.5, center=(1.0, 0.0, 0.0)))
+    # radii about the origin from 2.5 to 4.5 pass the spread check, so the
+    # origin test itself refuses this one
+    with pytest.raises(GeometryError, match="origin must lie inside"):
+        cap_exterior_harmonic(ball(1.0, center=(3.5, 0.0, 0.0)))
+    # a unit ball centred at minus a collocation node meets the origin at
+    # that node exactly
+    dom = ball(1.0, center=-build_quadrature(16).nodes[0])
+    with pytest.raises(GeometryError, match="passes through the origin"):
+        cap_exterior_harmonic(dom, l_max=8)
+
+
+@pytest.mark.parametrize("outer_radius", [None, 2.0])
+def test_harmonic_refuses_a_negative_degree_and_an_ill_conditioned_fit(outer_radius,
+                                                                       monkeypatch):
+    with pytest.raises(ConfigError, match="l_max"):
+        capacity(ball(1.0), outer_radius, solver="harmonic", l_max=-1)
+    # the package exports the function `capacity` under the module's name
+    monkeypatch.setattr(sys.modules["isocap.capacity"], "_MAX_CONDITION", 1.0)
+    with pytest.raises(SolverError, match="ill-conditioned"):
+        capacity(ball(1.0), outer_radius, solver="harmonic", l_max=4)
+
+
+def test_wos_refuses_a_run_with_no_hits():
+    # one walk, which escapes for seed 0 (it hits for seeds 2, 3 and 4)
+    with pytest.raises(SolverError, match="zero hits"):
+        cap_wos(ball(1.0), WosConfig(num_walks=1, seed=0))
+    assert cap_wos(ball(1.0), WosConfig(num_walks=1, seed=2)).value > 0.0
 
 
 # ---------------------------------------------------------------------------

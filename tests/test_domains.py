@@ -15,7 +15,7 @@ from isocap.domains import (CompositeDomain, FamilySpec, StarDomain, ball,
                             barycenter, boundary_cloud, diameter, ellipsoid,
                             family_member, generate_family, load_domain,
                             nearly_spherical_from_phi, normalize_volume,
-                            radial_bounds, save_domain, scale_domain,
+                            save_domain, scale_domain,
                             truncate_rescale, volume)
 from isocap.errors import ConfigError, GeometryError
 from isocap.sphere import HarmonicCoeffs, ball_volume, build_quadrature, synthesize
@@ -32,6 +32,32 @@ def test_ball_basics():
     assert diameter(b) == pytest.approx(3.0, rel=1e-14)
     with pytest.raises(GeometryError):
         ball(0.0)
+
+
+def test_star_domain_refuses_bad_radii_and_centers():
+    b = ball(1.0)
+    with pytest.raises(GeometryError, match="sampled at the quadrature nodes"):
+        StarDomain(quad=b.quad, rho=b.rho[:-1], coeffs=b.coeffs)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        rho = b.rho.copy()
+        rho[3] = bad
+        with pytest.raises(GeometryError, match="finite and strictly positive"):
+            StarDomain(quad=b.quad, rho=rho, coeffs=b.coeffs)
+    with pytest.raises(GeometryError, match="3 finite numbers"):
+        StarDomain(quad=b.quad, rho=b.rho, coeffs=b.coeffs, center_offset=(0.0, 0.0))
+    # a non-finite center would reach the solvers: NaN fails every
+    # comparison, so the closed form took it for a centered ball
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(GeometryError, match="3 finite numbers"):
+            ball(1.0, center=(0.0, bad, 0.0))
+
+
+def test_the_ball_test_is_where_the_bounds_meet():
+    # rho_lo == rho_hi on the domain's `bounds`, with no tolerance on the
+    # node radii: a 1e-15 ellipsoid is a ray-integrated star, not a ball
+    assert not ellipsoid(1e-15).is_ball()
+    assert nearly_spherical_from_phi(HarmonicCoeffs.zeros(2)).is_ball()
+    assert scale_domain(ball(0.7, center=(0.1, 0.0, 0.0)), 2.0).is_ball()
 
 
 def test_offset_ball_barycenter_and_cloud():
@@ -161,7 +187,7 @@ def test_composite_refuses_a_ball_that_meets_a_star_between_its_nodes():
     with pytest.raises(GeometryError, match="not certifiably disjoint"):
         CompositeDomain([star, ball(0.2, center=(peak + 0.2 - 1e-3) * u)])
     # past the certified radius the pair is accepted
-    rho_hi = radial_bounds(star, sampled=True)[1]
+    rho_hi = star.certified_bounds[1]
     assert peak < rho_hi
     CompositeDomain([star, ball(0.2, center=(rho_hi + 0.2 + 1e-9) * u)])
 
@@ -186,8 +212,14 @@ def test_a_star_is_certified_once(monkeypatch):
     comp = CompositeDomain([far, star])
     truncate_rescale(comp, 2.5)
     assert len(calls) == 1
-    assert star.certified_bounds == radial_bounds(star, sampled=True)
-    assert len(calls) == 2  # radial_bounds itself keeps nothing
+    # the coefficient bounds tightened by the samples, kept: asking again
+    # samples nothing, and the coefficient bounds never sample
+    lo, hi, grad = sampled(star.coeffs)
+    coef_lo, coef_hi, coef_grad = star.bounds
+    assert star.certified_bounds == (max(lo, coef_lo), min(hi, coef_hi), min(grad, coef_grad))
+    assert star.certified_bounds is star.certified_bounds
+    assert np.all(np.isfinite(_seed1_member(2).bounds))
+    assert len(calls) == 1
 
 
 def test_composite_barycenter_weighted():
@@ -264,6 +296,19 @@ def test_generate_family_rejects_bad_variant_and_count():
         generate_family(FamilySpec("ellipsoid", 0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_degree", 0), ("max_degree", -1), ("amplitude", math.nan), ("amplitude", math.inf),
+    ("eps_min", math.nan), ("eps_min", -0.1), ("eps_max", math.inf), ("eps_max", 0.5),
+])
+def test_family_spec_refuses_numbers_no_member_can_take(field, value):
+    # refused once, when the family is described, for every variant: a
+    # degree-0 random star has no perturbation to scale, and an ellipsoid
+    # takes eps in [0, 0.5) only
+    for variant in ("ellipsoid", "harmonic_perturbation", "random_star"):
+        with pytest.raises(ConfigError, match=field):
+            FamilySpec(variant, 1, **{field: value})
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 1.0, "1", True])
 def test_family_spec_refuses_a_seed_outside_uint64(seed):
     with pytest.raises(ConfigError):
@@ -289,6 +334,26 @@ def test_save_refuses_a_domain_without_coefficients(tmp_path):
     with pytest.raises(GeometryError, match="harmonic coefficients"):
         save_domain(ellipsoid(0.1), path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("center", ["nan 0.0 0.0", "inf 0.0 0.0", "0.0 0.0 -inf"])
+def test_load_refuses_a_non_finite_center(tmp_path, center):
+    path = tmp_path / "star.dom"
+    save_domain(ball(1.0), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(f"center {center}" if ln.startswith("center") else ln
+                              for ln in lines) + "\n")
+    with pytest.raises(GeometryError, match="3 finite numbers"):
+        load_domain(path)
+
+
+def test_volume_correction_refuses_what_it_cannot_converge(monkeypatch):
+    # a NaN perturbation fails the sup-norm check, which NaN used to pass
+    with pytest.raises(GeometryError, match="sup-norm bound"):
+        nearly_spherical_from_phi(HarmonicCoeffs.single(2, 2, math.nan))
+    monkeypatch.setattr(domains, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(GeometryError, match="did not converge"):
+        nearly_spherical_from_phi(HarmonicCoeffs.single(2, 2, 0.1))
 
 
 def test_load_rejects_unknown_header(tmp_path):
@@ -332,7 +397,7 @@ def _radius_and_slope(dom, n_theta=90):
 def test_radial_bounds_enclose_radius_and_gradient(amplitude, max_degree, member, sampled):
     dom = generate_family(FamilySpec("random_star", member + 1, amplitude=amplitude,
                                      seed=4, max_degree=max_degree))[member][2]
-    lo, hi, grad = radial_bounds(dom, sampled)
+    lo, hi, grad = dom.certified_bounds if sampled else dom.bounds
     r, slope = _radius_and_slope(dom)
     assert lo <= r.min() and r.max() <= hi
     assert slope <= grad
@@ -344,8 +409,8 @@ def test_radial_bounds_enclose_radius_and_gradient(amplitude, max_degree, member
 
 
 def test_radial_bounds_need_coefficients():
-    assert radial_bounds(ball(1.3)) == pytest.approx((1.3, 1.3, 0.0), abs=1e-15)
-    assert radial_bounds(ball(1.3), sampled=True) == pytest.approx((1.3, 1.3, 0.0), abs=1e-15)
+    assert ball(1.3).bounds == pytest.approx((1.3, 1.3, 0.0), abs=1e-15)
+    assert ball(1.3).certified_bounds == pytest.approx((1.3, 1.3, 0.0), abs=1e-15)
     # a domain with nothing to bound its radius by cannot be built: node
     # samples alone, or an exact radial callable without closed-form bounds
     dom = ellipsoid(0.2)
@@ -353,7 +418,7 @@ def test_radial_bounds_need_coefficients():
         StarDomain(quad=dom.quad, rho=dom.rho)
     with pytest.raises(GeometryError, match="coefficients"):
         StarDomain(quad=dom.quad, rho=dom.rho, rho_fn=dom.rho_fn)
-    assert radial_bounds(dom) == dom.rho_bounds
+    assert dom.bounds == dom.rho_bounds
 
 
 def test_diameter_of_ellipsoid():
@@ -369,14 +434,14 @@ def test_ellipsoid_radial_bounds(eps):
     lo, hi = (1 + eps) ** -2, 1 + eps
     assert lo - 1e-12 <= dom.rho_min <= dom.rho_max <= hi + 1e-12
     grad = (hi**2 - lo**2) / (2 * lo)
-    assert radial_bounds(dom) == radial_bounds(dom, sampled=True)
-    assert radial_bounds(dom) == pytest.approx((lo, hi, grad), rel=1e-15)
+    assert dom.bounds == dom.certified_bounds
+    assert dom.bounds == pytest.approx((lo, hi, grad), rel=1e-15)
     r, slope = _radius_and_slope(dom, n_theta=60)
     assert lo - 1e-12 <= r.min() and r.max() <= hi + 1e-12
     assert slope <= grad
     # a dilation scales all three
-    assert radial_bounds(scale_domain(dom, 1.7)) == pytest.approx((1.7 * lo, 1.7 * hi,
-                                                                    1.7 * grad), rel=1e-15)
+    assert scale_domain(dom, 1.7).bounds == pytest.approx((1.7 * lo, 1.7 * hi, 1.7 * grad),
+                                                          rel=1e-15)
 
 
 @settings(deadline=None, max_examples=15)

@@ -1,5 +1,6 @@
 """Experiment engine, CLI exit codes, and golden-file regression."""
 
+import dataclasses
 import json
 import math
 import os
@@ -12,11 +13,12 @@ import threading
 import numpy as np
 import pytest
 
+from isocap.errors import ConfigError
 from isocap.domains import (CompositeDomain, FamilySpec, ball, ellipsoid, family_member,
                             generate_family, save_domain)
 from isocap.harness import (ExperimentConfig, fit_loglog, run_asym, run_spectrum,
                             run_sweep, run_truncation, scatter_svg, verdict_for)
-from isocap.harness import cli
+from isocap.harness import cli, engine
 from isocap.harness.cli import main as cli_main
 from isocap.harness.engine import _member_record
 from isocap.sphere import ball_volume
@@ -708,6 +710,173 @@ def test_cli_refuses_an_outer_radius_of_one(tmp_path, monkeypatch, capsys, comma
     assert err["exit_code"] == 2
     assert "the outer radius must exceed 1" in err["message"]
     assert not any(tmp_path.iterdir())
+
+
+# Malformed input for every subcommand, with the exit code and a piece of
+# the message of the one refusal it must meet.  A value is refused once,
+# by the library object that takes it; nothing may escape as a traceback
+# (exit 1) or run to exit 0 on a NaN.  {center} names a domain file whose
+# center is not finite.  Each case builds at most one family member and
+# walks at most one walk.
+_MALFORMED = [
+    # cap
+    (["cap", "--ball", "1", "--Lmax", "-1"], 2, "l_max"),
+    (["cap", "--ball", "1", "--mode", "rel", "--Lmax", "-1"], 2, "l_max"),
+    (["cap", "--ball", "1", "--Lmax", "nan"], 2, "invalid int"),
+    (["cap", "--ball", "nan"], 2, "finite"),
+    (["cap", "--ball", "inf"], 2, "finite"),
+    (["cap", "--ball", "-1"], 2, "positive"),
+    (["cap", "--ellipsoid", "nan"], 2, "eps"),
+    (["cap", "--ellipsoid", "inf"], 2, "eps"),
+    (["cap", "--ellipsoid", "-0.1"], 2, "eps"),
+    (["cap", "--ball", "1", "--R", "nan"], 2, "outer radius"),
+    (["cap", "--ball", "1", "--mode", "rel", "--R", "inf"], 2, "outer radius"),
+    (["cap", "--ball", "1", "--mode", "rel", "--R", "-2"], 2, "outer radius"),
+    (["cap", "--ball", "1", "--solver", "wos", "--seed", "-1"], 2, "seed"),
+    (["cap", "--ball", "1", "--solver", "wos", "--walks", "-5"], 2, "walk count"),
+    (["cap", "--ball", "1", "--solver", "wos", "--walks", "1", "--seed", "0"], 3, "zero hits"),
+    (["cap", "--ball", "1", "--threads", "-1"], 2, "threads"),
+    (["cap", "--domain", "{center}", "--solver", "closed"], 2, "finite"),
+    (["cap", "--domain", "{center}", "--solver", "harmonic"], 2, "finite"),
+    (["cap", "--domain", "{center}", "--solver", "wos", "--walks", "10"], 2, "finite"),
+    # asym
+    (["asym", "--domain", "{center}"], 2, "finite"),
+    (["asym", "--ball", "nan"], 2, "finite"),
+    (["asym", "--ellipsoid", "inf"], 2, "eps"),
+    (["asym", "--ball", "1", "--mode", "rel", "--R", "nan"], 2, "outer radius"),
+    (["asym", "--ball", "1", "--threads", "0"], 2, "threads"),
+    # sweep
+    (["sweep", "--count", "1", "--Lmax", "-1"], 2, "l_max"),
+    (["sweep", "--count", "1", "--max-degree", "0"], 2, "max_degree"),
+    (["sweep", "--count", "1", "--max-degree", "-1"], 2, "max_degree"),
+    (["sweep", "--count", "1", "--amplitude", "nan"], 2, "amplitude"),
+    (["sweep", "--count", "1", "--amplitude", "inf"], 2, "amplitude"),
+    (["sweep", "--count", "1", "--amplitude", "2"], 3, "every family member failed"),
+    (["sweep", "--count", "-1"], 2, "count"),
+    (["sweep", "--count", "1", "--seed", "-1"], 2, "seed"),
+    (["sweep", "--count", "1", "--mode", "rel", "--R", "inf"], 2, "outer radius"),
+    (["sweep", "--family", "ellipsoid", "--count", "1", "--eps-min", "nan"], 2, "eps_min"),
+    (["sweep", "--family", "ellipsoid", "--count", "1", "--eps-min", "-0.1"], 2, "eps_min"),
+    (["sweep", "--family", "ellipsoid", "--count", "1", "--eps-max", "inf"], 2, "eps_max"),
+    (["sweep", "--family", "ellipsoid", "--count", "1", "--eps-max", "-0.1"], 2, "eps_max"),
+    (["sweep", "--family", "harmonic_perturbation", "--count", "1", "--degree", "-1"], 2,
+     "order"),
+    (["sweep", "--family", "harmonic_perturbation", "--count", "1", "--order", "-5"], 2,
+     "order"),
+    (["sweep", "--family", "harmonic_perturbation", "--count", "1", "--amplitude", "nan"], 2,
+     "amplitude"),
+    # fuglede
+    (["fuglede", "--Lmax", "-1"], 2, "l_max"),
+    (["fuglede", "--ladder", "nan"], 2, "ladder"),
+    (["fuglede", "--ladder", "0.02,inf"], 2, "ladder"),
+    (["fuglede", "--ladder", "-0.01"], 2, "ladder"),
+    (["fuglede", "--degree", "0"], 2, "degree >= 1"),
+    (["fuglede", "--degree", "-1"], 2, "degree >= 1"),
+    (["fuglede", "--order", "-9"], 2, "order"),
+    (["fuglede", "--mode", "rel", "--R", "nan"], 2, "outer radius"),
+    # truncation
+    (["truncation", "--far-fraction", "nan"], 2, "far volume fraction"),
+    (["truncation", "--far-fraction", "inf"], 2, "far volume fraction"),
+    (["truncation", "--far-fraction", "-0.1"], 2, "far volume fraction"),
+    (["truncation", "--far-fraction", "0.7"], 2, "far volume fraction"),
+    (["truncation", "--far-distance", "nan"], 2, "finite"),
+    (["truncation", "--far-distance", "inf"], 2, "finite"),
+    (["truncation", "--far-distance", "-10"], 2, "beyond the cut sphere"),
+    (["truncation", "--far-distance", "2"], 2, "beyond the cut sphere"),
+    (["truncation", "--cut-radius", "nan"], 2, "sliced"),
+    (["truncation", "--cut-radius", "inf"], 2, "beyond the cut sphere"),
+    (["truncation", "--cut-radius", "-1"], 2, "no component"),
+    (["truncation", "--seed", "-1"], 2, "seed"),
+    (["truncation", "--walks", "0"], 2, "walk count"),
+    # spectrum
+    (["spectrum", "--Lmax", "-1"], 2, "at least 0"),
+    (["spectrum", "--R", "nan"], 2, "outer radius"),
+    (["spectrum", "--R", "inf"], 2, "outer radius"),
+    (["spectrum", "--R", "-1"], 2, "outer radius"),
+    # profile
+    (["profile", "--points", "-5"], 2, "4 points"),
+    (["profile", "--points", "2"], 2, "4 points"),
+    (["profile", "--points", "3"], 2, "4 points"),
+    (["profile", "--points", "nan"], 2, "invalid int"),
+    (["profile", "--eta", "nan"], 2, "eta"),
+    (["profile", "--eta", "inf"], 2, "eta"),
+    (["profile", "--eta", "-0.01"], 2, "eta"),
+    (["profile", "--r-lo", "nan"], 2, "straddle"),
+    (["profile", "--r-lo", "-0.2"], 2, "straddle"),
+    (["profile", "--r-hi", "inf"], 2, "straddle"),
+    (["profile", "--r-hi", "2.5"], 2, "between 0 and R"),
+    (["profile", "--R", "inf"], 2, "outer radius"),
+]
+
+
+@pytest.mark.parametrize("argv, code, fragment", _MALFORMED,
+                         ids=[f"{a[0]}{k}" for k, (a, _, _) in enumerate(_MALFORMED)])
+def test_cli_exit_code_contract(argv, code, fragment, tmp_path, monkeypatch, capsys):
+    # main returns 2 or 3, raises nothing, writes no file, and reports one
+    # JSON error line on stderr
+    domain = tmp_path / "center.dom"
+    save_domain(ball(1.0), domain)
+    lines = domain.read_text().splitlines()
+    domain.write_text("\n".join("center nan 0.0 0.0" if ln.startswith("center") else ln
+                                for ln in lines) + "\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    assert cli_main([a.format(center=domain) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    report = json.loads(err[0])
+    assert report["exit_code"] == code
+    assert report["error"] == {2: "config", 3: "solver"}[code]
+    assert fragment in report["message"]
+    assert not any(out.iterdir())
+
+
+def test_cli_refuses_a_center_of_inf_as_of_nan(tmp_path, capsys):
+    path = tmp_path / "center.dom"
+    save_domain(ball(1.0), path)
+    path.write_text(path.read_text().replace("center 0.0 0.0 0.0", "center inf 0.0 0.0"))
+    for argv in (["cap", "--solver", "wos", "--walks", "10"], ["asym"]):
+        assert cli_main([*argv, "--domain", str(path)]) == 2
+        assert "3 finite numbers" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_cli_exits_4_on_a_violated_sweep_member_or_sandwich(tmp_path, monkeypatch, capsys):
+    # no correct solve violates either inequality, so the solves are
+    # replaced: a negative deficit for the sweep member, and a kept-part
+    # capacity below the sandwich's lower bound for the truncation run
+    monkeypatch.chdir(tmp_path)
+    real_deficit, real_capacity = engine.deficit, engine.capacity
+
+    def negative(*args, **kwargs):
+        d = real_deficit(*args, **kwargs)
+        return dataclasses.replace(d, value=-1.0, error_estimate=0.0)
+
+    monkeypatch.setattr(engine, "deficit", negative)
+    assert cli_main(["sweep", "--count", "1", "--amplitude", "0.12", "--max-degree", "2",
+                     "--Lmax", "4", "--basename", "violated"]) == 4
+    assert "1 member(s) violated" in capsys.readouterr().err
+    rows = (tmp_path / "violated.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].endswith(",violated")
+
+    def halved(*args, **kwargs):
+        res = real_capacity(*args, **kwargs)
+        return dataclasses.replace(res, value=0.5 * res.value)
+
+    monkeypatch.setattr(engine, "capacity", halved)
+    assert cli_main(["truncation", "--basename", "violated"]) == 4
+    report = json.loads((tmp_path / "violated.json").read_text())
+    assert report["sandwich_verdict"] == "violated"
+    assert "sandwich violated" in capsys.readouterr().out
+
+
+def test_engine_refuses_a_slope_of_two_points_and_a_sweep_without_a_family():
+    with pytest.raises(ConfigError, match="at least 3 points"):
+        fit_loglog([0.1, 0.2], [1.0, 2.0])
+    with pytest.raises(ConfigError, match="needs a family"):
+        run_sweep(ExperimentConfig())
 
 
 def test_cli_malformed_domain_file(tmp_path, capsys):

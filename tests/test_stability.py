@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isocap import stability
 from isocap.capacity import cap_ball
 from isocap.domains import (FamilySpec, barycenter, generate_family,
                             nearly_spherical_from_phi)
-from isocap.errors import ConfigError, GeometryError
+from isocap.errors import ConfigError, GeometryError, SolverError
 from isocap.sphere import HarmonicCoeffs, ball_volume
 from isocap.stability import (ball_profile, dtn, f_eta, h_half_norm, project_barycenter,
                               second_variation, spectrum_table, taylor_check)
@@ -70,6 +71,13 @@ def test_form_spec_validation():
             form(phi, 1.0)
     with pytest.raises(ConfigError, match="exceed 1"):
         spectrum_table(4, 1.0)
+    # and it must be finite: R = inf would pass for the absolute problem
+    for R in (np.inf, np.nan):
+        with pytest.raises(ConfigError, match="exceed 1 and be finite"):
+            second_variation(phi, R)
+    with pytest.raises(ConfigError, match="at least 0"):
+        spectrum_table(-1, REL2)
+    assert len(spectrum_table(0, ABS)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +151,9 @@ def test_f_eta_shape():
     assert f_eta(w, eta) == 0.0
     assert f_eta(w - 0.1, eta) == pytest.approx(0.1 / eta, rel=1e-12)
     assert f_eta(w + 0.1, eta) == pytest.approx(-eta * 0.1, rel=1e-12)
-    with pytest.raises(ConfigError):
-        f_eta(w, 0.0)
+    for bad in (0.0, -0.05, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="eta"):
+            f_eta(w, bad)
     with pytest.raises(ValueError):
         f_eta(-1.0, eta)
 
@@ -200,6 +209,12 @@ def test_project_barycenter_refuses_a_perturbation_over_the_bound(monkeypatch):
         project_barycenter(HarmonicCoeffs.single(2, 2, 2.0))
 
 
+def test_project_barycenter_refuses_when_it_does_not_reach_tolerance(monkeypatch):
+    monkeypatch.setattr(stability, "_PROJECTION_TOL", 0.0)
+    with pytest.raises(SolverError, match="did not reach tolerance"):
+        project_barycenter(HarmonicCoeffs.single(2, 2, 0.1))
+
+
 def test_taylor_check_quadratic_match():
     phi = HarmonicCoeffs.single(2, 2, 1.0)
     rows = taylor_check(phi, (0.02, 0.01, 0.005), ABS)
@@ -215,8 +230,9 @@ def test_taylor_check_quadratic_match():
 
 def test_taylor_check_rejects_nonpositive_ladder():
     phi = HarmonicCoeffs.single(2, 2, 1.0)
-    with pytest.raises(ConfigError):
-        taylor_check(phi, (0.02, -0.01), ABS)
+    for ladder in ((0.02, -0.01), (0.02, 0.0), (np.nan,), (0.02, np.inf)):
+        with pytest.raises(ConfigError, match="ladder"):
+            taylor_check(phi, ladder, ABS)
 
 
 # ---------------------------------------------------------------------------
