@@ -11,6 +11,7 @@ composite's symmetric difference is a sum over its components.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -70,19 +71,20 @@ def _ray_cubes(domain: StarDomain) -> np.ndarray:
     return domain._rays
 
 
-def _ball_interval(dots: np.ndarray, c2: float, radius: float):
-    """Entry/exit parameters of the rays t*w and t*(-w) (t >= 0) through
+def _ball_interval(t: np.ndarray, k: float):
+    """Entry/exit parameters of the rays s*w and s*(-w) (s >= 0) through
     a ball, for each of the first n/2 nodes w of the ray rule
     (`antipodal_pairs`).
 
-    dots holds w . c for the ball center c, c2 = |c|^2.  Along -w the
-    projection is -w . c and the discriminant is the same.  Returns
-    (b0, b1), the rays w first and then -w, clipped to t >= 0, with
-    b0 = b1 = 0 where a ray misses the ball.
+    t holds w . c for the ball center c, and k = r^2 - |c|^2.  Along w
+    the crossings solve s^2 - 2ts - k = 0, so they are t -/+ sqrt(t^2 + k);
+    along -w the projection is -t and the discriminant t^2 + k is the
+    same.  Returns (b0, b1), the rays w first and then -w, clipped to
+    s >= 0, with b0 = b1 = 0 where a ray misses the ball.
     """
-    disc = dots**2 - c2 + radius * radius
+    disc = t * t + k
     s = np.sqrt(np.maximum(disc, 0.0))
-    plus, minus = dots + s, dots - s
+    plus, minus = t + s, t - s
     b0 = np.maximum(np.concatenate([minus, -plus]), 0.0)
     b1 = np.maximum(np.concatenate([plus, -minus]), 0.0)
     empty = np.tile(disc <= 0.0, 2)
@@ -112,22 +114,28 @@ def symdiff_volume(domain, center, radius: float) -> float:
     The rays come in antipodal pairs w, -w (`antipodal_pairs`), along
     which the domain keeps its radii cubed (`_ray_cubes`).  Along -w
     the projection t = w.c only changes sign, and the discriminant
-    t^2 - |c|^2 + r^2 is the same, so one projection and one square root
-    serve a pair.  On a ray the domain is [0, rho) and the ball
-    [b0, b1), and |1_A - 1_B| integrates to a third of
+    t^2 + k, with k = r^2 - |c|^2, is the same, so one projection, a
+    row of the matrix-vector product c @ half, and one square root serve
+    a pair.  On a ray the domain is [0, rho) and the ball [b0, b1), and
+    |1_A - 1_B| integrates to a third of
     |rho^3 - b1^3| + b0^3 - 2 max(min(hi, b0^3) - lo, 0)
     along it, with lo and hi the least and greatest of rho^3 and b1^3:
     this is rho^3 + (b1^3 - b0^3) - 2 |[0, rho) cap [b0, b1)|^3.  The
     rounded cube x*x*x is nondecreasing for x >= 0, so min(b, rho)^3 is
     min(b^3, rho^3) exactly, and the cached rho^3 is used.
 
-    When 4|c|^2 <= r^2, with c the ball center relative to the domain's,
-    the ray origin lies inside the ball, and the discriminant is at least
+    When 4|c|^2 <= r^2 and k > 0 (an empty ball, r = 0, takes the
+    general path), with c the ball center relative to the domain's, the
+    ray origin lies inside the ball, and the discriminant is at least
     t^2 + 3r^2/4, so its root s exceeds |t| even after rounding.  Then
-    every ray enters the ball at t = 0: b0 and its cube are exactly 0,
-    the pair leaves it at s + t and s - t, and the term is
-    |rho^3 - b1^3| alone.  The result is the general formula's, bit for
-    bit: adding b0^3 = 0 and subtracting 2 max(-lo, 0) = 0 change no bit.
+    every ray enters the ball at 0: b0 and its cube are exactly 0, and
+    the term is |rho^3 - b1^3| alone.  The pair leaves the
+    ball at b+ = s + t and s - t, whose product is k, so the second cube
+    is k^3 / b+^3: one division in place of a subtraction and a cube.
+    s + t cancels at most a factor 3 here, and k / b+ stays within a few
+    ulp of s - t.  The result is the general formula's with that cube,
+    bit for bit: adding b0^3 = 0 and subtracting 2 max(-lo, 0) = 0 change
+    no bit.
     """
     if isinstance(domain, CompositeDomain):
         parts = [symdiff_volume(c, center, radius) for c in domain.components]
@@ -142,20 +150,22 @@ def symdiff_volume(domain, center, radius: float) -> float:
         return volume(domain) + ball_volume(radius)
     rho3 = _ray_cubes(domain)
     half, weights = antipodal_pairs(_RAY_DEGREE)
-    t = half @ c
-    if 4.0 * c2 <= radius * radius:
-        s = t**2
-        s -= c2
-        s += radius * radius
-        np.sqrt(s, out=s)
-        b = np.empty(2 * t.size)
-        np.add(s, t, out=b[: t.size])
-        np.subtract(s, t, out=b[t.size :])
-        term = _cube(b)
+    t = c @ half
+    k = radius * radius - c2
+    if 4.0 * c2 <= radius * radius and k > 0.0:
+        term = np.empty(2 * t.size)
+        plus, minus = term[: t.size], term[t.size :]
+        np.multiply(t, t, out=plus)
+        plus += k
+        np.sqrt(plus, out=plus)
+        plus += t
+        np.multiply(plus, plus, out=minus)
+        plus *= minus
+        np.divide(k * k * k, plus, out=minus)
         np.subtract(rho3, term, out=term)
         np.abs(term, out=term)
     else:
-        b0, b1 = map(_cube, _ball_interval(t, c2, radius))
+        b0, b1 = map(_cube, _ball_interval(t, k))
         lo, hi = np.minimum(rho3, b1), np.maximum(rho3, b1)
         term = np.abs(rho3 - b1) + b0 - 2.0 * np.maximum(np.minimum(hi, b0) - lo, 0.0)
     return float(weights @ term) / 3.0
@@ -182,9 +192,13 @@ def _nelder_mead(f, x0, maxfev: int):
     every machine: on AVX-512 it runs a sorting network; where the values
     are distinct and none is NaN, Python's sort gives the same order at
     less cost) and the same stop.
-    The budget is checked before each evaluation, so it can run out
-    inside a shrink, which leaves the vertex being shrunk moved with its
-    old value, as SciPy does.  f receives a list.
+    After a step that is not a shrink only the last vertex has moved;
+    while the other values are distinct and none is NaN, that vertex is
+    inserted in its place by bisection, which is the order any sort
+    gives, and a new value that is NaN or ties another is sorted as
+    above.  The budget is checked before each evaluation, so it can run
+    out inside a shrink, which leaves the vertex being shrunk moved with
+    its old value, as SciPy does.  f receives a list.
 
     Returns SciPy's x, fun and nfev: the first vertex after the final
     sort, the least value in the simplex (NaN if any value is NaN), and
@@ -208,14 +222,26 @@ def _nelder_mead(f, x0, maxfev: int):
         nfev += 1
         return f(x)
 
+    distinct = False  # the last sort found n + 1 distinct values and no NaN
+
     def sort():
         # with n + 1 distinct values and no NaN every sort gives one order
-        if len(set(fsim)) > n and all(v == v for v in fsim):
-            order = sorted(range(n + 1), key=fsim.__getitem__)
-        else:
-            order = np.argsort(fsim).tolist()
+        nonlocal distinct
+        distinct = len(set(fsim)) > n and all(v == v for v in fsim)
+        order = (sorted(range(n + 1), key=fsim.__getitem__) if distinct
+                 else np.argsort(fsim).tolist())
         sim[:] = [sim[i] for i in order]
         fsim[:] = [fsim[i] for i in order]
+
+    def insert():
+        # after a sort that found the values distinct, with only the last moved
+        v = fsim[-1]
+        i = bisect.bisect_left(fsim, v, 0, n)
+        if v != v or (i < n and fsim[i] == v):
+            return False
+        sim.insert(i, sim.pop())
+        fsim.insert(i, fsim.pop())
+        return True
 
     try:
         for k in range(n + 1):
@@ -225,6 +251,7 @@ def _nelder_mead(f, x0, maxfev: int):
     sort()
     sort()  # as SciPy does: an unstable argsort may reorder ties again
     while nfev < maxfev:
+        shrink = False
         try:
             best = sim[0]
             if (all(abs(v - b) <= _SIMPLEX_TOL for x in sim[1:] for v, b in zip(x, best))
@@ -263,7 +290,8 @@ def _nelder_mead(f, x0, maxfev: int):
                         fsim[j] = call(sim[j])
         except _BudgetSpent:
             pass
-        sort()
+        if shrink or not (distinct and insert()):
+            sort()
     return sim[0], float(np.min(fsim)), nfev
 
 

@@ -187,6 +187,12 @@ def _ridge_weighted_lstsq(A: np.ndarray, w: np.ndarray):
     return coef, cond
 
 
+def _check_l_max(l_max: int) -> None:
+    """Refuse a truncation degree below 0."""
+    if l_max < 0:
+        raise ConfigError(f"the truncation degree l_max must be at least 0, got {l_max}")
+
+
 def _collocate(domain: StarDomain, l_max: int, radial):
     """Fit sum_lm c_lm radial(l, |x|) Y_lm(x/|x|) = 1 on the boundary.
 
@@ -200,8 +206,7 @@ def _collocate(domain: StarDomain, l_max: int, radial):
 
     Returns (c_00, largest boundary radius, max residual, condition).
     """
-    if l_max < 0:
-        raise ConfigError(f"the truncation degree l_max must be at least 0, got {l_max}")
+    _check_l_max(l_max)
     quad, r, dirs = _surface_polar(domain, 2 * l_max)
     ratio = r.max() / r.min()
     if ratio > _MAX_RADIUS_RATIO:

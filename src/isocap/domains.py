@@ -131,6 +131,21 @@ class StarDomain:
         s_lo, s_hi, s_grad = _sampled_bounds(self.coeffs)
         return max(s_lo, lo), min(s_hi, hi), min(s_grad, grad)
 
+    @cached_property
+    def volume(self) -> float:
+        """The volume (`domains.volume`): the correctly rounded sum of
+        w_i rho_i^3, over 3, worked out once."""
+        return _exact_moment(self.quad.weights, self.rho, 3) / 3
+
+    @cached_property
+    def centroid(self) -> np.ndarray:
+        """The barycenter relative to the domain's center, worked out
+        once; `barycenter` adds the center.  Read-only."""
+        moment = (self.quad.weights * self.rho ** 4) @ self.quad.nodes / 4
+        centroid = moment / self.volume
+        centroid.setflags(write=False)
+        return centroid
+
     @property
     def enclosing_radius(self) -> float:
         """|center| + rho_max: for a ball, the radius about the origin of a
@@ -328,7 +343,7 @@ def volume(domain) -> float:
     """
     if isinstance(domain, CompositeDomain):
         return sum(volume(c) for c in domain.components)
-    return _exact_moment(domain.quad.weights, domain.rho, 3) / 3
+    return domain.volume
 
 
 def barycenter(domain) -> np.ndarray:
@@ -336,9 +351,7 @@ def barycenter(domain) -> np.ndarray:
         vols = np.array([volume(c) for c in domain.components])
         cents = np.array([barycenter(c) for c in domain.components])
         return (vols[:, None] * cents).sum(axis=0) / vols.sum()
-    v = volume(domain)
-    moment = (domain.quad.weights * domain.rho ** 4) @ domain.quad.nodes / 4
-    return domain.center_offset + moment / v
+    return domain.center_offset + domain.centroid
 
 
 def _sampled_bounds(coeffs: HarmonicCoeffs) -> tuple[float, float, float]:

@@ -36,7 +36,8 @@ import inspect
 import json
 import sys
 
-from ..capacity import WosConfig, _check_outer_radius, _check_walks, cap_ball, deficit
+from ..capacity import (WosConfig, _check_l_max, _check_outer_radius, _check_walks, cap_ball,
+                        deficit)
 from ..domains import FamilySpec, _check_seed, ball, ellipsoid, load_domain, volume
 from ..errors import ConfigError, GeometryError, SolverError
 from .engine import (ExperimentConfig, run_asym, run_fuglede, run_profile,
@@ -204,10 +205,12 @@ def parse_args(argv=None) -> argparse.Namespace:
         args = parser.parse_args(
             argv[:at] + _config_tokens(parser, args.config, args.command) + argv[at:])
     # refused here for every command, also those that do not read them: a
-    # seed or walk count that draws nothing, an ignored thread count, and an
-    # outer radius that abs mode does not use
+    # seed or walk count that draws nothing, a truncation degree that no
+    # solver takes (`cap --solver closed` and `wos` read none), an ignored
+    # thread count, and an outer radius that abs mode does not use
     _check_seed(getattr(args, "seed", 0))
     _check_walks(getattr(args, "num_walks", 1))
+    _check_l_max(getattr(args, "l_max", 0))
     if getattr(args, "threads", 1) < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     if "R" in args:

@@ -317,6 +317,8 @@ def run_truncation(cfg: ExperimentConfig, far_volume_fraction: float = 0.01,
     """
     if not 0.0 <= far_volume_fraction < 0.5:
         raise ConfigError("far volume fraction must be small and nonnegative")
+    if not 0.0 < cut_radius < math.inf:
+        raise ConfigError(f"the cut radius must be positive and finite, got {cut_radius!r}")
     r_near = (1.0 - far_volume_fraction) ** (1.0 / 3.0)
     if far_volume_fraction > 0.0:
         r_far = far_volume_fraction ** (1.0 / 3.0)

@@ -119,13 +119,17 @@ def antipodes(degree: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def antipodal_pairs(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """`build_quadrature(degree)` taken one antipodal pair at a time: its
-    first n/2 nodes w, and its weights for the rays w and then for their
-    antipodes -w (`antipodes`).  Cached and read-only, as the rules are."""
+    first n/2 nodes w, coordinate-major as a contiguous (3, n/2) array,
+    so that the projections c . w are one matrix-vector product c @ half,
+    and its weights for the rays w and then for their antipodes -w
+    (`antipodes`).  Cached and read-only, as the rules are."""
     quad = build_quadrature(degree)
     anti = antipodes(degree)
+    half = np.ascontiguousarray(quad.nodes[: anti.size].T)
     weights = np.concatenate([quad.weights[: anti.size], quad.weights[anti]])
+    half.setflags(write=False)
     weights.setflags(write=False)
-    return quad.nodes[: anti.size], weights
+    return half, weights
 
 
 _SQRT2 = math.sqrt(2.0)

@@ -123,17 +123,23 @@ def _paired(values):
 def _symdiff_general(dom, p, center, radius):
     """symdiff_volume's per-ray formula for every center, on the
     degree-128 ray rule one antipodal pair at a time; p holds the
-    domain's radii at the nodes in `_paired` order."""
+    domain's radii at the nodes in `_paired` order.  The projections
+    are c @ half, with the rule's first n/2 nodes coordinate-major, and
+    where 4|c|^2 <= r^2 the exit along -w comes from the product of the
+    roots, k / b+ with k = r^2 - |c|^2, cubed as k^3 / b+^3."""
     quad = build_quadrature(128)
     c = np.asarray(center, dtype=float) - dom.center_offset
     c2 = float(c @ c)
-    t = quad.nodes[: quad.n_nodes // 2] @ c
-    disc = t**2 - c2 + radius * radius
+    k = radius * radius - c2
+    t = c @ np.ascontiguousarray(quad.nodes[: quad.n_nodes // 2].T)
+    disc = t * t + k
     s = np.sqrt(np.maximum(disc, 0.0))
     miss, dots, s = np.tile(disc <= 0.0, 2), np.concatenate([t, -t]), np.tile(s, 2)
     b0 = np.where(miss, 0.0, np.maximum(dots - s, 0.0))
     b1 = np.where(miss, 0.0, np.maximum(dots + s, 0.0))
     ia, ib0, ib1 = p * p * p, b0 * b0 * b0, b1 * b1 * b1
+    if 4.0 * c2 <= radius * radius and k > 0.0:
+        ib1[t.size :] = k * k * k / ib1[: t.size]
     lo, hi = np.minimum(ia, ib1), np.maximum(ia, ib1)
     term = np.abs(ia - ib1) + ib0 - 2.0 * np.maximum(np.minimum(hi, ib0) - lo, 0.0)
     return float(_paired(quad.weights) @ term) / 3.0
@@ -211,6 +217,38 @@ def test_symdiff_fast_ray_path_matches_general_formula_bit_for_bit(member, monke
         assert calls[0] == before + (not inside and not far)
     assert fast == 200 and 0 < disjoint < 100
     assert symdiff_volume(dom, np.zeros(3), 1.0) == _symdiff_general(dom, p, np.zeros(3), 1.0)
+
+
+def test_symdiff_of_an_empty_ball_is_the_domains_volume():
+    # r = 0 at the domain's center has k = 0 and no product of roots to
+    # divide by: it takes the general path, which sees every ray miss
+    dom = _ray_path_stars()[0]
+    for center in (dom.center_offset, dom.center_offset + [0.1, 0.0, 0.0]):
+        assert symdiff_volume(dom, center, 0.0) == pytest.approx(volume(dom), rel=1e-14)
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.3, 1.7, 2.0 / 3.0])
+def test_symdiff_inner_exit_from_the_product_of_the_roots(radius):
+    # the fast path's exit along -w, k / b+ with b+ = sqrt(t^2 + k) + t and
+    # k = r^2 - |c|^2, against s - t at 50 digits from the same float
+    # inputs, on the rays w = +-e_x with c = (|c|, 0, 0), so t = +-|c|:
+    # the center of the ball, a quarter of the way out, and exactly on the
+    # fast path's edge 4|c|^2 = r^2, where s + t cancels the most.  Its cube,
+    # k^3 / b+^3, is what the path uses (at most 2 and 7.7 ulp were measured)
+    for norm in (0.0, radius / 4.0, radius / 2.0):
+        c = np.array([norm, 0.0, 0.0])
+        c2 = float(c @ c)
+        assert 4.0 * c2 <= radius * radius
+        k = radius * radius - c2
+        t = np.array([norm, -norm])
+        plus = np.sqrt(t * t + k) + t
+        with mpmath.workdps(50):
+            for ti, bp in zip(t, plus):
+                exact = (mpmath.sqrt(mpmath.mpf(ti) ** 2 - mpmath.mpf(norm) ** 2
+                                     + mpmath.mpf(radius) ** 2) - mpmath.mpf(ti))
+                minus, cube = k / bp, k * k * k / (bp * bp * bp)
+                assert abs(minus - exact) <= 10 * np.spacing(float(exact))
+                assert abs(cube - exact**3) <= 16 * np.spacing(float(exact**3))
 
 
 @pytest.mark.parametrize("member", range(5))
@@ -338,18 +376,28 @@ def test_fraenkel_moves_no_more_than_noise_in_its_objective(monkeypatch):
     # the simplex path does not turn on rounding in the objective: with
     # up to 1e-13 relative noise in every value, `fraenkel` moves by at
     # most 2e-13 relative, on two projected (abs-mode) members and the
-    # two unprojected ones that rel mode measures
+    # two unprojected ones that rel mode measures.  The noisy objective
+    # must see every counted evaluation, so a `fraenkel` that went round
+    # `symdiff_volume` would fail here rather than pass unperturbed
     spec = FamilySpec("random_star", 2, amplitude=0.3, seed=1)
     doms = []
     for k in range(2):
         _, _, dom, phi = family_member(spec, k)
         doms += [project_barycenter(phi)[1], dom]
     clean = [fraenkel(dom).value for dom in doms]
-    exact, rng = isocap.asymmetry.symdiff_volume, np.random.default_rng(13)
-    monkeypatch.setattr(isocap.asymmetry, "symdiff_volume",
-                        lambda *args: exact(*args) * (1.0 + rng.uniform(-1e-13, 1e-13)))
+    exact, rng, calls = isocap.asymmetry.symdiff_volume, np.random.default_rng(13), [0]
+
+    def noisy(*args):
+        calls[0] += 1
+        return exact(*args) * (1.0 + rng.uniform(-1e-13, 1e-13))
+
+    monkeypatch.setattr(isocap.asymmetry, "symdiff_volume", noisy)
+    evaluations = 0
     for dom, want in zip(doms, clean):
-        assert abs(fraenkel(dom).value - want) <= 2e-13 * want
+        res = fraenkel(dom)
+        evaluations += res.evaluations
+        assert abs(res.value - want) <= 2e-13 * want
+    assert calls[0] == evaluations > 0
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.3])
@@ -415,11 +463,17 @@ def test_nelder_mead_matches_scipy_on_every_branch():
     def paired(x):
         return 0.0 if x[1] + 1000.0 * x[2] > 1.0 else 1.0
 
+    # the quadratic in steps of 1/64: its values start distinct, so the
+    # simplex re-sorts by insertion, until a new vertex ties an old one
+    def terraced(x):
+        return float(math.floor(64.0 * quadratic(x)))
+
     stale = []
 
     def run():
         res = _same_as_scipy(quadratic, (1.0, 0.0, -2.0), 2000)
         assert res.nfev < 2000
+        _same_as_scipy(terraced, (1.0, 0.0, -2.0), 400)
         # every budget from 1, so that one runs out in the initial
         # simplex, and some inside a shrink, where SciPy returns a
         # vertex it moved but never evaluated

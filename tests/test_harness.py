@@ -174,6 +174,29 @@ def test_abs_member_builds_its_projected_domain_once(monkeypatch):
     assert counts["builds"] == counts["rounds"] + 1
 
 
+@pytest.mark.parametrize("outer_radius", [None, 2.0])
+def test_member_record_sums_each_domains_volume_once(outer_radius, monkeypatch):
+    # the correctly rounded volume sum is worked out once per domain and
+    # kept on it, though the record's volume, `fraenkel`'s volume check
+    # and its barycenter, and (in abs mode) `alpha`'s barycenter all read
+    # it; in abs mode each projection round builds a domain of its own
+    domains = sys.modules["isocap.domains"]
+    moment = domains._exact_moment
+    radii = []  # the radii summed, kept alive so that no id is reused
+
+    def counted(weights, rho, power):
+        radii.append(rho)
+        return moment(weights, rho, power)
+
+    monkeypatch.setattr(domains, "_exact_moment", counted)
+    spec = FamilySpec("random_star", 1, amplitude=0.3, seed=1)
+    record = _member_record(ExperimentConfig(outer_radius=outer_radius, family=spec),
+                            *family_member(spec, 0))
+    assert record.volume == pytest.approx(ball_volume(), abs=1e-12)
+    assert len({id(rho) for rho in radii}) == len(radii)
+    assert (len(radii) == 1) == (outer_radius is not None)
+
+
 def test_truncation_runs_no_walk_on_spheres(monkeypatch, tmp_path, capsys):
     # every capacity in the report is a closed form, so --seed and --walks
     # are accepted and change no byte; gate 08 keeps WoS on a ball covered
@@ -783,9 +806,9 @@ _MALFORMED = [
     (["truncation", "--far-distance", "inf"], 2, "finite"),
     (["truncation", "--far-distance", "-10"], 2, "beyond the cut sphere"),
     (["truncation", "--far-distance", "2"], 2, "beyond the cut sphere"),
-    (["truncation", "--cut-radius", "nan"], 2, "sliced"),
-    (["truncation", "--cut-radius", "inf"], 2, "beyond the cut sphere"),
-    (["truncation", "--cut-radius", "-1"], 2, "no component"),
+    (["truncation", "--cut-radius", "nan"], 2, "cut radius"),
+    (["truncation", "--cut-radius", "inf"], 2, "cut radius"),
+    (["truncation", "--cut-radius", "-1"], 2, "cut radius"),
     (["truncation", "--seed", "-1"], 2, "seed"),
     (["truncation", "--walks", "0"], 2, "walk count"),
     # spectrum
@@ -806,6 +829,10 @@ _MALFORMED = [
     (["profile", "--r-hi", "inf"], 2, "straddle"),
     (["profile", "--r-hi", "2.5"], 2, "between 0 and R"),
     (["profile", "--R", "inf"], 2, "outer radius"),
+    # cases added later go last, so that every id above keeps its number
+    (["cap", "--ball", "1", "--solver", "closed", "--Lmax", "-1"], 2, "l_max"),
+    (["cap", "--ball", "1", "--solver", "wos", "--Lmax", "-1"], 2, "l_max"),
+    (["truncation", "--cut-radius", "0"], 2, "cut radius"),
 ]
 
 
